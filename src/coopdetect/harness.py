@@ -163,9 +163,11 @@ def desk_fixture(master_seed: int, **overrides) -> ExperimentConfig:
     combiner sharpness, iteration count and path-loss exponent are
     calibrated to this simulator's gain units: the reference values for
     those constants are tied to an absolute scale their source experiments
-    do not disclose, and at desk scale they leave cooperation numerically
-    inert (see README).  Reference values remain the ``ExperimentConfig``
-    defaults.
+    do not disclose.  At desk scale neighboring estimates differ by ~100
+    gain units, so with rho = 500 every neighbor's combiner weight
+    sigmoid(-rho * distance) underflows to zero and cooperation is inert
+    (cmd stays within 1e-6 of no_coop).  Reference values remain the
+    ``ExperimentConfig`` defaults.
     """
     params = dict(
         num_aps=5,

@@ -1,14 +1,15 @@
 """Dense Hermitian positive-definite kernels for the covariance likelihood.
 
-Everything here works on plain complex128 ndarrays.  Matrices passed in are
-expected to be Hermitian; only the lower triangle is ever factorized, and the
+Everything here works on plain complex128 ndarrays, one matrix or a stack
+of them along leading axes (one per AP).  Matrices passed in are expected to
+be Hermitian; only the lower triangle is ever factorized, and the
 positive-definiteness check is a Cholesky pivot test relative to the trace.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg import cho_solve, get_lapack_funcs
 
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularDowndate
 
@@ -20,13 +21,19 @@ DOWNDATE_TOL = 1e-12
 
 def _as_square(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(f"expected a (stack of) square matrices, got shape {a.shape}")
     return a
 
 
+def _first(bad: np.ndarray) -> tuple:
+    """Index of the first True entry of ``bad``, and its position as a message prefix."""
+    k = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    return k, (f"at {tuple(int(i) for i in k)}: " if k else "")
+
+
 def cholesky_factor(a: np.ndarray) -> np.ndarray:
-    """Lower-triangular Cholesky factor of a Hermitian PD matrix.
+    """Lower-triangular Cholesky factor of a Hermitian PD matrix (or stack).
 
     Raises
     ------
@@ -35,37 +42,24 @@ def cholesky_factor(a: np.ndarray) -> np.ndarray:
         at or below ``PIVOT_RTOL * trace(a)``.
     """
     a = _as_square(a)
-    trace = float(np.real(np.trace(a)))
+    trace = np.real(np.trace(a, axis1=-2, axis2=-1))
     try:
-        low = cholesky(a, lower=True, check_finite=False)
+        low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as err:
         raise NotPositiveDefinite(str(err)) from err
-    pivots = np.real(np.diagonal(low)) ** 2
-    if trace <= 0.0 or np.min(pivots) <= PIVOT_RTOL * trace:
+    pivots = np.min(np.real(np.diagonal(low, axis1=-2, axis2=-1)) ** 2, axis=-1)
+    bad = (trace <= 0.0) | (pivots <= PIVOT_RTOL * trace)
+    if np.any(bad):
+        k, at = _first(bad)
         raise NotPositiveDefinite(
-            f"pivot {np.min(pivots):.3e} below tolerance {PIVOT_RTOL * trace:.3e}"
+            f"{at}pivot {pivots[k]:.3e} below tolerance {PIVOT_RTOL * trace[k]:.3e}"
         )
     return low
 
 
-def logdet(a: np.ndarray) -> float:
-    """ln det(A) for Hermitian positive definite A, via Cholesky."""
-    low = cholesky_factor(a)
-    return 2.0 * float(np.sum(np.log(np.real(np.diagonal(low)))))
-
-
-def logdet_from_factor(low: np.ndarray) -> float:
-    """ln det(A) given a lower Cholesky factor of A."""
-    return 2.0 * float(np.sum(np.log(np.real(np.diagonal(low)))))
-
-
-def solve(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Solve A x = v for Hermitian positive definite A."""
-    a = _as_square(a)
-    v = np.asarray(v)
-    if v.shape[0] != a.shape[0]:
-        raise DimensionMismatch(f"matrix dim {a.shape[0]} vs vector dim {v.shape[0]}")
-    return solve_from_factor(cholesky_factor(a), v)
+def logdet_from_factor(low: np.ndarray) -> np.ndarray:
+    """ln det(A) given a lower Cholesky factor of A (one value per matrix)."""
+    return 2.0 * np.sum(np.log(np.real(np.diagonal(low, axis1=-2, axis2=-1))), axis=-1)
 
 
 def solve_from_factor(low: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -73,66 +67,48 @@ def solve_from_factor(low: np.ndarray, v: np.ndarray) -> np.ndarray:
     return cho_solve((low, True), v, check_finite=False)
 
 
-def rank1_update(a: np.ndarray, c: float, v: np.ndarray) -> np.ndarray:
-    """Return ``A + c * v v^H`` (Hermitian whenever A is)."""
-    a = _as_square(a)
-    v = np.asarray(v)
-    if v.shape[0] != a.shape[0]:
-        raise DimensionMismatch(f"matrix dim {a.shape[0]} vs vector dim {v.shape[0]}")
-    return a + c * np.outer(v, v.conj())
-
-
-def downdate_quadforms(
-    a: np.ndarray, gamma: float, v: np.ndarray, b: np.ndarray
-) -> tuple[float, float]:
-    """Quadratic forms of the inverse of the rank-one downdate of ``a``.
-
-    With ``A_d = A - gamma * v v^H`` (never formed), returns
-
-        q1 = v^H A_d^-1 v
-        q2 = v^H A_d^-1 B A_d^-1 v
-
-    using the Sherman-Morrison identity: for u = A^-1 v and alpha = v^H u,
-    A_d^-1 v = u / (1 - gamma * alpha).
-
-    Raises
-    ------
-    SingularDowndate
-        If ``1 - gamma * v^H A^-1 v <= DOWNDATE_TOL``, i.e. gamma is
-        inconsistent with ``a``.
-    """
-    a = _as_square(a)
-    b = _as_square(b)
-    u = solve(a, v)
-    alpha = float(np.real(np.vdot(v, u)))
-    denom = 1.0 - gamma * alpha
-    if denom <= DOWNDATE_TOL:
-        raise SingularDowndate(f"1 - gamma * v^H A^-1 v = {denom:.3e}")
-    w = u / denom
-    q1 = alpha / denom
-    q2 = float(np.real(np.vdot(w, b @ w)))
-    return q1, q2
+def _lower_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of each lower-triangular factor, by one LAPACK trtri call per matrix."""
+    (trtri,) = get_lapack_funcs(("trtri",), (low,))
+    flat = low.reshape((-1,) + low.shape[-2:])
+    out = np.empty_like(flat)
+    for k, m in enumerate(flat):
+        out[k] = trtri(m, lower=1)[0]
+    return out.reshape(low.shape)
 
 
 def downdate_quadforms_batch(
     low: np.ndarray, cols: np.ndarray, gammas: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`downdate_quadforms` over the columns of ``cols``.
+    """Quadratic forms of the inverse of rank-one downdates of A, per column.
 
-    ``low`` is the lower Cholesky factor of A; ``gammas[n]`` is the downdate
-    coefficient paired with column ``cols[:, n]``.  One triangular solve and
-    one matrix product, O(L^2 N) total.
+    For each column ``v = cols[:, n]`` with coefficient ``gamma = gammas[..., n]``
+    and ``A_d = A - gamma v v^H`` (never formed), returns
+
+        q1 = v^H A_d^-1 v
+        q2 = v^H A_d^-1 B A_d^-1 v
+
+    using the Sherman-Morrison identity: for u = A^-1 v and alpha = v^H u,
+    A_d^-1 v = u / (1 - gamma * alpha).  ``low`` is the lower Cholesky factor
+    L of A (``gammas`` and ``b`` stacked alike); the (L, N) columns are
+    shared.  With w = L^-1 v and G = L^-1 B L^-H, alpha = |w|^2 and
+    u^H B u = w^H G w: O(L^3) per matrix plus two O(L^2 N) products.
+
+    Raises
+    ------
+    SingularDowndate
+        If ``1 - gamma * v^H A^-1 v <= DOWNDATE_TOL`` for some column, i.e.
+        gamma is inconsistent with ``a``.
     """
-    u = solve_from_factor(low, cols)
-    alpha = np.real(np.einsum("ln,ln->n", cols.conj(), u))
+    l, n = cols.shape
+    linv = _lower_inverse(low)
+    w = (linv.reshape(-1, l) @ cols).reshape(linv.shape[:-1] + (n,))
+    alpha = np.sum(w.real**2 + w.imag**2, axis=-2)
+    g = linv @ b @ np.conj(np.swapaxes(linv, -1, -2))
+    ubu = np.real(np.vecdot(w, g @ w, axis=-2))
     denom = 1.0 - np.asarray(gammas) * alpha
     bad = denom <= DOWNDATE_TOL
     if np.any(bad):
-        n = int(np.argmax(bad))
-        raise SingularDowndate(
-            f"column {n}: 1 - gamma * v^H A^-1 v = {denom[n]:.3e}"
-        )
-    q1 = alpha / denom
-    ubu = np.real(np.einsum("ln,ln->n", u.conj(), b @ u))
-    q2 = ubu / denom**2
-    return q1, q2
+        k, at = _first(bad)
+        raise SingularDowndate(f"{at}1 - gamma * v^H A^-1 v = {denom[k]:.3e}")
+    return alpha / denom, ubu / denom**2

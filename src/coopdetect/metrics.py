@@ -66,28 +66,32 @@ def detect(gamma_est: np.ndarray, scenario: Scenario, noise_power: float,
     Returns (decisions, assigned_ap); device n is declared active iff
     ``gamma_est[assigned_ap[n], n] > iota * noise_power``.
     """
+    read, assigned = _read(gamma_est, scenario, b0_mode)
+    return (read > iota * noise_power).astype(np.int8), assigned
+
+
+def _read(gamma_est: np.ndarray, scenario: Scenario, b0_mode: str):
+    """Each device's estimate at its assigned AP, and the assignment."""
     gamma_est = np.atleast_2d(gamma_est)
     assigned = assign_aps(gamma_est, scenario, b0_mode)
-    read = gamma_est[assigned, np.arange(gamma_est.shape[1])]
-    decisions = (read > iota * noise_power).astype(np.int8)
-    return decisions, assigned
+    return gamma_est[assigned, np.arange(gamma_est.shape[1])], assigned
 
 
 def aer(decisions: np.ndarray, truth: np.ndarray) -> tuple[float, float, float]:
-    """Per-class error rates: (missed, false_alarm, their sum).
+    """Per-class error rates: (missed, false_alarm, their sum), per decision vector.
 
     Raises DegenerateClasses when every device is active or none is.
     """
     decisions = np.asarray(decisions)
     truth = np.asarray(truth)
-    if decisions.shape != truth.shape:
+    if decisions.shape[-1:] != truth.shape:
         raise DegenerateClasses(f"shape mismatch {decisions.shape} vs {truth.shape}")
     k = int(np.sum(truth == 1))
     n = truth.size
     if k == 0 or k == n:
         raise DegenerateClasses(f"need both classes present, got {k} active of {n}")
-    missed = float(np.sum((truth == 1) & (decisions == 0)) / k)
-    false_alarm = float(np.sum((truth == 0) & (decisions == 1)) / (n - k))
+    missed = np.sum((truth == 1) & (decisions == 0), axis=-1) / k
+    false_alarm = np.sum((truth == 0) & (decisions == 1), axis=-1) / (n - k)
     return missed, false_alarm, missed + false_alarm
 
 
@@ -96,7 +100,7 @@ def evaluate(gamma_est: np.ndarray, scenario: Scenario, iota: float,
     """Threshold, score against ground truth, and assemble a report."""
     sigma2 = scenario.noise_power if noise_power is None else noise_power
     decisions, assigned = detect(gamma_est, scenario, sigma2, iota, b0_mode)
-    missed, false_alarm, combined = aer(decisions, scenario.activity)
+    missed, false_alarm, combined = (float(r) for r in aer(decisions, scenario.activity))
     errors = int(np.sum(decisions != scenario.activity))
     return DetectionReport(
         decisions=decisions,
@@ -118,13 +122,14 @@ def calibrate_threshold(validation_runs, grid=None, b0_mode: str = "nearest") ->
 
     ``validation_runs`` is an iterable of (gamma_est, scenario) pairs with
     ground truth.  Ties break deterministically to the smallest multiplier.
+    Each run is read at its assigned APs once and scored on the whole grid.
     """
     grid = np.asarray(DEFAULT_IOTA_GRID if grid is None else grid, dtype=float)
     runs = list(validation_runs)
     if not runs:
         raise DegenerateClasses("calibration needs at least one validation run")
-    means = np.empty(grid.size)
-    for i, iota in enumerate(grid):
-        scores = [evaluate(g, s, iota, b0_mode).aer for g, s in runs]
-        means[i] = float(np.mean(scores))
-    return float(grid[int(np.argmin(means))])
+    scores = np.empty((grid.size, len(runs)))
+    for j, (g, s) in enumerate(runs):
+        read, _ = _read(g, s, b0_mode)
+        scores[:, j] = aer(read > grid[:, None] * s.noise_power, s.activity)[2]
+    return float(grid[int(np.argmin(scores.mean(axis=1)))])

@@ -1,6 +1,7 @@
 """Simulated backhaul: one-hop delivery with failure injection and accounting.
 
-Messages move between APs once per synchronized round.  A failure plan can
+Messages move once per synchronized round, one per directed edge of a
+:class:`Backhaul`, as boolean masks over the edges.  A failure plan can
 crash APs (permanently, from a given round), take links down over a round
 window, or drop individual messages at random.  An AP that misses a
 neighbor's message keeps using the last value it received; that rule lives
@@ -78,15 +79,40 @@ class FailurePlan:
         if problems:
             raise InvalidConfig("; ".join(problems))
 
-    def ap_down(self, ap: int, rnd: int) -> bool:
-        return any(a == ap and rnd >= r for a, r in self.ap_failures)
-
-    def link_down(self, edge, rnd: int) -> bool:
-        e = _norm_edge(edge)
-        return any(_norm_edge(fe) == e and r0 <= rnd <= r1 for fe, r0, r1 in self.link_failures)
+    def aps_down(self, rnd: int, num_aps: int) -> np.ndarray:
+        """(num_aps,) mask of the APs crashed at round ``rnd``."""
+        down = np.zeros(num_aps, dtype=bool)
+        down[[ap for ap, r in self.ap_failures if rnd >= r]] = True
+        return down
 
 
 EMPTY_PLAN = FailurePlan()
+
+
+@dataclass(frozen=True)
+class Backhaul:
+    """Directed backhaul edges: edge e carries ``src[e]``'s estimate to ``dst[e]``.
+
+    The edges into one AP are contiguous and in that AP's neighbor order;
+    ``send_order`` sorts them by (src, dst), the order drops are drawn in.
+    """
+
+    num_aps: int
+    src: np.ndarray
+    dst: np.ndarray
+    send_order: np.ndarray
+
+    @classmethod
+    def from_neighbors(cls, neighbors) -> "Backhaul":
+        """Edges of symmetric neighbor sets; UnknownEdge for a self, unknown or one-way link."""
+        b = len(neighbors)
+        for i, nbrs in enumerate(neighbors):
+            for j in nbrs:
+                if not (0 <= j < b and j != i and i in neighbors[j]):
+                    raise UnknownEdge(f"({j}, {i}) is not a backhaul edge")
+        src = np.array([j for nbrs in neighbors for j in nbrs], dtype=np.intp)
+        dst = np.repeat(np.arange(b), [len(nbrs) for nbrs in neighbors])
+        return cls(b, src, dst, np.lexsort((dst, src)))
 
 
 @dataclass
@@ -109,9 +135,11 @@ class CommLedger:
             }
         )
 
-    def credit(self, src: int, dst: int) -> None:
-        self.sent_by_ap[src] = self.sent_by_ap.get(src, 0) + 1
-        self.received_by_ap[dst] = self.received_by_ap.get(dst, 0) + 1
+    def credit(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """Count one delivered message per (src[k], dst[k]) pair."""
+        for counts, aps in ((self.sent_by_ap, src), (self.received_by_ap, dst)):
+            for ap, c in zip(*np.unique(aps, return_counts=True)):
+                counts[int(ap)] = counts.get(int(ap), 0) + int(c)
 
     @property
     def total_messages(self) -> int:
@@ -137,40 +165,35 @@ class CommLedger:
 
 
 def deliver_round(
-    messages: dict,
+    sent: np.ndarray,
     plan: FailurePlan,
     rnd: int,
     rng: np.random.Generator,
-    neighbors,
+    backhaul: Backhaul,
     ledger: CommLedger | None = None,
-) -> dict:
+    payload_size: int = 1,
+) -> np.ndarray:
     """Deliver one round of messages, applying the failure plan.
 
-    ``messages`` maps directed edges (src, dst) to payload vectors.  Drops
-    happen for crashed endpoints, failed links, and with ``drop_prob``
-    otherwise; the random stream is only consumed when drop_prob > 0, so
+    ``sent`` masks the edges of ``backhaul`` that carry a message (of
+    ``payload_size`` scalars) this round; the result masks the delivered
+    ones.  Drops happen for crashed endpoints, failed links, and with
+    ``drop_prob`` otherwise, one draw per surviving message in (src, dst)
+    order.  The random stream is only consumed when drop_prob > 0, so
     failure-free runs are bit-identical with and without a plan.
-
-    Raises UnknownEdge for a directed edge not present in the adjacency.
     """
-    delivered = {}
-    scalars = 0
-    for (src, dst) in sorted(messages):
-        if dst not in neighbors[src]:
-            raise UnknownEdge(f"({src}, {dst}) is not a backhaul edge")
-    for (src, dst) in sorted(messages):
-        payload = messages[(src, dst)]
-        if plan.ap_down(src, rnd) or plan.ap_down(dst, rnd):
-            continue
-        if plan.link_down((src, dst), rnd):
-            continue
-        if plan.drop_prob > 0.0 and rng.random() < plan.drop_prob:
-            continue
-        delivered[(src, dst)] = payload
-        scalars += int(np.size(payload))
-        if ledger is not None:
-            ledger.credit(src, dst)
+    src, dst = backhaul.src, backhaul.dst
+    down = plan.aps_down(rnd, backhaul.num_aps)
+    delivered = sent & ~down[src] & ~down[dst]
+    for (i, j), r0, r1 in plan.link_failures:
+        if r0 <= rnd <= r1:
+            delivered &= ~(((src == i) & (dst == j)) | ((src == j) & (dst == i)))
+    if plan.drop_prob > 0.0:
+        survivors = backhaul.send_order[delivered[backhaul.send_order]]
+        delivered[survivors] = rng.random(len(survivors)) >= plan.drop_prob
     if ledger is not None:
-        ledger.record_round(rnd, attempted=len(messages), delivered=len(delivered),
-                            scalars=scalars)
+        count = int(np.count_nonzero(delivered))
+        ledger.credit(src[delivered], dst[delivered])
+        ledger.record_round(rnd, attempted=int(np.count_nonzero(sent)), delivered=count,
+                            scalars=count * payload_size)
     return delivered

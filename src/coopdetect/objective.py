@@ -11,7 +11,8 @@ backward steps: a row-norm shrink over the neighbor panel (joint sparsity)
 and an elementwise shrink toward one randomly selected neighbor's estimate
 (similarity), with running subgradient estimators tying the two together.
 
-All functions are pure; the per-AP state machine lives in ``solver``.
+All functions are pure and take one AP's arrays or a stack of them along
+a leading AP axis (giving one result per AP); the round lives in ``solver``.
 """
 
 from __future__ import annotations
@@ -33,11 +34,7 @@ ROWNORM_FLOOR = 1e-12  # below this a panel row counts as zero (no shrink term)
 
 @dataclass
 class Hyperparams:
-    """Solver hyperparameters with their reference defaults.
-
-    ``selection_probs`` is the neighbor-sampling distribution over the
-    inclusive neighbor set (own AP last); None means uniform.
-    """
+    """Solver hyperparameters with their reference defaults."""
 
     beta: float = 0.038          # sparsity weight
     tau: float = 0.0075          # similarity weight
@@ -46,13 +43,12 @@ class Hyperparams:
     rho: float = 500.0           # combiner sharpness
     iota: float = 1.0            # detection threshold multiplier
     num_iters: int = 40          # synchronized rounds
-    selection_probs: tuple[float, ...] | None = None
 
 
 def assemble_covariance(pilots: np.ndarray, gamma: np.ndarray, noise_power: float) -> np.ndarray:
     """Model covariance ``pilots @ diag(gamma) @ pilots^H + noise_power * I``."""
     l = pilots.shape[0]
-    return (pilots * gamma) @ pilots.conj().T + noise_power * np.eye(l)
+    return (pilots * np.asarray(gamma)[..., None, :]) @ pilots.conj().T + noise_power * np.eye(l)
 
 
 def ml_cost(gamma, pilots, noise_power, sample_cov) -> float:
@@ -61,9 +57,9 @@ def ml_cost(gamma, pilots, noise_power, sample_cov) -> float:
     return ml_cost_given_factor(cholesky_factor(sigma), sample_cov)
 
 
-def ml_cost_given_factor(low, sample_cov) -> float:
+def ml_cost_given_factor(low, sample_cov):
     """Same as :func:`ml_cost` given the Cholesky factor of the model covariance."""
-    fit = float(np.real(np.trace(solve_from_factor(low, sample_cov))))
+    fit = np.real(np.trace(solve_from_factor(low, sample_cov), axis1=-2, axis2=-1))
     return logdet_from_factor(low) + fit
 
 
@@ -85,14 +81,17 @@ def ml_gradient(gamma, pilots, noise_power, sample_cov, cov=None) -> np.ndarray:
 
 
 def row_norms(panel: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of the (N, |neighbors|+1) estimate panel."""
-    return np.linalg.norm(np.atleast_2d(panel.T).T, axis=1)
+    """Euclidean norm of each row of the (N, |neighbors|+1) estimate panel.
+
+    Stacked panels may be padded with zero columns to a common width.
+    """
+    return np.linalg.norm(np.atleast_2d(panel.T).T, axis=-1)
 
 
-def sparsity_penalty(panel: np.ndarray, theta: float) -> float:
+def sparsity_penalty(panel: np.ndarray, theta: float):
     """Log-regularized row-norm penalty; zero iff every row is zero."""
     r = row_norms(panel)
-    return float(np.sum(r - np.log1p(theta * r) / theta))
+    return np.sum(r - np.log1p(theta * r) / theta, axis=-1)
 
 
 def sparsity_step(gamma, grad, x_agg, panel, beta, tau, eta) -> np.ndarray:
@@ -119,16 +118,14 @@ def similarity_prox(z, x_sel, anchor, tau_eta) -> tuple[np.ndarray, int]:
 
     with sign(0) = 0, so hitting the anchor exactly returns v.  The min
     keeps the result nonnegative for v >= 0; any residual negative entry is
-    clamped to zero and counted.  Returns (estimate, clamp count).
+    clamped to zero and counted.  Returns (estimate, clamp count); stacked
+    rows take a (B, 1) ``tau_eta`` and get one count each.
     """
     v = np.asarray(z, dtype=float) + tau_eta * np.asarray(x_sel, dtype=float)
     shift = np.minimum(tau_eta * np.sign(v - np.asarray(anchor, dtype=float)), v)
     out = np.where(v == 0.0, 0.0, v - shift)
     negative = out < 0.0
-    n_clamped = int(np.count_nonzero(negative))
-    if n_clamped:
-        out = np.where(negative, 0.0, out)
-    return out, n_clamped
+    return np.where(negative, 0.0, out), np.count_nonzero(negative, axis=-1)
 
 
 def subgradient_local_update(x_old, z, gamma_new, tau_eta) -> np.ndarray:
@@ -145,7 +142,7 @@ def subgradient_aggregate_update(x_agg, weight, x_new, x_old) -> np.ndarray:
     return np.asarray(x_agg) + weight * (np.asarray(x_new) - np.asarray(x_old))
 
 
-def combiner_weights(own_gamma, neighbor_gammas, rho) -> np.ndarray:
+def combiner_weights(own_gamma, neighbor_gammas, rho, receivers=None) -> np.ndarray:
     """Adaptive convex weights over [neighbors..., self].
 
     Each neighbor gets ``(2/k) * sigmoid(-rho * ||own - theirs||_2)`` where
@@ -153,14 +150,19 @@ def combiner_weights(own_gamma, neighbor_gammas, rho) -> np.ndarray:
     estimates split the mass evenly over the neighbors; distant estimates
     push all mass back to self.  Always a probability vector with each
     neighbor weight in [0, 1/k].
+
+    For B APs, ``own_gamma`` is (B, N), ``neighbor_gammas`` has one row per
+    edge and ``receivers`` the AP it feeds; the result is the edge weights,
+    then the B self weights (one AP by default: [neighbors..., self]).
     """
-    neighbor_gammas = np.atleast_2d(np.asarray(neighbor_gammas, dtype=float))
-    k = neighbor_gammas.shape[0] if neighbor_gammas.size else 0
-    if k == 0:
-        return np.array([1.0])
-    dists = np.linalg.norm(neighbor_gammas - np.asarray(own_gamma, dtype=float), axis=1)
-    w = (2.0 / k) * expit(-rho * dists)
-    return np.append(w, 1.0 - float(np.sum(w)))
+    own = np.atleast_2d(np.asarray(own_gamma, dtype=float))
+    nbrs = np.asarray(neighbor_gammas, dtype=float).reshape(-1, own.shape[-1])
+    if receivers is None:
+        receivers = np.zeros(len(nbrs), dtype=int)
+    k = np.bincount(receivers, minlength=len(own))
+    dists = np.linalg.norm(nbrs - own[receivers], axis=1)
+    w = (2.0 / k[receivers]) * expit(-rho * dists)
+    return np.concatenate([w, 1.0 - np.bincount(receivers, w, minlength=len(own))])
 
 
 def stochastic_step_size(weight: float, eta: float, prob: float) -> float:

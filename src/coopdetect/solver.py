@@ -1,19 +1,35 @@
-"""Per-AP state machine and the synchronized multi-AP driver.
+"""Synchronized multi-AP solver: each round is one batched step over all live APs.
 
-Each round, every live AP: takes a likelihood gradient step folded with the
+Each round, every live AP takes a likelihood gradient step folded with the
 joint-sparsity shrink (the z step), samples one neighbor, shrinks toward
-that neighbor's last received estimate, maintains its model covariance with
-rank-one updates, refreshes its subgradient estimators, and hands its new
-estimate to the backhaul.  Rounds are bulk-synchronous: all APs compute on
-previous-round neighbor data, then all messages are delivered at once, so
-trajectories are independent of AP execution order within a round.
+that neighbor's last received estimate, maintains its model covariance,
+refreshes its subgradient estimators and hands its new estimate to the
+backhaul.  Rounds are bulk-synchronous: all APs compute on previous-round
+neighbor data, then all messages are delivered at once.
+
+Layout, for B APs, N devices, L pilot symbols and E directed backhaul edges
+(a ``netsim.Backhaul``, ordered by receiver): estimates and combined
+subgradient estimators are (B, N), covariances (B, L, L).  The estimate last
+received over each edge and the receiver's subgradient estimator for that
+neighbor are edge-indexed (E, N), so memory grows with the edges, not B^2;
+an AP's estimator for itself never moves and is not stored.  Each step calls
+its objective function once for all live APs.
+
+Random streams do not depend on the batching.  AP i pre-draws its selection
+uniforms as ``rng.random(num_iters)`` from ``SeedSequence([_SELECTION_SALT,
+seed, i])``; comparing the round-t value with the CDF of its inclusive
+degree equals the t-th ``rng.choice`` of a per-AP loop, as a crashed AP never
+draws again.  Drops take one draw per surviving message, in (src, dst) order.
+
+The gradient and the covariance update need (L, N) complex temporaries per
+AP, so they run over chunks of live APs that keep one (chunk, L, N)
+temporary near ``CHUNK_BYTES``: all B at once would grow peak memory with B
+(5 MB per temporary for 64 APs at L=24, N=200) for no speed, as a chunk of a
+few APs already amortizes the per-call overhead.
 """
 
 from __future__ import annotations
 
-import csv
-import json
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +39,7 @@ from .errors import ConfigMismatch, StateConsistencyError
 from .linalg import cholesky_factor
 from .objective import (
     Hyperparams,
+    assemble_covariance,
     combiner_weights,
     ml_cost_given_factor,
     ml_gradient,
@@ -37,6 +54,7 @@ from .scenario import ApObservation, Scenario
 
 _SELECTION_SALT = 0x5E1EC7
 _NETSIM_SALT = 0xD80B
+CHUNK_BYTES = 1 << 19
 
 
 @dataclass
@@ -52,63 +70,30 @@ class SolverOptions:
 
 @dataclass
 class ApSolverState:
-    """Mutable per-AP iterates; exclusively owned by its AP within a round."""
+    """One AP's final iterates; :attr:`RunResult.states` holds one per AP."""
 
     ap_id: int
     neighbors: tuple[int, ...]        # one-hop neighbors, self excluded
     gamma: np.ndarray                 # (N,) current device state estimate
     sigma: np.ndarray                 # (L, L) maintained model covariance
-    z: np.ndarray                     # (N,) last intermediate estimate
     x_agg: np.ndarray                 # (N,) combined subgradient estimator
     x_local: dict                     # neighbor id -> (N,) estimator (self stays 0)
     last_received: dict               # neighbor id -> (N,) their last estimate
-    rng: np.random.Generator
     t: int = 0
     clamp_count: int = 0
     degenerate_count: int = 0
-    last_selected: int = -1
-    last_weights: np.ndarray | None = None
-    last_cost: float = float("nan")
     last_delta: float = float("inf")  # inf-norm of the latest estimate change
-
-    @property
-    def inclusive_order(self) -> tuple[int, ...]:
-        """Sampling order over the inclusive neighbor set: neighbors, self last."""
-        return self.neighbors + (self.ap_id,)
 
 
 @dataclass
 class IterationTrace:
-    """Append-only per-(round, AP) records of cost, choices and traffic."""
+    """Append-only per-round records of arrays over the APs live in that round."""
 
     records: list = field(default_factory=list)
 
-    def add(self, **row) -> None:
-        self.records.append(row)
-
-    def costs(self, ap_id: int | None = None) -> np.ndarray:
-        rows = [r for r in self.records if ap_id is None or r["ap"] == ap_id]
-        return np.array([r["cost"] for r in rows])
-
     def round_costs(self) -> np.ndarray:
         """Total cost across APs per round, ordered by round."""
-        totals: dict[int, float] = {}
-        for r in self.records:
-            totals[r["round"]] = totals.get(r["round"], 0.0) + r["cost"]
-        return np.array([totals[k] for k in sorted(totals)])
-
-    def to_csv(self, path) -> None:
-        cols = ["round", "ap", "cost", "selected", "messages_sent",
-                "payload_bytes", "wall_time_s", "clamped", "degenerate"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            for r in self.records:
-                writer.writerow([r[c] for c in cols])
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.records, fh, sort_keys=True)
+        return np.array([float(np.sum(r["cost"])) for r in self.records])
 
 
 @dataclass
@@ -122,151 +107,172 @@ class RunResult:
     rounds_completed: int
 
 
-def init_states(scenario: Scenario, observations: list[ApObservation],
-                hyper: Hyperparams) -> list[ApSolverState]:
-    """Fresh solver states: zero estimates, noise-only covariance, zero estimators."""
-    b = scenario.num_aps
-    if len(observations) != b:
-        raise ConfigMismatch(f"{len(observations)} observations for {b} APs")
-    n, l = scenario.num_devices, scenario.pilot_len
-    states = []
-    for i, obs in enumerate(observations):
-        if obs.ap_id != i:
-            raise ConfigMismatch(f"observation {i} carries ap_id {obs.ap_id}")
-        if obs.sample_cov.shape != (l, l):
-            raise ConfigMismatch(
-                f"sample covariance at AP {i} has shape {obs.sample_cov.shape}, expected {(l, l)}"
-            )
-        nbrs = tuple(scenario.neighbors[i])
-        states.append(
-            ApSolverState(
-                ap_id=i,
-                neighbors=nbrs,
-                gamma=np.zeros(n),
-                sigma=scenario.noise_power * np.eye(l, dtype=complex),
-                z=np.zeros(n),
-                x_agg=np.zeros(n),
-                x_local={j: np.zeros(n) for j in nbrs + (i,)},
-                last_received={j: np.zeros(n) for j in nbrs},
-                rng=np.random.default_rng(
-                    np.random.SeedSequence([_SELECTION_SALT, scenario.seed, i])
-                ),
-            )
-        )
-    return states
+@dataclass
+class _Batch:
+    """All APs' iterates and counters as flat arrays (see the module docstring)."""
+
+    edges: netsim.Backhaul
+    draws: np.ndarray                 # (B, T) pre-drawn selection uniforms
+    cdfs: np.ndarray                  # (B, max degree + 1) selection CDFs
+    gamma: np.ndarray                 # (B, N)
+    sigma: np.ndarray                 # (B, L, L)
+    x_agg: np.ndarray                 # (B, N)
+    x_local: np.ndarray               # (E, N) receiver's estimator per neighbor
+    received: np.ndarray              # (E, N) last estimate over each edge
+    t: np.ndarray                     # (B,) rounds computed
+    clamped: np.ndarray               # (B,)
+    degenerate: np.ndarray            # (B,)
+    delta: np.ndarray                 # (B,) inf-norm of the last estimate change
+
+    @classmethod
+    def initial(cls, scenario: Scenario, num_iters: int) -> "_Batch":
+        """Zero estimates, noise-only covariances, zero estimators."""
+        b, n, l = scenario.num_aps, scenario.num_devices, scenario.pilot_len
+        edges = netsim.Backhaul.from_neighbors(scenario.neighbors)
+        draws = np.stack([np.random.default_rng(np.random.SeedSequence(
+            [_SELECTION_SALT, scenario.seed, i])).random(num_iters) for i in range(b)])
+        sigma = np.tile(scenario.noise_power * np.eye(l, dtype=complex), (b, 1, 1))
+        e = len(edges.src)
+        return cls(edges, draws, _selection_cdfs(np.bincount(edges.dst, minlength=b)),
+                   np.zeros((b, n)), sigma, np.zeros((b, n)), np.zeros((e, n)),
+                   np.zeros((e, n)), np.zeros(b, dtype=int), np.zeros(b, dtype=int),
+                   np.zeros(b, dtype=int), np.full(b, np.inf))
+
+    def states(self, neighbors) -> list[ApSolverState]:
+        """Per-AP views of the arrays (rows are shared, not copied)."""
+        out, first = [], 0
+        for i, nbrs in enumerate(neighbors):
+            own = range(first, first + len(nbrs))
+            first += len(nbrs)
+            out.append(ApSolverState(
+                ap_id=i, neighbors=tuple(nbrs), gamma=self.gamma[i], sigma=self.sigma[i],
+                x_agg=self.x_agg[i],
+                x_local={**{j: self.x_local[k] for j, k in zip(nbrs, own)},
+                         i: np.zeros_like(self.gamma[i])},
+                last_received={j: self.received[k] for j, k in zip(nbrs, own)},
+                t=int(self.t[i]), clamp_count=int(self.clamped[i]),
+                degenerate_count=int(self.degenerate[i]), last_delta=float(self.delta[i]),
+            ))
+        return out
 
 
-def _selection_probs(hyper: Hyperparams, count: int) -> np.ndarray:
-    if hyper.selection_probs is None:
-        return np.full(count, 1.0 / count)
-    p = np.asarray(hyper.selection_probs, dtype=float)
-    if p.shape != (count,) or not np.isclose(p.sum(), 1.0) or np.any(p <= 0):
-        raise ConfigMismatch(f"selection_probs must be a positive length-{count} distribution")
-    return p
+def _selection_cdfs(degree: np.ndarray) -> np.ndarray:
+    """(B, max degree + 1) uniform CDFs over [neighbors..., self], +inf padded.
 
-
-def ap_iteration(
-    state: ApSolverState,
-    sample_cov: np.ndarray,
-    pilots: np.ndarray,
-    hyper: Hyperparams,
-    neighbor_data: dict,
-    options: SolverOptions | None = None,
-) -> np.ndarray:
-    """Run one adaptation round for a single AP; returns the outgoing payload.
-
-    Order: gradient + sparsity shrink on the stacked estimate panel, neighbor
-    sampling, adaptive combiner on previous-round estimates, similarity
-    shrink toward the selected neighbor, rank-one covariance maintenance,
-    subgradient bookkeeping.  Selecting the own AP (or drawing a zero
-    combiner weight) degenerates the similarity step to the identity: the
-    similarity penalty against oneself is identically zero, so the new
-    estimate is the clamped z step and the estimators stay untouched.
+    Built as ``Generator.choice`` builds them: the count of entries at or
+    below one uniform draw is ``rng.choice(degree + 1, p=uniform)``.
     """
-    options = options or SolverOptions()
-    gamma_old = state.gamma
-    grad = ml_gradient(gamma_old, pilots, None, sample_cov, cov=state.sigma)
-
-    order = state.inclusive_order
-    nbr_mat = (
-        np.stack([neighbor_data[j] for j in state.neighbors])
-        if state.neighbors
-        else np.zeros((0, gamma_old.shape[0]))
-    )
-    panel = np.column_stack([*nbr_mat, gamma_old])
-    z = sparsity_step(gamma_old, grad, state.x_agg, panel, hyper.beta, hyper.tau, hyper.eta)
-
-    probs = _selection_probs(hyper, len(order))
-    sel_idx = int(state.rng.choice(len(order), p=probs))
-    selected = order[sel_idx]
-
-    if options.freeze_combiners:
-        weights = np.full(len(order), 1.0 / len(order))
-    else:
-        weights = combiner_weights(gamma_old, nbr_mat, hyper.rho)
-    eta_sel = stochastic_step_size(float(weights[sel_idx]), hyper.eta, float(probs[sel_idx]))
-    tau_eta = hyper.tau * eta_sel
-
-    if selected == state.ap_id or tau_eta == 0.0:
-        # Identity similarity step; clamp any negative z entries.
-        negative = z < 0.0
-        state.clamp_count += int(np.count_nonzero(negative))
-        gamma_new = np.where(negative, 0.0, z)
-        if tau_eta == 0.0 and selected != state.ap_id:
-            state.degenerate_count += 1
-    else:
-        gamma_new, clamped = similarity_prox(
-            z, state.x_local[selected], neighbor_data[selected], tau_eta
-        )
-        state.clamp_count += clamped
-        x_new = subgradient_local_update(state.x_local[selected], z, gamma_new, tau_eta)
-        # Interior prox solutions land in [-1, 1] on their own; when the
-        # positivity clamp binds the raw recursion is unbounded, so project
-        # onto the range of valid absolute-value subgradients.
-        np.clip(x_new, -1.0, 1.0, out=x_new)
-        state.x_agg = subgradient_aggregate_update(
-            state.x_agg, float(weights[sel_idx]), x_new, state.x_local[selected]
-        )
-        state.x_local[selected] = x_new
-
-    delta = gamma_new - gamma_old
-    sigma = state.sigma + (pilots * delta) @ pilots.conj().T
-    state.sigma = 0.5 * (sigma + sigma.conj().T)
-    state.gamma = gamma_new
-    state.z = z
-    state.t += 1
-    state.last_selected = selected
-    state.last_weights = weights
-    state.last_delta = float(np.max(np.abs(delta))) if delta.size else 0.0
-
-    if options.record_cost:
-        cost = ml_cost_given_factor(cholesky_factor(state.sigma), sample_cov)
-        panel_new = np.column_stack([*nbr_mat, gamma_new])
-        cost += hyper.beta * sparsity_penalty(panel_new, hyper.theta)
-        if state.neighbors:
-            sim = np.abs(gamma_new - nbr_mat).sum(axis=1)
-            cost += hyper.tau * float(np.dot(weights[:-1], sim))
-        state.last_cost = float(cost)
-    else:
-        state.last_cost = float("nan")
-
-    return (gamma_old if options.lag_transmit else gamma_new).copy()
+    cdfs = np.full((len(degree), int(degree.max(initial=0)) + 1), np.inf)
+    for count in np.unique(degree + 1):
+        cdf = np.full(count, 1.0 / count).cumsum()
+        cdfs[degree + 1 == count, :count] = cdf / cdf[-1]
+    return cdfs
 
 
 def verify_state(state: ApSolverState, scenario: Scenario, rtol: float = 1e-8) -> float:
     """Relative Frobenius gap between maintained and reassembled covariance.
 
-    Raises StateConsistencyError when the gap exceeds ``rtol``; otherwise
-    returns the gap.
+    Raises StateConsistencyError when the gap exceeds ``rtol``.
     """
-    fresh = (scenario.pilots * state.gamma) @ scenario.pilots.conj().T
-    fresh += scenario.noise_power * np.eye(scenario.pilot_len)
+    fresh = assemble_covariance(scenario.pilots, state.gamma, scenario.noise_power)
     gap = float(np.linalg.norm(state.sigma - fresh) / np.linalg.norm(fresh))
     if gap > rtol:
         raise StateConsistencyError(
             f"AP {state.ap_id}: maintained covariance drifted (relative gap {gap:.3e})"
         )
     return gap
+
+
+def _round(st: _Batch, live: np.ndarray, t: int, scenario: Scenario, covs: list,
+           hyper: Hyperparams, options: SolverOptions, trace: IterationTrace) -> np.ndarray:
+    """Advance the (nonempty) ``live`` APs by round ``t``; returns their outgoing estimates.
+
+    Selecting the own AP (or drawing a zero combiner weight) degenerates the
+    similarity step to the identity: the similarity penalty against oneself
+    is identically zero, so the new estimate is the clamped z step and the
+    estimators stay untouched.
+    """
+    pilots, (l, n) = scenario.pilots, scenario.pilots.shape
+    src, dst = st.edges.src, st.edges.dst
+    b, e, c = len(st.gamma), len(src), len(live)
+    degree = np.bincount(dst, minlength=b)
+    first = np.cumsum(degree) - degree
+    row = np.full(b, -1)
+    row[live] = np.arange(c)
+    ein = slice(None) if c == b else np.flatnonzero(row[dst] >= 0)   # edges into live APs
+    erow, eslot, own_col = row[dst[ein]], (np.arange(e) - first[dst])[ein], degree[live]
+    step = max(1, CHUNK_BYTES // (16 * l * n))
+    chunks = [slice(k, k + step) for k in range(0, c, step)]
+
+    g_old = st.gamma[live]
+    grad = np.empty_like(g_old)
+    for sl in chunks:
+        grad[sl] = ml_gradient(g_old[sl], pilots, None, np.stack(covs[sl]),
+                               cov=st.sigma[live[sl]])
+    # Panels zero-padded to the largest inclusive degree, stored (c, K, N)
+    # so the row norms reduce over contiguous rows.
+    panel = np.zeros((c, st.cdfs.shape[1], n))
+    panel[erow, eslot] = st.received[ein]
+    panel[np.arange(c), own_col] = g_old
+    z = sparsity_step(g_old, grad, st.x_agg[live], panel.swapaxes(1, 2),
+                      hyper.beta, hyper.tau, hyper.eta)
+
+    count = own_col + 1
+    sel = np.count_nonzero(st.cdfs[live] <= st.draws[live, t - 1, None], axis=1)
+    own = sel == own_col
+    pick = np.where(own, e + live, first[live] + sel)     # index into the weights
+    if options.freeze_combiners:
+        w = 1.0 / np.concatenate([count[erow], count])
+    else:
+        w = combiner_weights(g_old, st.received[ein], hyper.rho, receivers=erow)
+    weights = np.empty(e + b)
+    weights[:e][ein], weights[e + live] = w[:len(erow)], w[len(erow):]
+    w_sel = weights[pick]
+    tau_eta = hyper.tau * stochastic_step_size(w_sel, hyper.eta, 1.0 / count)
+
+    # Identity similarity step (self selected or zero weight): clamp z.
+    negative = z < 0.0
+    g_new = np.where(negative, 0.0, z)
+    ident = own | (tau_eta == 0.0)
+    st.clamped[live[ident]] += np.count_nonzero(negative[ident], axis=1)
+    st.degenerate[live[ident & ~own]] += 1
+    p = np.flatnonzero(~ident)
+    if p.size:
+        ep, te = pick[p], tau_eta[p, None]
+        g_new[p], clamps = similarity_prox(z[p], st.x_local[ep], st.received[ep], te)
+        st.clamped[live[p]] += clamps
+        x_new = subgradient_local_update(st.x_local[ep], z[p], g_new[p], te)
+        # Interior prox solutions land in [-1, 1] on their own; when the
+        # positivity clamp binds the raw recursion is unbounded, so project
+        # onto the range of valid absolute-value subgradients.
+        np.clip(x_new, -1.0, 1.0, out=x_new)
+        st.x_agg[live[p]] = subgradient_aggregate_update(
+            st.x_agg[live[p]], w_sel[p, None], x_new, st.x_local[ep])
+        st.x_local[ep] = x_new
+
+    delta = g_new - g_old
+    for sl in chunks:
+        sigma = st.sigma[live[sl]] + (
+            (pilots * delta[sl, None, :]).reshape(-1, n) @ pilots.conj().T).reshape(-1, l, l)
+        st.sigma[live[sl]] = 0.5 * (sigma + np.conj(np.swapaxes(sigma, -1, -2)))
+    st.gamma[live] = g_new
+    st.t[live] += 1
+    st.delta[live] = np.max(np.abs(delta), axis=1, initial=0.0)
+
+    cost = np.full(c, np.nan)
+    if options.record_cost:
+        for sl in chunks:
+            cost[sl] = ml_cost_given_factor(cholesky_factor(st.sigma[live[sl]]),
+                                            np.stack(covs[sl]))
+        panel[np.arange(c), own_col] = g_new
+        cost += hyper.beta * sparsity_penalty(panel.swapaxes(1, 2), hyper.theta)
+        sim = np.abs(g_new[erow] - st.received[ein]).sum(axis=1)
+        cost += hyper.tau * np.bincount(erow, w[:len(erow)] * sim, minlength=c)
+    selected = live.copy()
+    selected[~own] = src[pick[~own]]
+    trace.records.append(dict(round=t, ap=live, cost=cost, selected=selected,
+                              clamped=st.clamped[live], degenerate=st.degenerate[live]))
+    return g_old if options.lag_transmit else g_new
 
 
 def run(
@@ -288,55 +294,41 @@ def run(
     options = options or SolverOptions()
     plan = plan or netsim.EMPTY_PLAN
     plan.validate(scenario.neighbors, hyper.num_iters)
+    b, l = scenario.num_aps, scenario.pilot_len
+    if len(observations) != b:
+        raise ConfigMismatch(f"{len(observations)} observations for {b} APs")
+    for i, obs in enumerate(observations):
+        if obs.ap_id != i:
+            raise ConfigMismatch(f"observation {i} carries ap_id {obs.ap_id}")
+        if obs.sample_cov.shape != (l, l):
+            raise ConfigMismatch(
+                f"sample covariance at AP {i} has shape {obs.sample_cov.shape}, expected {(l, l)}"
+            )
 
-    states = init_states(scenario, observations, hyper)
+    st = _Batch.initial(scenario, hyper.num_iters)
     trace = IterationTrace()
     ledger = netsim.CommLedger()
     net_rng = np.random.default_rng(np.random.SeedSequence([_NETSIM_SALT, scenario.seed]))
 
     rounds_completed = 0
     for t in range(1, hyper.num_iters + 1):
-        messages = {}
-        for state in states:
-            if plan.ap_down(state.ap_id, t):
-                continue
-            t0 = time.perf_counter()
-            payload = ap_iteration(
-                state,
-                observations[state.ap_id].sample_cov,
-                scenario.pilots,
-                hyper,
-                state.last_received,
-                options,
-            )
-            wall = time.perf_counter() - t0
-            for nb in state.neighbors:
-                messages[(state.ap_id, nb)] = payload
-            trace.add(
-                round=t,
-                ap=state.ap_id,
-                cost=state.last_cost,
-                selected=state.last_selected,
-                messages_sent=len(state.neighbors),
-                payload_bytes=8 * scenario.num_devices * len(state.neighbors),
-                wall_time_s=wall,
-                clamped=state.clamp_count,
-                degenerate=state.degenerate_count,
-            )
-        delivered = netsim.deliver_round(messages, plan, t, net_rng,
-                                         scenario.neighbors, ledger)
-        for (src, dst), payload in delivered.items():
-            states[dst].last_received[src] = payload
+        is_live = ~plan.aps_down(t, b)
+        live = np.flatnonzero(is_live)
+        if live.size:
+            outgoing = _round(st, live, t, scenario, [observations[i].sample_cov for i in live],
+                              hyper, options, trace)
+        delivered = netsim.deliver_round(is_live[st.edges.src], plan, t, net_rng, st.edges,
+                                         ledger, scenario.num_devices)
+        if delivered.any():
+            st.received[delivered] = outgoing[(np.cumsum(is_live) - 1)[st.edges.src[delivered]]]
         rounds_completed = t
         if options.check_state_every and t % options.check_state_every == 0:
-            for state in states:
-                if not plan.ap_down(state.ap_id, t):
+            for state in st.states(scenario.neighbors):
+                if is_live[state.ap_id]:
                     verify_state(state, scenario)
-        if options.early_stop_tol is not None:
-            live = [s for s in states if not plan.ap_down(s.ap_id, t)]
-            if live and max(s.last_delta for s in live) < options.early_stop_tol:
-                break
+        if (options.early_stop_tol is not None and live.size
+                and st.delta[live].max() < options.early_stop_tol):
+            break
 
-    gamma = np.stack([s.gamma for s in states])
-    return RunResult(gamma=gamma, trace=trace, ledger=ledger, states=states,
-                     rounds_completed=rounds_completed)
+    return RunResult(gamma=st.gamma.copy(), trace=trace, ledger=ledger,
+                     states=st.states(scenario.neighbors), rounds_completed=rounds_completed)

@@ -1,0 +1,300 @@
+"""Test-only oracle: the per-AP loop solver the batched round replaced.
+
+This is the earlier ``solver`` loop path: ``init_states``, ``ap_iteration``
+and the ``run`` driver, which advance one AP at a time with dicts of
+per-neighbor arrays, plus the dict-based ``deliver_round`` they used.  The
+batched ``coopdetect.solver.run`` must reproduce it.  Differences from the
+original: neighbor selection is always uniform (the package has no other
+selection distribution), the failure-plan checks ``ap_down`` and
+``link_down`` are local helpers, and the per-AP scratch fields the batched
+solver does not report (``rng``, ``z`` and the last selection, weights and
+cost) live on ``LoopState``.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from coopdetect import netsim
+from coopdetect.errors import ConfigMismatch, UnknownEdge
+from coopdetect.linalg import cholesky_factor
+from coopdetect.netsim import CommLedger, FailurePlan
+from coopdetect.objective import (
+    Hyperparams,
+    combiner_weights,
+    ml_cost_given_factor,
+    ml_gradient,
+    similarity_prox,
+    sparsity_penalty,
+    sparsity_step,
+    stochastic_step_size,
+    subgradient_aggregate_update,
+    subgradient_local_update,
+)
+from coopdetect.scenario import ApObservation, Scenario
+from coopdetect.solver import (
+    _NETSIM_SALT,
+    _SELECTION_SALT,
+    ApSolverState,
+    RunResult,
+    SolverOptions,
+    verify_state,
+)
+
+
+@dataclass
+class LoopState(ApSolverState):
+    """An AP's state in the loop, with its own selection stream."""
+
+    rng: np.random.Generator | None = None
+    z: np.ndarray | None = None
+    last_selected: int = -1
+    last_weights: np.ndarray | None = None
+    last_cost: float = float("nan")
+
+    @property
+    def inclusive_order(self) -> tuple[int, ...]:
+        """Sampling order over the inclusive neighbor set: neighbors, self last."""
+        return self.neighbors + (self.ap_id,)
+
+
+def ap_down(plan: FailurePlan, ap: int, rnd: int) -> bool:
+    return any(a == ap and rnd >= r for a, r in plan.ap_failures)
+
+
+def link_down(plan: FailurePlan, edge, rnd: int) -> bool:
+    e = tuple(sorted(int(x) for x in edge))
+    return any(tuple(sorted(fe)) == e and r0 <= rnd <= r1
+               for fe, r0, r1 in plan.link_failures)
+
+
+@dataclass
+class IterationTrace:
+    """Append-only per-(round, AP) records of cost, choices and traffic."""
+
+    records: list = field(default_factory=list)
+
+    def add(self, **row) -> None:
+        self.records.append(row)
+
+    def round_costs(self) -> np.ndarray:
+        """Total cost across APs per round, ordered by round."""
+        totals: dict[int, float] = {}
+        for r in self.records:
+            totals[r["round"]] = totals.get(r["round"], 0.0) + r["cost"]
+        return np.array([totals[k] for k in sorted(totals)])
+
+
+def deliver_round(
+    messages: dict,
+    plan: FailurePlan,
+    rnd: int,
+    rng: np.random.Generator,
+    neighbors,
+    ledger: CommLedger | None = None,
+) -> dict:
+    """Deliver one round of messages keyed by directed edge (src, dst)."""
+    delivered = {}
+    scalars = 0
+    for (src, dst) in sorted(messages):
+        if dst not in neighbors[src]:
+            raise UnknownEdge(f"({src}, {dst}) is not a backhaul edge")
+    for (src, dst) in sorted(messages):
+        payload = messages[(src, dst)]
+        if ap_down(plan, src, rnd) or ap_down(plan, dst, rnd):
+            continue
+        if link_down(plan, (src, dst), rnd):
+            continue
+        if plan.drop_prob > 0.0 and rng.random() < plan.drop_prob:
+            continue
+        delivered[(src, dst)] = payload
+        scalars += int(np.size(payload))
+        if ledger is not None:
+            ledger.credit(np.array([src]), np.array([dst]))
+    if ledger is not None:
+        ledger.record_round(rnd, attempted=len(messages), delivered=len(delivered),
+                            scalars=scalars)
+    return delivered
+
+
+def init_states(scenario: Scenario, observations: list[ApObservation],
+                hyper: Hyperparams) -> list[LoopState]:
+    """Fresh solver states: zero estimates, noise-only covariance, zero estimators."""
+    b = scenario.num_aps
+    if len(observations) != b:
+        raise ConfigMismatch(f"{len(observations)} observations for {b} APs")
+    n, l = scenario.num_devices, scenario.pilot_len
+    states = []
+    for i, obs in enumerate(observations):
+        if obs.ap_id != i:
+            raise ConfigMismatch(f"observation {i} carries ap_id {obs.ap_id}")
+        if obs.sample_cov.shape != (l, l):
+            raise ConfigMismatch(
+                f"sample covariance at AP {i} has shape {obs.sample_cov.shape}, expected {(l, l)}"
+            )
+        nbrs = tuple(scenario.neighbors[i])
+        states.append(
+            LoopState(
+                ap_id=i,
+                neighbors=nbrs,
+                gamma=np.zeros(n),
+                sigma=scenario.noise_power * np.eye(l, dtype=complex),
+                z=np.zeros(n),
+                x_agg=np.zeros(n),
+                x_local={j: np.zeros(n) for j in nbrs + (i,)},
+                last_received={j: np.zeros(n) for j in nbrs},
+                rng=np.random.default_rng(
+                    np.random.SeedSequence([_SELECTION_SALT, scenario.seed, i])
+                ),
+            )
+        )
+    return states
+
+
+def _selection_probs(hyper: Hyperparams, count: int) -> np.ndarray:
+    return np.full(count, 1.0 / count)
+
+
+def ap_iteration(
+    state: LoopState,
+    sample_cov: np.ndarray,
+    pilots: np.ndarray,
+    hyper: Hyperparams,
+    neighbor_data: dict,
+    options: SolverOptions | None = None,
+) -> np.ndarray:
+    """Run one adaptation round for a single AP; returns the outgoing payload."""
+    options = options or SolverOptions()
+    gamma_old = state.gamma
+    grad = ml_gradient(gamma_old, pilots, None, sample_cov, cov=state.sigma)
+
+    order = state.inclusive_order
+    nbr_mat = (
+        np.stack([neighbor_data[j] for j in state.neighbors])
+        if state.neighbors
+        else np.zeros((0, gamma_old.shape[0]))
+    )
+    panel = np.column_stack([*nbr_mat, gamma_old])
+    z = sparsity_step(gamma_old, grad, state.x_agg, panel, hyper.beta, hyper.tau, hyper.eta)
+
+    probs = _selection_probs(hyper, len(order))
+    sel_idx = int(state.rng.choice(len(order), p=probs))
+    selected = order[sel_idx]
+
+    if options.freeze_combiners:
+        weights = np.full(len(order), 1.0 / len(order))
+    else:
+        weights = combiner_weights(gamma_old, nbr_mat, hyper.rho)
+    eta_sel = stochastic_step_size(float(weights[sel_idx]), hyper.eta, float(probs[sel_idx]))
+    tau_eta = hyper.tau * eta_sel
+
+    if selected == state.ap_id or tau_eta == 0.0:
+        # Identity similarity step; clamp any negative z entries.
+        negative = z < 0.0
+        state.clamp_count += int(np.count_nonzero(negative))
+        gamma_new = np.where(negative, 0.0, z)
+        if tau_eta == 0.0 and selected != state.ap_id:
+            state.degenerate_count += 1
+    else:
+        gamma_new, clamped = similarity_prox(
+            z, state.x_local[selected], neighbor_data[selected], tau_eta
+        )
+        state.clamp_count += clamped
+        x_new = subgradient_local_update(state.x_local[selected], z, gamma_new, tau_eta)
+        np.clip(x_new, -1.0, 1.0, out=x_new)
+        state.x_agg = subgradient_aggregate_update(
+            state.x_agg, float(weights[sel_idx]), x_new, state.x_local[selected]
+        )
+        state.x_local[selected] = x_new
+
+    delta = gamma_new - gamma_old
+    sigma = state.sigma + (pilots * delta) @ pilots.conj().T
+    state.sigma = 0.5 * (sigma + sigma.conj().T)
+    state.gamma = gamma_new
+    state.z = z
+    state.t += 1
+    state.last_selected = selected
+    state.last_weights = weights
+    state.last_delta = float(np.max(np.abs(delta))) if delta.size else 0.0
+
+    if options.record_cost:
+        cost = ml_cost_given_factor(cholesky_factor(state.sigma), sample_cov)
+        panel_new = np.column_stack([*nbr_mat, gamma_new])
+        cost += hyper.beta * sparsity_penalty(panel_new, hyper.theta)
+        if state.neighbors:
+            sim = np.abs(gamma_new - nbr_mat).sum(axis=1)
+            cost += hyper.tau * float(np.dot(weights[:-1], sim))
+        state.last_cost = float(cost)
+    else:
+        state.last_cost = float("nan")
+
+    return (gamma_old if options.lag_transmit else gamma_new).copy()
+
+
+def run(
+    scenario: Scenario,
+    observations: list[ApObservation],
+    hyper: Hyperparams,
+    plan: netsim.FailurePlan | None = None,
+    options: SolverOptions | None = None,
+) -> RunResult:
+    """Drive all APs for ``hyper.num_iters`` synchronized rounds, one AP at a time."""
+    if hyper.num_iters < 1:
+        raise ConfigMismatch(f"num_iters must be >= 1, got {hyper.num_iters}")
+    options = options or SolverOptions()
+    plan = plan or netsim.EMPTY_PLAN
+    plan.validate(scenario.neighbors, hyper.num_iters)
+
+    states = init_states(scenario, observations, hyper)
+    trace = IterationTrace()
+    ledger = netsim.CommLedger()
+    net_rng = np.random.default_rng(np.random.SeedSequence([_NETSIM_SALT, scenario.seed]))
+
+    rounds_completed = 0
+    for t in range(1, hyper.num_iters + 1):
+        messages = {}
+        for state in states:
+            if ap_down(plan, state.ap_id, t):
+                continue
+            t0 = time.perf_counter()
+            payload = ap_iteration(
+                state,
+                observations[state.ap_id].sample_cov,
+                scenario.pilots,
+                hyper,
+                state.last_received,
+                options,
+            )
+            wall = time.perf_counter() - t0
+            for nb in state.neighbors:
+                messages[(state.ap_id, nb)] = payload
+            trace.add(
+                round=t,
+                ap=state.ap_id,
+                cost=state.last_cost,
+                selected=state.last_selected,
+                messages_sent=len(state.neighbors),
+                payload_bytes=8 * scenario.num_devices * len(state.neighbors),
+                wall_time_s=wall,
+                clamped=state.clamp_count,
+                degenerate=state.degenerate_count,
+            )
+        delivered = deliver_round(messages, plan, t, net_rng, scenario.neighbors, ledger)
+        for (src, dst), payload in delivered.items():
+            states[dst].last_received[src] = payload
+        rounds_completed = t
+        if options.check_state_every and t % options.check_state_every == 0:
+            for state in states:
+                if not ap_down(plan, state.ap_id, t):
+                    verify_state(state, scenario)
+        if options.early_stop_tol is not None:
+            live = [s for s in states if not ap_down(plan, s.ap_id, t)]
+            if live and max(s.last_delta for s in live) < options.early_stop_tol:
+                break
+
+    gamma = np.stack([s.gamma for s in states])
+    return RunResult(gamma=gamma, trace=trace, ledger=ledger, states=states,
+                     rounds_completed=rounds_completed)

@@ -6,12 +6,31 @@ import pytest
 from coopdetect.errors import DimensionMismatch, NotPositiveDefinite, SingularDowndate
 from coopdetect.linalg import (
     cholesky_factor,
-    downdate_quadforms,
     downdate_quadforms_batch,
-    logdet,
-    rank1_update,
-    solve,
+    logdet_from_factor,
+    solve_from_factor,
 )
+from coopdetect.objective import assemble_covariance
+
+
+def logdet(a):
+    return logdet_from_factor(cholesky_factor(a))
+
+
+def solve(a, v):
+    return solve_from_factor(cholesky_factor(a), v)
+
+
+def downdate_quadforms(a, gamma, v, b):
+    """The batch kernel on one column."""
+    q1, q2 = downdate_quadforms_batch(cholesky_factor(a), v[:, None], np.array([gamma]), b)
+    return q1[0], q2[0]
+
+
+def dense_quadforms(a, gamma, v, b):
+    """Oracle: q1, q2 through the explicit inverse of the formed downdate."""
+    inv = np.linalg.inv(a - gamma * np.outer(v, v.conj()))
+    return np.real(v.conj() @ inv @ v), np.real(v.conj() @ inv @ b @ inv @ v)
 
 
 def random_hpd(rng, dim, extra=3):
@@ -53,6 +72,20 @@ class TestLogdet:
         a = random_hpd(rng, 6)
         assert logdet(a) == logdet(a.copy())
 
+    def test_stack_matches_one_at_a_time(self):
+        rng = np.random.default_rng(14)
+        stack = np.stack([random_hpd(rng, 5) for _ in range(4)])
+        np.testing.assert_allclose(logdet(stack), [logdet(a) for a in stack], rtol=1e-12)
+
+    def test_stack_names_the_bad_matrix(self):
+        stack = np.stack([np.eye(3, dtype=complex), np.diag([1.0, 1e-16, 1.0]).astype(complex)])
+        with pytest.raises(NotPositiveDefinite, match=r"at \(1,\)"):
+            cholesky_factor(stack)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionMismatch):
+            cholesky_factor(np.ones((3, 4), dtype=complex))
+
 
 class TestSolve:
     def test_identity(self):
@@ -80,42 +113,21 @@ class TestSolve:
         x = solve(a, v)
         assert np.linalg.norm(a @ x - v) <= 1e-10 * np.linalg.norm(v)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            solve(np.eye(3, dtype=complex), np.ones(4))
-
 
 class TestRank1Update:
-    def test_zero_coefficient(self):
-        v = np.ones(3, dtype=complex)
-        np.testing.assert_array_equal(rank1_update(np.eye(3, dtype=complex), 0.0, v),
-                                      np.eye(3))
-
-    def test_basis_vector(self):
-        e1 = np.zeros(3, dtype=complex)
-        e1[0] = 1.0
-        out = rank1_update(np.eye(3, dtype=complex), 1.0, e1)
-        expected = np.eye(3, dtype=complex)
-        expected[0, 0] = 2.0
-        np.testing.assert_array_equal(out, expected)
-
     def test_sequence_matches_direct_assembly(self):
+        # Stacked assembly equals noise plus one rank-one update per device.
         rng = np.random.default_rng(4)
         l, n = 6, 9
         pilots = (rng.normal(size=(l, n)) + 1j * rng.normal(size=(l, n))) / np.sqrt(2)
-        gammas = rng.uniform(0.1, 2.0, size=n)
+        gammas = rng.uniform(0.1, 2.0, size=(3, n))
         sigma2 = 0.5
-        a = sigma2 * np.eye(l, dtype=complex)
-        for k in range(n):
-            a = rank1_update(a, gammas[k], pilots[:, k])
-        direct = sigma2 * np.eye(l, dtype=complex)
-        for k in range(n):
-            direct = direct + gammas[k] * np.outer(pilots[:, k], pilots[:, k].conj())
-        np.testing.assert_allclose(a, direct, atol=1e-10)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            rank1_update(np.eye(3, dtype=complex), 1.0, np.ones(2))
+        assembled = assemble_covariance(pilots, gammas, sigma2)
+        for g, got in zip(gammas, assembled):
+            direct = sigma2 * np.eye(l, dtype=complex)
+            for k in range(n):
+                direct = direct + g[k] * np.outer(pilots[:, k], pilots[:, k].conj())
+            np.testing.assert_allclose(got, direct, atol=1e-10)
 
 
 class TestDowndateQuadforms:
@@ -146,11 +158,10 @@ class TestDowndateQuadforms:
             v = rng.normal(size=6) + 1j * rng.normal(size=6)
             gamma = 0.3
             v *= np.sqrt(0.5 / (gamma * np.real(v.conj() @ np.linalg.solve(a, v))))
-            a_down = a - gamma * np.outer(v, v.conj())
-            inv = np.linalg.inv(a_down)
             q1, q2 = downdate_quadforms(a, gamma, v, b)
-            assert q1 == pytest.approx(np.real(v.conj() @ inv @ v), rel=1e-9)
-            assert q2 == pytest.approx(np.real(v.conj() @ inv @ b @ inv @ v), rel=1e-9)
+            o1, o2 = dense_quadforms(a, gamma, v, b)
+            assert q1 == pytest.approx(o1, rel=1e-9)
+            assert q2 == pytest.approx(o2, rel=1e-9)
 
     def test_nonnegative_outputs(self):
         rng = np.random.default_rng(8)
@@ -167,21 +178,30 @@ class TestDowndateQuadforms:
             downdate_quadforms(np.eye(3, dtype=complex), 1.0, v, np.eye(3, dtype=complex))
 
     def test_batch_matches_scalar(self):
+        # Every column of every stacked matrix against the dense inverse.
         rng = np.random.default_rng(9)
-        l, n = 6, 8
-        a = random_hpd(rng, l)
-        b = random_psd(rng, l)
+        aps, l, n = 3, 6, 8
+        a = np.stack([random_hpd(rng, l) for _ in range(aps)])
+        b = np.stack([random_psd(rng, l) for _ in range(aps)])
         cols = rng.normal(size=(l, n)) + 1j * rng.normal(size=(l, n))
-        gammas = rng.uniform(0.0, 0.2, size=n)
-        for k in range(n):  # keep every downdate admissible
-            quad = gammas[k] * np.real(cols[:, k].conj() @ np.linalg.solve(a, cols[:, k]))
-            if quad > 0:
-                cols[:, k] *= np.sqrt(min(1.0, 0.5 / quad))
+        gammas = rng.uniform(0.0, 0.2, size=(aps, n))
+        for i in range(aps):  # keep every downdate admissible
+            for k in range(n):
+                quad = np.real(cols[:, k].conj() @ np.linalg.solve(a[i], cols[:, k]))
+                gammas[i, k] = min(gammas[i, k], 0.5 / quad)
         q1s, q2s = downdate_quadforms_batch(cholesky_factor(a), cols, gammas, b)
-        for k in range(n):
-            q1, q2 = downdate_quadforms(a, gammas[k], cols[:, k], b)
-            assert q1s[k] == pytest.approx(q1, rel=1e-10)
-            assert q2s[k] == pytest.approx(q2, rel=1e-10)
+        assert q1s.shape == q2s.shape == (aps, n)
+        for i in range(aps):
+            for k in range(n):
+                o1, o2 = dense_quadforms(a[i], gammas[i, k], cols[:, k], b[i])
+                assert q1s[i, k] == pytest.approx(o1, rel=1e-9)
+                assert q2s[i, k] == pytest.approx(o2, rel=1e-9)
+
+    def test_stack_names_the_singular_downdate(self):
+        a = np.stack([np.eye(3, dtype=complex)] * 2)
+        gammas = np.array([[0.5, 0.5], [0.5, 1.0]])
+        with pytest.raises(SingularDowndate, match=r"at \(1, 1\)"):
+            downdate_quadforms_batch(cholesky_factor(a), np.eye(3, 2, dtype=complex), gammas, a)
 
 
 class TestIdentities:
@@ -205,7 +225,7 @@ class TestIdentities:
             a = random_hpd(rng, 6)
             v = rng.normal(size=6) + 1j * rng.normal(size=6)
             gamma = float(rng.uniform(0.0, 1.0))
-            lhs = logdet(rank1_update(a, gamma, v)) - logdet(a)
+            lhs = logdet(a + gamma * np.outer(v, v.conj())) - logdet(a)
             rhs = np.log(1 + gamma * np.real(v.conj() @ np.linalg.solve(a, v)))
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
@@ -215,7 +235,7 @@ class TestIdentities:
         b = random_psd(rng, 6)
         v = rng.normal(size=6) + 1j * rng.normal(size=6)
         gamma = 0.4
-        updated = rank1_update(a, gamma, v)
+        updated = a + gamma * np.outer(v, v.conj())
         q1, q2 = downdate_quadforms(updated, gamma, v, b)
         ainv = np.linalg.inv(a)
         assert q1 == pytest.approx(np.real(v.conj() @ ainv @ v), rel=1e-9)

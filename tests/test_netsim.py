@@ -4,69 +4,85 @@ import numpy as np
 import pytest
 
 from coopdetect.errors import InvalidConfig, UnknownEdge
-from coopdetect.netsim import CommLedger, FailurePlan, deliver_round
+from coopdetect.netsim import Backhaul, CommLedger, FailurePlan, deliver_round
+
+import reference_loop
 
 NEIGHBORS = ((1, 2), (0, 2), (0, 1))  # triangle
+EDGES = Backhaul.from_neighbors(NEIGHBORS)
 
 
-def all_messages(n=4):
-    msgs = {}
-    for src, nbrs in enumerate(NEIGHBORS):
-        for dst in nbrs:
-            msgs[(src, dst)] = np.full(n, float(src))
-    return msgs
+def all_sent():
+    return np.ones(len(EDGES.src), dtype=bool)
+
+
+def pairs(mask):
+    return {(int(s), int(d)) for s, d in zip(EDGES.src[mask], EDGES.dst[mask])}
+
+
+class TestBackhaul:
+    def test_edges_ordered_by_receiver(self):
+        assert list(EDGES.dst) == [0, 0, 1, 1, 2, 2]
+        assert list(EDGES.src) == [1, 2, 0, 2, 0, 1]
+        ordered = [(EDGES.src[e], EDGES.dst[e]) for e in EDGES.send_order]
+        assert ordered == sorted(ordered)
+
+    def test_isolated_aps_have_no_edges(self):
+        edges = Backhaul.from_neighbors(((), (), ()))
+        assert len(edges.src) == len(edges.dst) == len(edges.send_order) == 0
 
 
 class TestDelivery:
     def test_no_failures_is_identity(self):
         rng = np.random.default_rng(0)
-        msgs = all_messages()
         ledger = CommLedger()
-        out = deliver_round(msgs, FailurePlan(), 1, rng, NEIGHBORS, ledger)
-        assert out.keys() == msgs.keys()
-        for k in msgs:
-            np.testing.assert_array_equal(out[k], msgs[k])
+        out = deliver_round(all_sent(), FailurePlan(), 1, rng, EDGES, ledger)
+        np.testing.assert_array_equal(out, all_sent())
+        assert ledger.sent_by_ap == ledger.received_by_ap == {0: 2, 1: 2, 2: 2}
 
     def test_scalar_count_matches_graph_size(self):
         rng = np.random.default_rng(1)
         n = 7
         ledger = CommLedger()
-        deliver_round(all_messages(n), FailurePlan(), 1, rng, NEIGHBORS, ledger)
+        deliver_round(all_sent(), FailurePlan(), 1, rng, EDGES, ledger, payload_size=n)
         expected = n * sum(len(nb) for nb in NEIGHBORS)
         assert ledger.total_scalars == expected
 
     def test_unknown_edge_raises(self):
-        rng = np.random.default_rng(2)
         with pytest.raises(UnknownEdge):
-            deliver_round({(0, 0): np.zeros(2)}, FailurePlan(), 1, rng, NEIGHBORS)
+            Backhaul.from_neighbors(((0,), (), ()))        # self-loop
+        with pytest.raises(UnknownEdge):
+            Backhaul.from_neighbors(((1,), (), ()))        # one-way link
+        with pytest.raises(UnknownEdge):
+            Backhaul.from_neighbors(((3,), (), ()))        # no such AP
 
     def test_crashed_ap_sends_and_receives_nothing(self):
         rng = np.random.default_rng(3)
         plan = FailurePlan(ap_failures=((1, 2),))
-        before = deliver_round(all_messages(), plan, 1, rng, NEIGHBORS)
+        before = pairs(deliver_round(all_sent(), plan, 1, rng, EDGES))
         assert (1, 0) in before and (0, 1) in before
-        after = deliver_round(all_messages(), plan, 2, rng, NEIGHBORS)
-        assert all(1 not in edge for edge in after)
+        after = pairs(deliver_round(all_sent(), plan, 2, rng, EDGES))
+        assert after and all(1 not in edge for edge in after)
 
     def test_link_failure_window(self):
         plan = FailurePlan(link_failures=(((0, 1), 2, 3),))
         rng = np.random.default_rng(4)
         for rnd, expect in [(1, True), (2, False), (3, False), (4, True)]:
-            out = deliver_round(all_messages(), plan, rnd, rng, NEIGHBORS)
+            out = pairs(deliver_round(all_sent(), plan, rnd, rng, EDGES))
             assert ((0, 1) in out) is expect
             assert ((1, 0) in out) is expect  # undirected failure
 
     def test_drop_prob_one_drops_everything(self):
         rng = np.random.default_rng(5)
-        out = deliver_round(all_messages(), FailurePlan(drop_prob=1.0), 1, rng, NEIGHBORS)
-        assert out == {}
+        out = deliver_round(all_sent(), FailurePlan(drop_prob=1.0), 1, rng, EDGES)
+        assert not out.any()
 
     def test_ledger_conservation_under_random_drops(self):
         rng = np.random.default_rng(6)
         ledger = CommLedger()
         plan = FailurePlan(drop_prob=0.4)
         for rnd in range(1, 20):
-            deliver_round(all_messages(), plan, rnd, rng, NEIGHBORS, ledger)
+            deliver_round(all_sent(), plan, rnd, rng, EDGES, ledger)
         for rec in ledger.rounds:
             assert rec["delivered"] + rec["dropped"] == rec["attempted"]
         assert ledger.total_messages + ledger.total_dropped == 19 * 6
@@ -75,8 +91,28 @@ class TestDelivery:
         # A failure-free run must not depend on whether a plan object exists.
         rng1 = np.random.default_rng(7)
         rng2 = np.random.default_rng(7)
-        deliver_round(all_messages(), FailurePlan(), 1, rng1, NEIGHBORS)
+        deliver_round(all_sent(), FailurePlan(), 1, rng1, EDGES)
         assert rng1.random() == rng2.random()
+
+    def test_unsent_edges_are_neither_delivered_nor_attempted(self):
+        rng = np.random.default_rng(8)
+        ledger = CommLedger()
+        sent = EDGES.src != 2
+        out = deliver_round(sent, FailurePlan(), 1, rng, EDGES, ledger)
+        np.testing.assert_array_equal(out, sent)
+        assert ledger.rounds[0]["attempted"] == 4
+
+    def test_drops_match_the_dict_delivery(self):
+        # One draw per surviving message in (src, dst) order, as the
+        # per-message loop of the reference solver draws them.
+        plan = FailurePlan(ap_failures=((2, 3),), link_failures=(((0, 1), 2, 2),),
+                           drop_prob=0.5)
+        rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
+        for rnd in range(1, 6):
+            mask = deliver_round(all_sent(), plan, rnd, rng1, EDGES)
+            messages = {(int(s), int(d)): np.zeros(1) for s, d in zip(EDGES.src, EDGES.dst)}
+            assert pairs(mask) == set(reference_loop.deliver_round(
+                messages, plan, rnd, rng2, NEIGHBORS))
 
 
 class TestFailurePlan:

@@ -1,0 +1,125 @@
+"""Property tests of the batched round on random small scenarios.
+
+Each example draws a topology (up to 8 APs, any degree), a failure plan with
+crashes, link windows and random drops, hyperparameters and solver options,
+then checks the batched solver against the per-AP loop in
+``reference_loop`` and the invariants of its parts.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coopdetect.netsim import Backhaul, CommLedger, FailurePlan, deliver_round
+from coopdetect.objective import Hyperparams, combiner_weights, similarity_prox
+from coopdetect.scenario import TopologyConfig, make_scenario, synthesize
+from coopdetect.solver import SolverOptions, run
+
+import reference_loop
+
+finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@st.composite
+def problems(draw):
+    """(scenario, observations, plan, hyperparameters, options)."""
+    b = draw(st.integers(1, 8))
+    n = draw(st.integers(4, 16))
+    rounds = draw(st.integers(1, 40))
+    topo = TopologyConfig(num_aps=b, degree=draw(st.integers(0, b - 1)),
+                          layout=draw(st.sampled_from(["grid", "ring"])),
+                          seed=draw(st.integers(0, 2**32 - 1)))
+    scenario = make_scenario(topo, num_devices=n, num_active=draw(st.integers(1, n - 1)),
+                             pilot_len=draw(st.integers(2, 6)),
+                             num_antennas=draw(st.integers(1, 8)), snr_db=10.0,
+                             gain_ref=50.0, pathloss_exponent=3.0)
+    edges = [(i, j) for i, nbrs in enumerate(scenario.neighbors) for j in nbrs if i < j]
+    window = st.tuples(st.integers(1, rounds), st.integers(1, rounds)).map(sorted)
+    links = st.tuples(st.sampled_from(edges), window).map(lambda x: (x[0], *x[1]))
+    plan = FailurePlan(
+        ap_failures=tuple(draw(st.lists(st.tuples(st.integers(0, b - 1), st.integers(1, rounds)),
+                                        max_size=2, unique_by=lambda x: x[0]))),
+        link_failures=tuple(draw(st.lists(links, max_size=2))) if edges else (),
+        drop_prob=draw(st.sampled_from([0.0, 0.2, 0.5, 1.0])),
+    )
+    hyper = Hyperparams(tau=draw(st.sampled_from([0.0, 0.0075, 10.0])),
+                        rho=draw(st.sampled_from([0.2, 500.0])), num_iters=rounds)
+    options = SolverOptions(lag_transmit=draw(st.booleans()),
+                            freeze_combiners=draw(st.booleans()),
+                            record_cost=draw(st.booleans()))
+    return scenario, synthesize(scenario), plan, hyper, options
+
+
+@given(problems())
+def test_batched_round_matches_the_loop(problem):
+    scenario, observations, plan, hyper, options = problem
+    got = run(scenario, observations, hyper, plan=plan, options=options)
+    want = reference_loop.run(scenario, observations, hyper, plan=plan, options=options)
+    scale = max(float(np.abs(want.gamma).max()), 1e-300)
+    np.testing.assert_allclose(got.gamma, want.gamma, rtol=1e-9, atol=1e-9 * scale)
+    assert got.ledger.to_dict() == want.ledger.to_dict()
+    assert got.rounds_completed == want.rounds_completed
+    for g, w in zip(got.states, want.states):
+        assert (g.t, g.clamp_count, g.degenerate_count) == (w.t, w.clamp_count,
+                                                             w.degenerate_count)
+    selected = [int(s) for r in got.trace.records for s in r["selected"]]
+    assert selected == [r["selected"] for r in want.trace.records]
+    if options.record_cost:
+        np.testing.assert_allclose(got.trace.round_costs(), want.trace.round_costs(),
+                                   rtol=1e-9)
+
+
+@settings(max_examples=60)
+@given(problems(), st.integers(0, 2**32 - 1))
+def test_delivered_plus_dropped_is_attempted(problem, seed):
+    scenario, _, plan, hyper, _ = problem
+    edges = Backhaul.from_neighbors(scenario.neighbors)
+    rng = np.random.default_rng(seed)
+    ledger = CommLedger()
+    for rnd in range(1, hyper.num_iters + 1):
+        sent = rng.random(len(edges.src)) < 0.8
+        delivered = deliver_round(sent, plan, rnd, rng, edges, ledger, payload_size=3)
+        assert not np.any(delivered & ~sent)
+        rec = ledger.rounds[-1]
+        assert rec["attempted"] == np.count_nonzero(sent)
+        assert rec["delivered"] + rec["dropped"] == rec["attempted"]
+        assert rec["scalars_delivered"] == 3 * rec["delivered"]
+    assert sum(ledger.sent_by_ap.values()) == ledger.total_messages
+    assert sum(ledger.received_by_ap.values()) == ledger.total_messages
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 6), st.integers(1, 12), st.floats(0.0, 1e4), st.data())
+def test_combiner_weights_are_probability_vectors(num_aps, n, rho, data):
+    receivers = np.array(data.draw(st.lists(st.integers(0, num_aps - 1), max_size=20)),
+                         dtype=int)
+    own = np.array(data.draw(st.lists(finite, min_size=num_aps * n, max_size=num_aps * n)))
+    nbrs = np.array(data.draw(st.lists(finite, min_size=len(receivers) * n,
+                                       max_size=len(receivers) * n)))
+    w = combiner_weights(own.reshape(num_aps, n), nbrs.reshape(-1, n), rho,
+                         receivers=receivers)
+    edge_w, self_w = w[:len(receivers)], w[len(receivers):]
+    k = np.bincount(receivers, minlength=num_aps)
+    assert np.all(edge_w >= 0.0) and np.all(edge_w <= 1.0 / k[receivers] + 1e-12)
+    assert np.all(self_w >= -1e-12)
+    totals = self_w + np.bincount(receivers, edge_w, minlength=num_aps)
+    np.testing.assert_allclose(totals, 1.0, atol=1e-12)
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 4), st.integers(1, 12), st.data())
+def test_prox_output_is_never_negative(rows, n, data):
+    def block():
+        return np.array(data.draw(st.lists(finite, min_size=rows * n,
+                                           max_size=rows * n))).reshape(rows, n)
+
+    z, x_sel, anchor = block(), np.clip(block(), -1.0, 1.0), np.abs(block())
+    tau_eta = np.array(data.draw(st.lists(st.floats(0.0, 10.0), min_size=rows,
+                                          max_size=rows)))[:, None]
+    out, clamped = similarity_prox(z, x_sel, anchor, tau_eta)
+    assert np.all(out >= 0.0)
+    assert clamped.shape == (rows,)
+    for r in range(rows):  # each row is the single-AP step
+        single, count = similarity_prox(z[r], x_sel[r], anchor[r], float(tau_eta[r, 0]))
+        np.testing.assert_array_equal(single, out[r])
+        assert count == clamped[r]

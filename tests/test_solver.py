@@ -7,13 +7,9 @@ from coopdetect.errors import ConfigMismatch, StateConsistencyError
 from coopdetect.netsim import FailurePlan
 from coopdetect.objective import Hyperparams, ml_cost
 from coopdetect.scenario import TopologyConfig, isolated, make_scenario, synthesize
-from coopdetect.solver import (
-    SolverOptions,
-    ap_iteration,
-    init_states,
-    run,
-    verify_state,
-)
+from coopdetect.solver import SolverOptions, _Batch, run, verify_state
+
+from reference_loop import ap_iteration, init_states
 
 
 def small_scenario(seed=0, num_aps=3, degree=2, num_devices=24, num_active=4,
@@ -33,7 +29,7 @@ def setup():
 class TestInit:
     def test_zero_start(self, setup):
         sc, obs = setup
-        states = init_states(sc, obs, Hyperparams())
+        states = _Batch.initial(sc, num_iters=1).states(sc.neighbors)
         for st in states:
             assert np.all(st.gamma == 0.0)
             np.testing.assert_array_equal(st.sigma,
@@ -53,13 +49,13 @@ class TestInit:
     def test_observation_count_mismatch(self, setup):
         sc, obs = setup
         with pytest.raises(ConfigMismatch):
-            init_states(sc, obs[:-1], Hyperparams())
+            run(sc, obs[:-1], Hyperparams())
 
     def test_ap_id_mismatch(self, setup):
         sc, obs = setup
         shuffled = [obs[1], obs[0], obs[2]]
         with pytest.raises(ConfigMismatch):
-            init_states(sc, shuffled, Hyperparams())
+            run(sc, shuffled, Hyperparams())
 
     def test_run_requires_at_least_one_round(self, setup):
         sc, obs = setup
@@ -101,7 +97,7 @@ class TestRounds:
                   options=SolverOptions(freeze_combiners=True))
         for st in res.states:
             k = len(st.neighbors) + 1
-            recomputed = sum((1.0 / k) * st.x_local[j] for j in st.inclusive_order)
+            recomputed = sum((1.0 / k) * st.x_local[j] for j in st.neighbors + (st.ap_id,))
             np.testing.assert_allclose(st.x_agg, recomputed, atol=1e-10)
 
     def test_cost_trajectory_improves(self, setup):
