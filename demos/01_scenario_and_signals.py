@@ -43,8 +43,8 @@ print("\n=== received signals ===")
 observations = synthesize(scenario)
 for obs in observations[:2]:
     trace = np.real(np.trace(obs.sample_cov))
-    print(f"  AP {obs.ap_id}: signal {obs.signal.shape}, sample covariance "
-          f"{obs.sample_cov.shape}, trace {trace:.1f} "
+    print(f"  AP {obs.ap_id}: signal ({scenario.pilot_len}, {scenario.num_antennas}), "
+          f"sample covariance {obs.sample_cov.shape}, trace {trace:.1f} "
           f"(noise-only would be ~{scenario.pilot_len * scenario.noise_power:.1f})")
 
 eigs = np.linalg.eigvalsh(observations[0].sample_cov)

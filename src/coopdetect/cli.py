@@ -82,8 +82,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     cfg = _build_config(args)
-    for mode in cfg.modes:
-        iota = calibrate(cfg, 0, cfg.sweep_values[0], mode)
+    for mode, iota in calibrate(cfg, 0, cfg.sweep_values[0]).items():
         print(f"{mode}: iota* = {iota:.6g}")
     return 0
 

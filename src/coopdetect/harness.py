@@ -5,6 +5,11 @@ hyperparameters, one sweep axis with its values, the detection modes to
 compare, and the trial count.  Every trial seed is derived from the master
 seed, the sweep position and the trial index, so runs are reproducible
 byte-for-byte and modes are compared on identical scenarios.
+
+``validate`` applies the checks a trial applies (``TopologyConfig``,
+``check_sizes``, ``FailurePlan.validate``) at the config's own values and at
+every sweep point, before any solve.  One trial path, ``_solve_trial``, draws
+a scenario and solves every mode on it, for evaluation rows and ``calibrate``.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -27,12 +33,17 @@ from .scenario import (
     ApObservation,
     Scenario,
     TopologyConfig,
+    build_topology,
+    check_sizes,
     isolated,
     make_scenario,
     synthesize,
 )
 
-SWEEP_AXES = ("coop_degree", "M", "L", "snr_db")
+# Sweep axis -> the config field it sets and that field's type.
+_AXIS_FIELDS = {"coop_degree": ("degree", int), "M": ("num_antennas", int),
+                "L": ("pilot_len", int), "snr_db": ("snr_db", float)}
+SWEEP_AXES = tuple(_AXIS_FIELDS)
 MODES = ("cmd", "no_coop", "centralized_pool")
 
 _TRIAL_SALT = 0x7E57
@@ -77,21 +88,19 @@ class ExperimentConfig:
     workers: int = 1
 
     def validate(self) -> None:
+        """Raise InvalidConfig naming every problem a run of this config would hit."""
         problems = []
-        for name in ("num_aps", "num_devices", "pilot_len", "num_antennas",
-                     "num_iters", "trials", "calibration_trials"):
+        for name in ("num_iters", "trials", "calibration_trials", "workers"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0 <= self.num_active <= self.num_devices:
-            problems.append(f"num_active must be in [0, num_devices], got {self.num_active}")
-        if not 0 <= self.degree < self.num_aps:
-            problems.append(f"degree must be in [0, num_aps), got {self.degree}")
-        if self.layout not in ("grid", "ring"):
-            problems.append(f"layout must be 'grid' or 'ring', got {self.layout!r}")
         if self.sweep_axis not in SWEEP_AXES:
             problems.append(f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
         if not self.sweep_values:
             problems.append("sweep_values must be nonempty")
+        # Rows are aggregated by axis value, so a repeated value would merge two points.
+        repeated = [v for i, v in enumerate(self.sweep_values) if v in self.sweep_values[:i]]
+        if repeated:
+            problems.append(f"sweep_values repeat {repeated}")
         if not self.modes:
             problems.append("modes must be nonempty")
         for m in self.modes:
@@ -103,25 +112,37 @@ class ExperimentConfig:
             problems.append(f"master_seed must be a nonnegative integer, got {self.master_seed}")
         if self.iota is not None and self.iota <= 0:
             problems.append(f"iota must be positive, got {self.iota}")
-        if isinstance(self.gain_ref, str) and self.gain_ref != "auto":
-            problems.append(f"gain_ref must be a number, None, or 'auto', got {self.gain_ref!r}")
         if self.b0_mode not in ("nearest", "max_gamma"):
             problems.append(f"b0_mode must be 'nearest' or 'max_gamma', got {self.b0_mode!r}")
-        if self.workers < 1:
-            problems.append(f"workers must be >= 1, got {self.workers}")
+        plan = None
         if self.failure_plan is not None:
             try:
-                FailurePlan.from_dict(self.failure_plan)
+                plan = FailurePlan.from_dict(self.failure_plan)
             except (InvalidConfig, TypeError, KeyError, ValueError) as err:
                 problems.append(f"failure_plan invalid: {err}")
+        # A trial's own checks at every point; points failing alike share a message.
+        points = {"config values": self}
+        if self.sweep_axis in SWEEP_AXES:
+            points.update((f"sweep point {self.sweep_axis}={v!r}", _at_point(self, v))
+                          for v in self.sweep_values)
+        failures: dict[str, list[str]] = {}
+        neighbors = cache(lambda topo: build_topology(topo)[1])
+        for label, point in points.items():
+            try:
+                topo = _topology(point)
+                check_sizes(point.num_devices, point.num_active, point.pilot_len,
+                            point.num_antennas, _resolved_gain_ref(point))
+                if plan is not None:
+                    plan.validate(neighbors(topo), point.num_iters)
+            except InvalidConfig as err:
+                failures.setdefault(str(err), []).append(label)
+        problems += [f"{' and '.join(labels)}: {err}" for err, labels in failures.items()]
         if problems:
             raise InvalidConfig("; ".join(problems))
 
     def hyper(self) -> Hyperparams:
         return Hyperparams(beta=self.beta, tau=self.tau, theta=self.theta,
-                           eta=self.eta, rho=self.rho,
-                           iota=self.iota if self.iota is not None else 1.0,
-                           num_iters=self.num_iters)
+                           eta=self.eta, rho=self.rho, num_iters=self.num_iters)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -188,41 +209,35 @@ def desk_fixture(master_seed: int, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**params)
 
 
-def _resolved_gain_ref(cfg: ExperimentConfig, snr_db: float, pilot_len: int) -> float | None:
+def _at_point(cfg: ExperimentConfig, sweep_value) -> ExperimentConfig:
+    """The config with the sweep axis value applied."""
+    name, kind = _AXIS_FIELDS[cfg.sweep_axis]
+    return replace(cfg, **{name: kind(sweep_value)})
+
+
+def _topology(cfg: ExperimentConfig, seed: int = 0) -> TopologyConfig:
+    return TopologyConfig(num_aps=cfg.num_aps, degree=cfg.degree,
+                          ap_spacing=cfg.ap_spacing, layout=cfg.layout, seed=seed)
+
+
+def _resolved_gain_ref(cfg: ExperimentConfig) -> float | None:
     # "auto" pins the median nearest-AP gain to (L/5) * SNR_lin, i.e. noise
     # power ~ L/5.  Growing the scale with L keeps the fixed gradient step
     # inside its stability region across pilot-length sweeps.
     if cfg.gain_ref == "auto":
-        return pilot_len / 5.0 * 10.0 ** (snr_db / 10.0)
+        return cfg.pilot_len / 5.0 * 10.0 ** (cfg.snr_db / 10.0)
+    if isinstance(cfg.gain_ref, str):
+        raise InvalidConfig(f"gain_ref must be a number, None, or 'auto', got {cfg.gain_ref!r}")
     return cfg.gain_ref
 
 
 def build_scenario(cfg: ExperimentConfig, sweep_value, seed: int) -> Scenario:
     """Scenario for one trial, with the sweep axis value applied."""
-    degree = cfg.degree
-    antennas = cfg.num_antennas
-    pilot_len = cfg.pilot_len
-    snr_db = cfg.snr_db
-    if cfg.sweep_axis == "coop_degree":
-        degree = int(sweep_value)
-    elif cfg.sweep_axis == "M":
-        antennas = int(sweep_value)
-    elif cfg.sweep_axis == "L":
-        pilot_len = int(sweep_value)
-    elif cfg.sweep_axis == "snr_db":
-        snr_db = float(sweep_value)
-    topo = TopologyConfig(num_aps=cfg.num_aps, degree=degree,
-                          ap_spacing=cfg.ap_spacing, layout=cfg.layout, seed=seed)
-    return make_scenario(
-        topo,
-        num_devices=cfg.num_devices,
-        num_active=cfg.num_active,
-        pilot_len=pilot_len,
-        num_antennas=antennas,
-        snr_db=snr_db,
-        gain_ref=_resolved_gain_ref(cfg, snr_db, pilot_len),
-        pathloss_exponent=cfg.pathloss_exponent,
-    )
+    p = _at_point(cfg, sweep_value)
+    return make_scenario(_topology(p, seed), num_devices=p.num_devices,
+                         num_active=p.num_active, pilot_len=p.pilot_len,
+                         num_antennas=p.num_antennas, snr_db=p.snr_db,
+                         gain_ref=_resolved_gain_ref(p), pathloss_exponent=p.pathloss_exponent)
 
 
 def trial_seed(master_seed: int, sweep_index: int, trial_index: int,
@@ -236,7 +251,7 @@ def trial_seed(master_seed: int, sweep_index: int, trial_index: int,
 def pooled_observation(observations) -> ApObservation:
     """Single fictitious AP holding the average of all sample covariances."""
     pooled = np.mean([o.sample_cov for o in observations], axis=0)
-    return ApObservation(ap_id=0, signal=None, sample_cov=pooled)
+    return ApObservation(ap_id=0, sample_cov=pooled)
 
 
 def _pooled_scenario(scenario: Scenario) -> Scenario:
@@ -272,22 +287,28 @@ def mode_dispatch(mode: str, scenario: Scenario, observations, hyper: Hyperparam
     raise InvalidConfig(f"unknown mode {mode!r}")
 
 
-def _solver_options(cfg: ExperimentConfig) -> solver.SolverOptions:
-    return solver.SolverOptions(lag_transmit=cfg.lag_transmit, record_cost=False)
-
-
-def _run_trial(cfg: ExperimentConfig, sweep_index: int, sweep_value,
-               trial_index: int, iotas: dict, calibration: bool = False) -> list[dict]:
-    """One seeded trial: same scenario and observations for every mode."""
+def _solve_trial(cfg: ExperimentConfig, sweep_index: int, sweep_value, trial_index: int,
+                 calibration: bool) -> tuple[int, Scenario, dict]:
+    """One seeded trial: its seed, its scenario and every mode's result on that scenario."""
     seed = trial_seed(cfg.master_seed, sweep_index, trial_index, calibration)
     scenario = build_scenario(cfg, sweep_value, seed)
     observations = synthesize(scenario)
     plan = FailurePlan.from_dict(cfg.failure_plan) if cfg.failure_plan else None
-    options = _solver_options(cfg)
+    options = solver.SolverOptions(lag_transmit=cfg.lag_transmit, record_cost=False)
+    hyper = cfg.hyper()
+    results = {mode: mode_dispatch(mode, scenario, observations, hyper,
+                                   options=options, plan=plan)
+               for mode in cfg.modes}
+    return seed, scenario, results
+
+
+def _run_trial(cfg: ExperimentConfig, sweep_index: int, sweep_value,
+               trial_index: int, iotas: dict) -> list[dict]:
+    """Rows of one evaluation trial, one per mode."""
+    seed, scenario, results = _solve_trial(cfg, sweep_index, sweep_value, trial_index,
+                                           calibration=False)
     rows = []
-    for mode in cfg.modes:
-        result = mode_dispatch(mode, scenario, observations, cfg.hyper(),
-                               options=options, plan=plan)
+    for mode, result in results.items():
         iota = iotas[(sweep_index, mode)]
         report = metrics.evaluate(result.gamma, scenario, iota, b0_mode=cfg.b0_mode)
         rows.append(
@@ -311,35 +332,21 @@ def _run_trial(cfg: ExperimentConfig, sweep_index: int, sweep_value,
     return rows
 
 
-def _calibration_estimates(cfg: ExperimentConfig, sweep_index: int, sweep_value,
-                           mode: str) -> list:
-    runs = []
-    plan = FailurePlan.from_dict(cfg.failure_plan) if cfg.failure_plan else None
-    options = _solver_options(cfg)
-    for v in range(cfg.calibration_trials):
-        seed = trial_seed(cfg.master_seed, sweep_index, v, calibration=True)
-        scenario = build_scenario(cfg, sweep_value, seed)
-        observations = synthesize(scenario)
-        result = mode_dispatch(mode, scenario, observations, cfg.hyper(),
-                               options=options, plan=plan)
-        runs.append((result.gamma, scenario))
-    return runs
-
-
 # Wider than the metrics default: desk-scale noise-normalized units sit
 # near the bottom of the reference grid, which would pin calibration at
 # its boundary and mask mode differences.
 CALIBRATION_GRID = tuple(np.logspace(-3.0, 3.0, 49))
 
 
-def calibrate(cfg: ExperimentConfig, sweep_index: int = 0,
-              sweep_value=None, mode: str | None = None) -> float:
-    """Calibrated threshold multiplier for one sweep point and mode."""
-    if sweep_value is None:
-        sweep_value = cfg.sweep_values[sweep_index]
-    mode = mode or cfg.modes[0]
-    runs = _calibration_estimates(cfg, sweep_index, sweep_value, mode)
-    return metrics.calibrate_threshold(runs, grid=CALIBRATION_GRID, b0_mode=cfg.b0_mode)
+def calibrate(cfg: ExperimentConfig, sweep_index: int, sweep_value) -> dict:
+    """Threshold multiplier per mode, ``{mode: iota}``, fitted on held-out trials."""
+    runs: dict = {mode: [] for mode in cfg.modes}
+    for v in range(cfg.calibration_trials):
+        _, scenario, results = _solve_trial(cfg, sweep_index, sweep_value, v, calibration=True)
+        for mode, result in results.items():
+            runs[mode].append((result.gamma, scenario))
+    return {mode: metrics.calibrate_threshold(r, grid=CALIBRATION_GRID, b0_mode=cfg.b0_mode)
+            for mode, r in runs.items()}
 
 
 @dataclass
@@ -371,32 +378,24 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
     """Execute the full sweep x trial grid and aggregate AER statistics.
 
     Thresholds come from the config when fixed, otherwise from a
-    calibration pass on held-out seeds per (sweep point, mode).  Trials run
-    in a process pool when ``cfg.workers > 1``; results are identical
-    either way.
+    calibration pass on held-out seeds per sweep point.  The trials of all
+    sweep points run in one process pool when ``cfg.workers > 1``; results
+    are identical either way.
     """
     cfg.validate()
     iotas: dict = {}
     for si, val in enumerate(cfg.sweep_values):
-        for mode in cfg.modes:
-            if cfg.iota is not None:
-                iotas[(si, mode)] = cfg.iota
-            else:
-                iotas[(si, mode)] = calibrate(cfg, si, val, mode)
+        found = calibrate(cfg, si, val) if cfg.iota is None else dict.fromkeys(cfg.modes, cfg.iota)
+        iotas.update(((si, mode), iota) for mode, iota in found.items())
 
-    rows: list[dict] = []
-    for si, val in enumerate(cfg.sweep_values):
-        if cfg.workers > 1:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                chunks = list(
-                    pool.map(_run_trial, [cfg] * cfg.trials, [si] * cfg.trials,
-                             [val] * cfg.trials, range(cfg.trials),
-                             [iotas] * cfg.trials)
-                )
-        else:
-            chunks = [_run_trial(cfg, si, val, t, iotas) for t in range(cfg.trials)]
-        for chunk in chunks:
-            rows.extend(chunk)
+    jobs = [(cfg, si, val, t, iotas)
+            for si, val in enumerate(cfg.sweep_values) for t in range(cfg.trials)]
+    if cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            chunks = list(pool.map(_run_trial, *zip(*jobs)))
+    else:
+        chunks = [_run_trial(*job) for job in jobs]
+    rows = [row for chunk in chunks for row in chunk]
 
     aggregates = []
     for si, val in enumerate(cfg.sweep_values):

@@ -41,7 +41,6 @@ class Hyperparams:
     theta: float = 1.0 / 0.039   # log-penalty curvature
     eta: float = 0.003           # gradient step size
     rho: float = 500.0           # combiner sharpness
-    iota: float = 1.0            # detection threshold multiplier
     num_iters: int = 40          # synchronized rounds
 
 

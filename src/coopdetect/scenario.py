@@ -83,14 +83,14 @@ def build_topology(cfg: TopologyConfig) -> tuple[np.ndarray, tuple[tuple[int, ..
     pos = ap_positions(cfg)
     b = cfg.num_aps
     adj = np.zeros((b, b), dtype=bool)
-    if cfg.degree > 0 and b > 1:
+    if cfg.degree > 0:
         dists = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
-        for i in range(b):
-            order = np.lexsort((np.arange(b), dists[i]))
-            picked = [j for j in order if j != i][: cfg.degree]
-            adj[i, picked] = True
+        np.fill_diagonal(dists, np.inf)     # an AP is never its own neighbor
+        # A stable sort keeps equal distances in index order: ties go to the lower index.
+        nearest = np.argsort(dists, axis=1, kind="stable")[:, :cfg.degree]
+        adj[np.arange(b)[:, None], nearest] = True
         adj |= adj.T
-    neighbors = tuple(tuple(int(j) for j in np.flatnonzero(adj[i])) for i in range(b))
+    neighbors = tuple(tuple(np.flatnonzero(row).tolist()) for row in adj)
     return pos, neighbors
 
 
@@ -140,11 +140,10 @@ class Scenario:
 
 @dataclass
 class ApObservation:
-    """Received pilot signal at one AP and its antenna-averaged covariance."""
+    """Antenna-averaged covariance of the pilot signal received at one AP."""
 
     ap_id: int
-    signal: np.ndarray | None     # (L, M) complex; None for synthetic pooled APs
-    sample_cov: np.ndarray        # (L, L) Hermitian PSD, (1/M) Y Y^H
+    sample_cov: np.ndarray        # (L, L) Hermitian PSD, (1/M) Y Y^H of the (L, M) block Y
 
 
 def _complex_gaussian(rng: np.random.Generator, shape, scale: float = 1.0) -> np.ndarray:
@@ -165,6 +164,24 @@ def snr_to_noise(gains: np.ndarray, activity: np.ndarray, nearest: np.ndarray,
     active = np.asarray(activity) == 1
     ref = float(np.median(g_nearest[active])) if np.any(active) else float(np.median(g_nearest))
     return ref / 10.0 ** (snr_db / 10.0)
+
+
+def check_sizes(num_devices: int, num_active: int, pilot_len: int, num_antennas: int,
+                gain_ref: float | None) -> None:
+    """Raise InvalidConfig unless :func:`make_scenario` can draw these sizes and gain scale."""
+    problems = []
+    if num_devices <= 0:
+        problems.append(f"num_devices must be positive, got {num_devices}")
+    if not 0 <= num_active <= num_devices:
+        problems.append(f"num_active must be in [0, {num_devices}], got {num_active}")
+    if pilot_len <= 0:
+        problems.append(f"pilot_len must be positive, got {pilot_len}")
+    if num_antennas <= 0:
+        problems.append(f"num_antennas must be positive, got {num_antennas}")
+    if gain_ref is not None and gain_ref <= 0:
+        problems.append(f"gain_ref must be positive, got {gain_ref}")
+    if problems:
+        raise InvalidConfig("; ".join(problems))
 
 
 def make_scenario(
@@ -189,20 +206,7 @@ def make_scenario(
     pins the absolute scale that the solver's step sizes operate on
     without touching relative gains or the SNR definition.
     """
-    problems = []
-    if num_devices <= 0:
-        problems.append(f"num_devices must be positive, got {num_devices}")
-    if not 0 <= num_active <= num_devices:
-        problems.append(f"num_active must be in [0, {num_devices}], got {num_active}")
-    if pilot_len <= 0:
-        problems.append(f"pilot_len must be positive, got {pilot_len}")
-    if num_antennas <= 0:
-        problems.append(f"num_antennas must be positive, got {num_antennas}")
-    if gain_ref is not None and gain_ref <= 0:
-        problems.append(f"gain_ref must be positive, got {gain_ref}")
-    if problems:
-        raise InvalidConfig("; ".join(problems))
-
+    check_sizes(num_devices, num_active, pilot_len, num_antennas, gain_ref)
     pos, neighbors = build_topology(topology)
     streams = np.random.SeedSequence(topology.seed).spawn(4)
 
@@ -249,7 +253,7 @@ def make_scenario(
 
 
 def synthesize(scenario: Scenario, noise_power: float | None = None) -> list[ApObservation]:
-    """Draw the received pilot block at every AP.
+    """Draw the received pilot block at every AP and return its sample covariance.
 
     Y_b = pilots @ diag(chi * sqrt(g_b)) @ H_b + W_b, with H_b and W_b
     i.i.d. complex Gaussian (unit variance and ``noise_power`` variance per
@@ -267,7 +271,7 @@ def synthesize(scenario: Scenario, noise_power: float | None = None) -> list[ApO
         w = _complex_gaussian(rng, (scenario.pilot_len, scenario.num_antennas), scale=sigma2)
         y = (scenario.pilots * amp[b]) @ h + w
         sample_cov = y @ y.conj().T / scenario.num_antennas
-        out.append(ApObservation(ap_id=b, signal=y, sample_cov=sample_cov))
+        out.append(ApObservation(ap_id=b, sample_cov=sample_cov))
     return out
 
 

@@ -62,7 +62,6 @@ class SolverOptions:
     """Behavior knobs that are not model hyperparameters."""
 
     lag_transmit: bool = False        # transmit the pre-update estimate instead
-    freeze_combiners: bool = False    # constant uniform weights (diagnostics)
     check_state_every: int = 0        # verify covariance consistency every k rounds
     early_stop_tol: float | None = None
     record_cost: bool = True
@@ -221,10 +220,7 @@ def _round(st: _Batch, live: np.ndarray, t: int, scenario: Scenario, covs: list,
     sel = np.count_nonzero(st.cdfs[live] <= st.draws[live, t - 1, None], axis=1)
     own = sel == own_col
     pick = np.where(own, e + live, first[live] + sel)     # index into the weights
-    if options.freeze_combiners:
-        w = 1.0 / np.concatenate([count[erow], count])
-    else:
-        w = combiner_weights(g_old, st.received[ein], hyper.rho, receivers=erow)
+    w = combiner_weights(g_old, st.received[ein], hyper.rho, receivers=erow)
     weights = np.empty(e + b)
     weights[:e][ein], weights[e + live] = w[:len(erow)], w[len(erow):]
     w_sel = weights[pick]

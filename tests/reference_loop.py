@@ -184,10 +184,7 @@ def ap_iteration(
     sel_idx = int(state.rng.choice(len(order), p=probs))
     selected = order[sel_idx]
 
-    if options.freeze_combiners:
-        weights = np.full(len(order), 1.0 / len(order))
-    else:
-        weights = combiner_weights(gamma_old, nbr_mat, hyper.rho)
+    weights = combiner_weights(gamma_old, nbr_mat, hyper.rho)
     eta_sel = stochastic_step_size(float(weights[sel_idx]), hyper.eta, float(probs[sel_idx]))
     tau_eta = hyper.tau * eta_sel
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from coopdetect import solver
 from coopdetect.cli import main
 from coopdetect.scenario import load_scenario
 
@@ -49,6 +50,19 @@ class TestRunVerb:
     def test_bad_sweep_axis_rejected(self, config_file, capsys):
         rc = main(["run", "--config", config_file, "--sweep", "bananas"])
         assert rc == 2
+
+    def test_bad_sweep_point_rejected_before_output(self, config_file, tmp_path, capsys,
+                                                    monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver.run called")
+
+        monkeypatch.setattr(solver, "run", no_solve)
+        out = tmp_path / "results"
+        rc = main(["run", "--config", config_file, "--sweep", "coop_degree=1,9",
+                   "--out", str(out)])
+        assert rc == 2
+        assert "invalid config" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOtherVerbs:

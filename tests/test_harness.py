@@ -2,14 +2,18 @@
 
 import json
 import os
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from coopdetect import harness, solver
 from coopdetect.errors import InvalidConfig
 from coopdetect.harness import (
     ExperimentConfig,
     build_scenario,
+    calibrate,
     desk_fixture,
     emit_plotdata,
     load_config,
@@ -71,6 +75,35 @@ class TestConfig:
 
     def test_desk_fixture_validates(self):
         desk_fixture(1).validate()
+
+    # Each of these passes the config-level checks but breaks one trial.
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(sweep_values=(9,)), "sweep point coop_degree=9: degree 9 must be < num_aps 5"),
+        (dict(ap_spacing=-1.0), "sweep point coop_degree=4: ap_spacing must be positive"),
+        (dict(sweep_axis="L", sweep_values=(0,)), "sweep point L=0: pilot_len must be positive"),
+        (dict(sweep_axis="M", sweep_values=(0,)),
+         "sweep point M=0: num_antennas must be positive"),
+        (dict(gain_ref=-3.0), "sweep point coop_degree=4: gain_ref must be positive"),
+        (dict(failure_plan={"ap_failures": [[99, 2]]}),
+         "sweep point coop_degree=4: ap_failures references unknown AP 99"),
+        (dict(failure_plan={"ap_failures": [[0, 999]]}),
+         "sweep point coop_degree=4: ap_failures round 999 outside [1, 5]"),
+        (dict(sweep_values=(1,), failure_plan={"link_failures": [[[0, 4], 1, 2]]}),
+         "sweep point coop_degree=1: link_failures references unknown edge (0, 4)"),
+        (dict(sweep_values=(2, 2)), "sweep_values repeat [2]"),
+    ], ids=["degree", "ap_spacing", "L", "M", "gain_ref", "plan_ap", "plan_round",
+            "plan_link", "repeated_value"])
+    def test_bad_trial_rejected_before_any_solve(self, monkeypatch, overrides, message):
+        cfg = tiny_config(**{"num_aps": 5, "degree": 4, "sweep_values": (4,), **overrides})
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            cfg.validate()
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver.run called")
+
+        monkeypatch.setattr(solver, "run", no_solve)
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            run_experiment(cfg)
 
 
 class TestSeeds:
@@ -160,6 +193,20 @@ class TestRunExperiment:
             sc = build_scenario(cfg, r["axis_value"], r["seed"])
             edges = sum(len(nb) for nb in sc.neighbors)
             assert r["scalars_delivered"] == cfg.num_iters * edges * cfg.num_devices
+
+    def test_calibrate_shares_trials_across_modes(self, monkeypatch):
+        cfg = tiny_config(sweep_values=(1, 2), modes=("cmd", "no_coop"), calibration_trials=2)
+        built = []
+
+        def counting_build(cfg, sweep_value, seed):
+            built.append(sweep_value)
+            return build_scenario(cfg, sweep_value, seed)
+
+        monkeypatch.setattr(harness, "build_scenario", counting_build)
+        iotas = calibrate(cfg, 1, 2)
+        assert built == [2, 2]
+        for mode in cfg.modes:
+            assert calibrate(replace(cfg, modes=(mode,)), 1, 2) == {mode: iotas[mode]}
 
     def test_fixed_iota_skips_calibration(self):
         cfg = tiny_config(iota=0.5)

@@ -43,9 +43,8 @@ def problems(draw):
         drop_prob=draw(st.sampled_from([0.0, 0.2, 0.5, 1.0])),
     )
     hyper = Hyperparams(tau=draw(st.sampled_from([0.0, 0.0075, 10.0])),
-                        rho=draw(st.sampled_from([0.2, 500.0])), num_iters=rounds)
+                        rho=draw(st.sampled_from([0.0, 0.2, 500.0])), num_iters=rounds)
     options = SolverOptions(lag_transmit=draw(st.booleans()),
-                            freeze_combiners=draw(st.booleans()),
                             record_cost=draw(st.booleans()))
     return scenario, synthesize(scenario), plan, hyper, options
 

@@ -69,6 +69,21 @@ class TestTopology:
         _, neighbors = build_topology(TopologyConfig(num_aps=4, degree=0))
         assert neighbors == ((), (), (), ())
 
+    @pytest.mark.parametrize("layout", ["grid", "ring"])
+    def test_matches_per_ap_nearest_loop(self, layout):
+        # Reference: each AP picks its `degree` nearest others, ties to the lower index.
+        for b in range(1, 21):
+            for degree in range(min(b, 9)):
+                cfg = TopologyConfig(num_aps=b, degree=degree, layout=layout)
+                pos, neighbors = build_topology(cfg)
+                dists = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
+                adj = np.zeros((b, b), dtype=bool)
+                for i in range(b):
+                    order = [j for j in np.lexsort((np.arange(b), dists[i])) if j != i]
+                    adj[i, order[:degree]] = True
+                adj |= adj.T
+                assert neighbors == tuple(tuple(np.flatnonzero(row)) for row in adj)
+
 
 class TestPathloss:
     def test_unit_gain_at_one_meter(self):
@@ -154,7 +169,7 @@ class TestSynthesize:
         sc = desk(seed=5, num_active=0)
         obs = synthesize(sc, noise_power=0.0)
         for o in obs:
-            assert np.allclose(o.signal, 0.0)
+            assert np.allclose(o.sample_cov, 0.0)
 
     def test_noise_only_trace_moment(self):
         # E[tr(sample cov)] == L * sigma^2; averaged over 100 AP draws.
@@ -185,8 +200,8 @@ class TestSynthesize:
 
     def test_reproducible_bitwise(self):
         sc = desk(seed=7)
-        y1 = synthesize(sc)[0].signal
-        y2 = synthesize(desk(seed=7))[0].signal
+        y1 = synthesize(sc)[0].sample_cov
+        y2 = synthesize(desk(seed=7))[0].sample_cov
         np.testing.assert_array_equal(y1, y2)
 
 

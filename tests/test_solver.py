@@ -93,11 +93,11 @@ class TestRounds:
 
     def test_frozen_combiners_aggregate_identity(self, setup):
         sc, obs = setup
-        res = run(sc, obs, Hyperparams(num_iters=12),
-                  options=SolverOptions(freeze_combiners=True))
+        # rho = 0 holds every weight constant: 1/k per neighbor, 0 for self.
+        res = run(sc, obs, Hyperparams(num_iters=12, rho=0.0))
         for st in res.states:
-            k = len(st.neighbors) + 1
-            recomputed = sum((1.0 / k) * st.x_local[j] for j in st.neighbors + (st.ap_id,))
+            k = len(st.neighbors)
+            recomputed = sum((1.0 / k) * st.x_local[j] for j in st.neighbors)
             np.testing.assert_allclose(st.x_agg, recomputed, atol=1e-10)
 
     def test_cost_trajectory_improves(self, setup):
