@@ -34,7 +34,7 @@ from .scenario import (
     snr_to_noise,
     synthesize,
 )
-from .solver import ApSolverState, IterationTrace, RunResult, SolverOptions, run
+from .solver import ApSolverState, IterationTrace, RunResult, SolverOptions, run, run_batch
 
 __version__ = "0.1.0"
 
@@ -72,6 +72,7 @@ __all__ = [
     "mode_dispatch",
     "pathloss",
     "run",
+    "run_batch",
     "run_experiment",
     "save_scenario",
     "snr_to_noise",

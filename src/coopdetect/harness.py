@@ -8,8 +8,11 @@ byte-for-byte and modes are compared on identical scenarios.
 
 ``validate`` applies the checks a trial applies (``TopologyConfig``,
 ``check_sizes``, ``FailurePlan.validate``) at the config's own values and at
-every sweep point, before any solve.  One trial path, ``_solve_trial``, draws
-a scenario and solves every mode on it, for evaluation rows and ``calibrate``.
+every sweep point, before any solve.  One trial path, ``_solve_batch``, draws
+the scenarios of a batch of trials of one sweep point and solves every trial
+in every mode in one ``solver.run_batch``: the problems are stacked trial by
+trial, modes in config order within a trial.  Evaluation rows and
+``calibrate`` both go through it; ``BATCH_APS`` caps a batch's size.
 """
 
 from __future__ import annotations
@@ -45,6 +48,10 @@ _AXIS_FIELDS = {"coop_degree": ("degree", int), "M": ("num_antennas", int),
                 "L": ("pilot_len", int), "snr_db": ("snr_db", float)}
 SWEEP_AXES = tuple(_AXIS_FIELDS)
 MODES = ("cmd", "no_coop", "centralized_pool")
+
+# Most APs, over all trials and modes, that one batched solve advances; the
+# batch's arrays and temporaries grow with it.
+BATCH_APS = 256
 
 _TRIAL_SALT = 0x7E57
 _CALIBRATION_SALT = 0xCA11B
@@ -95,6 +102,12 @@ class ExperimentConfig:
                 problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.sweep_axis not in SWEEP_AXES:
             problems.append(f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
+        elif _AXIS_FIELDS[self.sweep_axis][1] is int:
+            # _at_point truncates with int(), which would run 1.5 as 1 under the label 1.5.
+            fractional = [v for v in self.sweep_values if v != int(v)]
+            if fractional:
+                problems.append(f"sweep_values on {self.sweep_axis} must be integers, "
+                                f"got {fractional}")
         if not self.sweep_values:
             problems.append("sweep_values must be nonempty")
         # Rows are aggregated by axis value, so a repeated value would merge two points.
@@ -265,70 +278,86 @@ def _pooled_scenario(scenario: Scenario) -> Scenario:
     )
 
 
-def mode_dispatch(mode: str, scenario: Scenario, observations, hyper: Hyperparams,
-                  options: solver.SolverOptions | None = None,
-                  plan: FailurePlan | None = None) -> solver.RunResult:
-    """Run one detection mode on a synthesized scenario.
+def mode_dispatch(mode: str, scenario: Scenario, observations,
+                  plan: FailurePlan | None = None) -> solver.Problem:
+    """The solver problem ``(scenario, observations, plan)`` of one detection mode.
 
-    ``cmd`` runs the full cooperative solver.  ``no_coop`` empties every
-    neighbor set and zeroes the similarity weight, so each AP solves alone
-    and no messages flow.  ``centralized_pool`` solves once on the average
-    of all sample covariances (an upper-reference ablation).  Failure plans
-    only apply to ``cmd``; the baselines have no backhaul to fail.
+    ``cmd`` is the full cooperative problem.  ``no_coop`` empties every
+    neighbor set, so each AP solves alone and no messages flow: with no
+    neighbors the similarity weight never enters.  ``centralized_pool`` is
+    one AP holding the average of all sample covariances (an
+    upper-reference ablation).  Failure plans only apply to ``cmd``; the
+    baselines have no backhaul to fail.
     """
     if mode == "cmd":
-        return solver.run(scenario, observations, hyper, plan=plan, options=options)
+        return scenario, observations, plan
     if mode == "no_coop":
-        return solver.run(isolated(scenario), observations, replace(hyper, tau=0.0),
-                          options=options)
+        return isolated(scenario), observations, None
     if mode == "centralized_pool":
-        return solver.run(_pooled_scenario(scenario), [pooled_observation(observations)],
-                          replace(hyper, tau=0.0), options=options)
+        return _pooled_scenario(scenario), [pooled_observation(observations)], None
     raise InvalidConfig(f"unknown mode {mode!r}")
 
 
-def _solve_trial(cfg: ExperimentConfig, sweep_index: int, sweep_value, trial_index: int,
-                 calibration: bool) -> tuple[int, Scenario, dict]:
-    """One seeded trial: its seed, its scenario and every mode's result on that scenario."""
-    seed = trial_seed(cfg.master_seed, sweep_index, trial_index, calibration)
-    scenario = build_scenario(cfg, sweep_value, seed)
-    observations = synthesize(scenario)
+def _solve_batch(cfg: ExperimentConfig, sweep_index: int, sweep_value, keys) -> list:
+    """Solve the ``(trial index, calibration)`` trials of one sweep point in every mode.
+
+    Each trial is built and synthesized once; all trials x modes go through
+    one ``solver.run_batch``.  Returns, per key, the trial's seed, its
+    scenario and ``{mode: (gamma, row counts)}``: what scoring needs, so that
+    traces and states are not kept or sent back from a worker.
+    """
     plan = FailurePlan.from_dict(cfg.failure_plan) if cfg.failure_plan else None
+    trials, problems = [], []
+    for trial_index, calibration in keys:
+        seed = trial_seed(cfg.master_seed, sweep_index, trial_index, calibration)
+        scenario = build_scenario(cfg, sweep_value, seed)
+        observations = synthesize(scenario)
+        trials.append((seed, scenario))
+        problems += [mode_dispatch(mode, scenario, observations, plan) for mode in cfg.modes]
     options = solver.SolverOptions(lag_transmit=cfg.lag_transmit, record_cost=False)
-    hyper = cfg.hyper()
-    results = {mode: mode_dispatch(mode, scenario, observations, hyper,
-                                   options=options, plan=plan)
-               for mode in cfg.modes}
-    return seed, scenario, results
+    results = iter(solver.run_batch(problems, cfg.hyper(), options))
+    return [(seed, scenario, {mode: _outcome(next(results)) for mode in cfg.modes})
+            for seed, scenario in trials]
 
 
-def _run_trial(cfg: ExperimentConfig, sweep_index: int, sweep_value,
-               trial_index: int, iotas: dict) -> list[dict]:
-    """Rows of one evaluation trial, one per mode."""
-    seed, scenario, results = _solve_trial(cfg, sweep_index, sweep_value, trial_index,
-                                           calibration=False)
+def _outcome(result: solver.RunResult) -> tuple[np.ndarray, dict]:
+    """A solve's final estimate and the counts its row reports."""
+    return result.gamma, {
+        "messages_delivered": result.ledger.total_messages,
+        "messages_dropped": result.ledger.total_dropped,
+        "scalars_delivered": result.ledger.total_scalars,
+        "rounds": result.rounds_completed,
+        "clamped": int(sum(s.clamp_count for s in result.states)),
+    }
+
+
+def _batches(cfg: ExperimentConfig, keys: list) -> list[list]:
+    """``keys`` cut into runs of trials whose problems hold at most ``BATCH_APS`` APs.
+
+    With several workers the runs are shortened so that each worker gets one.
+    """
+    size = min(max(1, BATCH_APS // (cfg.num_aps * len(cfg.modes))), -(-len(keys) // cfg.workers))
+    return [keys[k:k + size] for k in range(0, len(keys), size)]
+
+
+def _fit_iotas(cfg: ExperimentConfig, solved: list) -> dict:
+    """Threshold multiplier per mode, ``{mode: iota}``, fitted on solved held-out trials."""
+    return {mode: metrics.calibrate_threshold([(out[mode][0], scenario)
+                                               for _, scenario, out in solved],
+                                              grid=CALIBRATION_GRID, b0_mode=cfg.b0_mode)
+            for mode in cfg.modes}
+
+
+def _rows(cfg: ExperimentConfig, sweep_value, solved: list, iotas: dict) -> list:
+    """Rows of a sweep point's solved evaluation trials, in order, one per trial and mode."""
     rows = []
-    for mode, result in results.items():
-        iota = iotas[(sweep_index, mode)]
-        report = metrics.evaluate(result.gamma, scenario, iota, b0_mode=cfg.b0_mode)
-        rows.append(
-            {
-                "axis_value": sweep_value,
-                "mode": mode,
-                "trial": trial_index,
-                "seed": seed,
-                "missed": report.missed_detection_prob,
-                "false_alarm": report.false_alarm_prob,
-                "aer": report.aer,
-                "aer_pooled": report.aer_pooled,
-                "iota": iota,
-                "messages_delivered": result.ledger.total_messages,
-                "messages_dropped": result.ledger.total_dropped,
-                "scalars_delivered": result.ledger.total_scalars,
-                "rounds": result.rounds_completed,
-                "clamped": int(sum(s.clamp_count for s in result.states)),
-            }
-        )
+    for trial_index, (seed, scenario, out) in enumerate(solved):
+        for mode, (gamma, counts) in out.items():
+            report = metrics.evaluate(gamma, scenario, iotas[mode], b0_mode=cfg.b0_mode)
+            rows.append({"axis_value": sweep_value, "mode": mode, "trial": trial_index,
+                         "seed": seed, "missed": report.missed_detection_prob,
+                         "false_alarm": report.false_alarm_prob, "aer": report.aer,
+                         "aer_pooled": report.aer_pooled, "iota": iotas[mode], **counts})
     return rows
 
 
@@ -340,13 +369,9 @@ CALIBRATION_GRID = tuple(np.logspace(-3.0, 3.0, 49))
 
 def calibrate(cfg: ExperimentConfig, sweep_index: int, sweep_value) -> dict:
     """Threshold multiplier per mode, ``{mode: iota}``, fitted on held-out trials."""
-    runs: dict = {mode: [] for mode in cfg.modes}
-    for v in range(cfg.calibration_trials):
-        _, scenario, results = _solve_trial(cfg, sweep_index, sweep_value, v, calibration=True)
-        for mode, result in results.items():
-            runs[mode].append((result.gamma, scenario))
-    return {mode: metrics.calibrate_threshold(r, grid=CALIBRATION_GRID, b0_mode=cfg.b0_mode)
-            for mode, r in runs.items()}
+    keys = [(v, True) for v in range(cfg.calibration_trials)]
+    return _fit_iotas(cfg, [trial for batch in _batches(cfg, keys)
+                            for trial in _solve_batch(cfg, sweep_index, sweep_value, batch)])
 
 
 @dataclass
@@ -377,25 +402,33 @@ class RunArtifact:
 def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
     """Execute the full sweep x trial grid and aggregate AER statistics.
 
-    Thresholds come from the config when fixed, otherwise from a
-    calibration pass on held-out seeds per sweep point.  The trials of all
-    sweep points run in one process pool when ``cfg.workers > 1``; results
-    are identical either way.
+    Thresholds come from the config when fixed, otherwise from calibration
+    trials on held-out seeds per sweep point.  A point's calibration and
+    evaluation trials are solved in the same batches (see ``_solve_batch``),
+    as the threshold is only used for scoring.  The batches of all sweep
+    points run in one process pool when ``cfg.workers > 1``; results are
+    identical either way.
     """
     cfg.validate()
-    iotas: dict = {}
-    for si, val in enumerate(cfg.sweep_values):
-        found = calibrate(cfg, si, val) if cfg.iota is None else dict.fromkeys(cfg.modes, cfg.iota)
-        iotas.update(((si, mode), iota) for mode, iota in found.items())
-
-    jobs = [(cfg, si, val, t, iotas)
-            for si, val in enumerate(cfg.sweep_values) for t in range(cfg.trials)]
+    calibration = [] if cfg.iota is not None else [
+        (v, True) for v in range(cfg.calibration_trials)]
+    keys = calibration + [(t, False) for t in range(cfg.trials)]
+    jobs = [(cfg, si, val, batch) for si, val in enumerate(cfg.sweep_values)
+            for batch in _batches(cfg, keys)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            chunks = list(pool.map(_run_trial, *zip(*jobs)))
+            batches = list(pool.map(_solve_batch, *zip(*jobs)))
     else:
-        chunks = [_run_trial(*job) for job in jobs]
-    rows = [row for chunk in chunks for row in chunk]
+        batches = [_solve_batch(*job) for job in jobs]
+
+    iotas: dict = {}
+    rows = []
+    for si, val in enumerate(cfg.sweep_values):
+        solved = [trial for job, batch in zip(jobs, batches) if job[1] == si for trial in batch]
+        found = (_fit_iotas(cfg, solved[:len(calibration)]) if calibration
+                 else dict.fromkeys(cfg.modes, cfg.iota))
+        iotas.update(((si, mode), iota) for mode, iota in found.items())
+        rows += _rows(cfg, val, solved[len(calibration):], found)
 
     aggregates = []
     for si, val in enumerate(cfg.sweep_values):

@@ -115,13 +115,25 @@ class Backhaul:
         return cls(b, src, dst, np.lexsort((dst, src)))
 
 
+def _count(counts: np.ndarray, aps: np.ndarray) -> np.ndarray:
+    """``counts`` plus one per entry of ``aps``, grown to the largest AP id."""
+    out = np.bincount(aps, minlength=len(counts))
+    out[:len(counts)] += counts
+    return out
+
+
+def _by_ap(counts: np.ndarray) -> dict:
+    return {int(ap): int(counts[ap]) for ap in np.flatnonzero(counts)}
+
+
 @dataclass
 class CommLedger:
     """Per-round message accounting; delivered + dropped == attempted."""
 
     rounds: list = field(default_factory=list)
-    sent_by_ap: dict = field(default_factory=dict)
-    received_by_ap: dict = field(default_factory=dict)
+    # Messages delivered from and to each AP id, grown to the largest id seen.
+    sent: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
+    received: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
 
     def record_round(self, rnd: int, attempted: int, delivered: int,
                      scalars: int) -> None:
@@ -137,9 +149,18 @@ class CommLedger:
 
     def credit(self, src: np.ndarray, dst: np.ndarray) -> None:
         """Count one delivered message per (src[k], dst[k]) pair."""
-        for counts, aps in ((self.sent_by_ap, src), (self.received_by_ap, dst)):
-            for ap, c in zip(*np.unique(aps, return_counts=True)):
-                counts[int(ap)] = counts.get(int(ap), 0) + int(c)
+        self.sent = _count(self.sent, src)
+        self.received = _count(self.received, dst)
+
+    @property
+    def sent_by_ap(self) -> dict:
+        """Messages delivered from each AP that sent any, ``{ap: count}``."""
+        return _by_ap(self.sent)
+
+    @property
+    def received_by_ap(self) -> dict:
+        """Messages delivered to each AP that received any, ``{ap: count}``."""
+        return _by_ap(self.received)
 
     @property
     def total_messages(self) -> int:
@@ -156,8 +177,8 @@ class CommLedger:
     def to_dict(self) -> dict:
         return {
             "rounds": self.rounds,
-            "sent_by_ap": {str(k): v for k, v in sorted(self.sent_by_ap.items())},
-            "received_by_ap": {str(k): v for k, v in sorted(self.received_by_ap.items())},
+            "sent_by_ap": {str(k): v for k, v in self.sent_by_ap.items()},
+            "received_by_ap": {str(k): v for k, v in self.received_by_ap.items()},
             "total_messages": self.total_messages,
             "total_dropped": self.total_dropped,
             "total_scalars": self.total_scalars,

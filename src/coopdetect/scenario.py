@@ -149,7 +149,10 @@ class ApObservation:
 def _complex_gaussian(rng: np.random.Generator, shape, scale: float = 1.0) -> np.ndarray:
     """i.i.d. complex Gaussian entries with variance ``scale`` per entry."""
     std = math.sqrt(scale / 2.0)
-    return rng.normal(0.0, std, shape) + 1j * rng.normal(0.0, std, shape)
+    out = np.empty(shape, dtype=complex)
+    out.real = rng.normal(0.0, std, shape)
+    out.imag = rng.normal(0.0, std, shape)
+    return out
 
 
 def snr_to_noise(gains: np.ndarray, activity: np.ndarray, nearest: np.ndarray,

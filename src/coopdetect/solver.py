@@ -7,25 +7,37 @@ refreshes its subgradient estimators and hands its new estimate to the
 backhaul.  Rounds are bulk-synchronous: all APs compute on previous-round
 neighbor data, then all messages are delivered at once.
 
-Layout, for B APs, N devices, L pilot symbols and E directed backhaul edges
-(a ``netsim.Backhaul``, ordered by receiver): estimates and combined
-subgradient estimators are (B, N), covariances (B, L, L).  The estimate last
-received over each edge and the receiver's subgradient estimator for that
-neighbor are edge-indexed (E, N), so memory grows with the edges, not B^2;
-an AP's estimator for itself never moves and is not stored.  Each step calls
-its objective function once for all live APs.
+``run_batch`` solves several independent problems (scenario, observations,
+failure plan) of one L and N together, such as the trials and modes of a
+sweep point; ``run`` is a batch of one.  The problems' APs and edges are
+stacked in order into one batch, so a round is one step over all of them.
 
-Random streams do not depend on the batching.  AP i pre-draws its selection
-uniforms as ``rng.random(num_iters)`` from ``SeedSequence([_SELECTION_SALT,
-seed, i])``; comparing the round-t value with the CDF of its inclusive
-degree equals the t-th ``rng.choice`` of a per-AP loop, as a crashed AP never
-draws again.  Drops take one draw per surviving message, in (src, dst) order.
+Layout, for B APs, N devices, L pilot symbols and E directed backhaul edges
+(a ``netsim.Backhaul``, ordered by receiver, block-diagonal over problems):
+estimates and combined subgradient estimators are (B, N), covariances
+(B, L, L).  The estimate last received over each edge and the receiver's
+subgradient estimator for that neighbor are edge-indexed (E, N), so memory
+grows with the edges, not B^2; an AP's estimator for itself never moves and
+is not stored.  Each step calls its objective function once for all live
+APs.  What is not shared stays per problem: its failure plan, drop stream,
+ledger, trace, early stop and round count.
+
+Random streams do not depend on the batching.  AP i of a problem pre-draws
+its selection uniforms as ``rng.random(num_iters)`` from
+``SeedSequence([_SELECTION_SALT, seed, i])`` with its scenario's seed;
+comparing the round-t value with the CDF of its inclusive degree equals the
+t-th ``rng.choice`` of a per-AP loop, as a crashed AP never draws again.
+Drops take one draw per surviving message of a problem, in (src, dst) order,
+from that problem's stream.  So each problem's result is bitwise what it
+gets solved alone.
 
 The gradient and the covariance update need (L, N) complex temporaries per
-AP, so they run over chunks of live APs that keep one (chunk, L, N)
-temporary near ``CHUNK_BYTES``: all B at once would grow peak memory with B
-(5 MB per temporary for 64 APs at L=24, N=200) for no speed, as a chunk of a
-few APs already amortizes the per-call overhead.
+AP and a problem's own pilots, so they run over chunks of one problem's live
+APs that keep one (chunk, L, N) temporary near ``CHUNK_BYTES``: all B at
+once would grow peak memory with B (5 MB per temporary for 64 APs at L=24,
+N=200) for no speed, as a chunk of a few APs already amortizes the per-call
+overhead.  One call over the stacked APs of several problems, with per-AP
+pilots, measured slower than a call per problem.
 """
 
 from __future__ import annotations
@@ -124,35 +136,67 @@ class _Batch:
     delta: np.ndarray                 # (B,) inf-norm of the last estimate change
 
     @classmethod
-    def initial(cls, scenario: Scenario, num_iters: int) -> "_Batch":
-        """Zero estimates, noise-only covariances, zero estimators."""
-        b, n, l = scenario.num_aps, scenario.num_devices, scenario.pilot_len
-        edges = netsim.Backhaul.from_neighbors(scenario.neighbors)
+    def initial(cls, *scenarios: Scenario, num_iters: int) -> "_Batch":
+        """Zero estimates, noise-only covariances and zero estimators.
+
+        The APs of ``scenarios`` are stacked in turn and their backhauls
+        joined block-diagonally.
+        """
+        nets = [netsim.Backhaul.from_neighbors(sc.neighbors) for sc in scenarios]
+        aps = np.cumsum([0] + [sc.num_aps for sc in scenarios])
+        links = np.cumsum([0] + [len(net.src) for net in nets])
+        b, e = int(aps[-1]), int(links[-1])
+        n, l = scenarios[0].num_devices, scenarios[0].pilot_len
+        # Receiver order and (src, dst) send order hold across the join, as
+        # each scenario's AP ids follow the previous one's.
+        edges = netsim.Backhaul(b, np.concatenate([net.src + a for net, a in zip(nets, aps)]),
+                                np.concatenate([net.dst + a for net, a in zip(nets, aps)]),
+                                np.concatenate([net.send_order + k
+                                                for net, k in zip(nets, links)]))
         draws = np.stack([np.random.default_rng(np.random.SeedSequence(
-            [_SELECTION_SALT, scenario.seed, i])).random(num_iters) for i in range(b)])
-        sigma = np.tile(scenario.noise_power * np.eye(l, dtype=complex), (b, 1, 1))
-        e = len(edges.src)
+            [_SELECTION_SALT, sc.seed, i])).random(num_iters)
+            for sc in scenarios for i in range(sc.num_aps)])
+        sigma = np.concatenate([np.tile(sc.noise_power * np.eye(l, dtype=complex),
+                                        (sc.num_aps, 1, 1)) for sc in scenarios])
         return cls(edges, draws, _selection_cdfs(np.bincount(edges.dst, minlength=b)),
                    np.zeros((b, n)), sigma, np.zeros((b, n)), np.zeros((e, n)),
                    np.zeros((e, n)), np.zeros(b, dtype=int), np.zeros(b, dtype=int),
                    np.zeros(b, dtype=int), np.full(b, np.inf))
 
-    def states(self, neighbors) -> list[ApSolverState]:
-        """Per-AP views of the arrays (rows are shared, not copied)."""
-        out, first = [], 0
+    def states(self, neighbors, ap0: int = 0, link0: int = 0) -> list[ApSolverState]:
+        """Per-AP views of the rows of the APs from ``ap0`` and their edges from ``link0``."""
+        out, first = [], link0
         for i, nbrs in enumerate(neighbors):
             own = range(first, first + len(nbrs))
             first += len(nbrs)
+            k = ap0 + i
             out.append(ApSolverState(
-                ap_id=i, neighbors=tuple(nbrs), gamma=self.gamma[i], sigma=self.sigma[i],
-                x_agg=self.x_agg[i],
-                x_local={**{j: self.x_local[k] for j, k in zip(nbrs, own)},
-                         i: np.zeros_like(self.gamma[i])},
-                last_received={j: self.received[k] for j, k in zip(nbrs, own)},
-                t=int(self.t[i]), clamp_count=int(self.clamped[i]),
-                degenerate_count=int(self.degenerate[i]), last_delta=float(self.delta[i]),
+                ap_id=i, neighbors=tuple(nbrs), gamma=self.gamma[k], sigma=self.sigma[k],
+                x_agg=self.x_agg[k],
+                x_local={**{j: self.x_local[e] for j, e in zip(nbrs, own)},
+                         i: np.zeros_like(self.gamma[k])},
+                last_received={j: self.received[e] for j, e in zip(nbrs, own)},
+                t=int(self.t[k]), clamp_count=int(self.clamped[k]),
+                degenerate_count=int(self.degenerate[k]), last_delta=float(self.delta[k]),
             ))
         return out
+
+
+@dataclass
+class _Solve:
+    """One problem's own part of a batched solve: its rows, plan, streams and records."""
+
+    scenario: Scenario
+    plan: netsim.FailurePlan
+    edges: netsim.Backhaul            # its own edges, local AP ids
+    aps: slice                        # its rows of the batch's AP arrays
+    links: slice                      # its rows of the batch's edge arrays
+    pilots_h: np.ndarray              # (N, L) conjugate transpose of its pilots
+    rng: np.random.Generator          # drop stream
+    trace: IterationTrace = field(default_factory=IterationTrace)
+    ledger: netsim.CommLedger = field(default_factory=netsim.CommLedger)
+    rounds_completed: int = 0
+    running: bool = True
 
 
 def _selection_cdfs(degree: np.ndarray) -> np.ndarray:
@@ -182,8 +226,8 @@ def verify_state(state: ApSolverState, scenario: Scenario, rtol: float = 1e-8) -
     return gap
 
 
-def _round(st: _Batch, live: np.ndarray, t: int, scenario: Scenario, covs: list,
-           hyper: Hyperparams, options: SolverOptions, trace: IterationTrace) -> np.ndarray:
+def _round(st: _Batch, live: np.ndarray, t: int, solves: list[_Solve], covs: list,
+           hyper: Hyperparams, options: SolverOptions) -> np.ndarray:
     """Advance the (nonempty) ``live`` APs by round ``t``; returns their outgoing estimates.
 
     Selecting the own AP (or drawing a zero combiner weight) degenerates the
@@ -191,7 +235,7 @@ def _round(st: _Batch, live: np.ndarray, t: int, scenario: Scenario, covs: list,
     is identically zero, so the new estimate is the clamped z step and the
     estimators stay untouched.
     """
-    pilots, (l, n) = scenario.pilots, scenario.pilots.shape
+    l, n = st.sigma.shape[-1], st.gamma.shape[1]
     src, dst = st.edges.src, st.edges.dst
     b, e, c = len(st.gamma), len(src), len(live)
     degree = np.bincount(dst, minlength=b)
@@ -200,14 +244,17 @@ def _round(st: _Batch, live: np.ndarray, t: int, scenario: Scenario, covs: list,
     row[live] = np.arange(c)
     ein = slice(None) if c == b else np.flatnonzero(row[dst] >= 0)   # edges into live APs
     erow, eslot, own_col = row[dst[ein]], (np.arange(e) - first[dst])[ein], degree[live]
+    # Each problem's live APs are a contiguous run of rows, cut into chunks.
+    bounds = np.searchsorted(live, [s.aps.start for s in solves] + [b])
     step = max(1, CHUNK_BYTES // (16 * l * n))
-    chunks = [slice(k, k + step) for k in range(0, c, step)]
+    chunks = [(s, slice(k, min(k + step, r1)))
+              for s, r0, r1 in zip(solves, bounds[:-1], bounds[1:]) for k in range(r0, r1, step)]
 
     g_old = st.gamma[live]
     grad = np.empty_like(g_old)
-    for sl in chunks:
-        grad[sl] = ml_gradient(g_old[sl], pilots, None, np.stack(covs[sl]),
-                               cov=st.sigma[live[sl]])
+    for s, sl in chunks:
+        grad[sl] = ml_gradient(g_old[sl], s.scenario.pilots, None,
+                               np.stack([covs[i] for i in live[sl]]), cov=st.sigma[live[sl]])
     # Panels zero-padded to the largest inclusive degree, stored (c, K, N)
     # so the row norms reduce over contiguous rows.
     panel = np.zeros((c, st.cdfs.shape[1], n))
@@ -247,9 +294,9 @@ def _round(st: _Batch, live: np.ndarray, t: int, scenario: Scenario, covs: list,
         st.x_local[ep] = x_new
 
     delta = g_new - g_old
-    for sl in chunks:
+    for s, sl in chunks:
         sigma = st.sigma[live[sl]] + (
-            (pilots * delta[sl, None, :]).reshape(-1, n) @ pilots.conj().T).reshape(-1, l, l)
+            (s.scenario.pilots * delta[sl, None, :]).reshape(-1, n) @ s.pilots_h).reshape(-1, l, l)
         st.sigma[live[sl]] = 0.5 * (sigma + np.conj(np.swapaxes(sigma, -1, -2)))
     st.gamma[live] = g_new
     st.t[live] += 1
@@ -257,18 +304,60 @@ def _round(st: _Batch, live: np.ndarray, t: int, scenario: Scenario, covs: list,
 
     cost = np.full(c, np.nan)
     if options.record_cost:
-        for sl in chunks:
+        for _, sl in chunks:
             cost[sl] = ml_cost_given_factor(cholesky_factor(st.sigma[live[sl]]),
-                                            np.stack(covs[sl]))
+                                            np.stack([covs[i] for i in live[sl]]))
         panel[np.arange(c), own_col] = g_new
         cost += hyper.beta * sparsity_penalty(panel.swapaxes(1, 2), hyper.theta)
         sim = np.abs(g_new[erow] - st.received[ein]).sum(axis=1)
         cost += hyper.tau * np.bincount(erow, w[:len(erow)] * sim, minlength=c)
     selected = live.copy()
     selected[~own] = src[pick[~own]]
-    trace.records.append(dict(round=t, ap=live, cost=cost, selected=selected,
-                              clamped=st.clamped[live], degenerate=st.degenerate[live]))
+    for s, r0, r1 in zip(solves, bounds[:-1], bounds[1:]):
+        if r1 > r0:
+            mine = live[r0:r1]
+            s.trace.records.append(dict(
+                round=t, ap=mine - s.aps.start, cost=cost[r0:r1],
+                selected=selected[r0:r1] - s.aps.start, clamped=st.clamped[mine],
+                degenerate=st.degenerate[mine]))
     return g_old if options.lag_transmit else g_new
+
+
+# One independent solve: a scenario, its per-AP observations and its failure plan.
+Problem = tuple[Scenario, list[ApObservation], netsim.FailurePlan | None]
+
+
+def _check(scenario: Scenario, observations: list[ApObservation], plan: netsim.FailurePlan,
+           num_iters: int) -> None:
+    """Raise unless the plan and the observations fit the scenario."""
+    plan.validate(scenario.neighbors, num_iters)
+    b, l = scenario.num_aps, scenario.pilot_len
+    if len(observations) != b:
+        raise ConfigMismatch(f"{len(observations)} observations for {b} APs")
+    for i, obs in enumerate(observations):
+        if obs.ap_id != i:
+            raise ConfigMismatch(f"observation {i} carries ap_id {obs.ap_id}")
+        if obs.sample_cov.shape != (l, l):
+            raise ConfigMismatch(
+                f"sample covariance at AP {i} has shape {obs.sample_cov.shape}, expected {(l, l)}"
+            )
+
+
+def _setup(problems: list[Problem], num_iters: int) -> tuple[_Batch, list[_Solve]]:
+    """The initial batch of all problems, and each problem's part of it."""
+    st = _Batch.initial(*(sc for sc, _, _ in problems), num_iters=num_iters)
+    aps = np.cumsum([0] + [sc.num_aps for sc, _, _ in problems])
+    links = np.searchsorted(st.edges.dst, aps)        # edges are ordered by receiver
+    # Modes of one trial share their scenario's pilots, and so the transpose.
+    pilots_h = {id(sc.pilots): sc.pilots.conj().T for sc, _, _ in problems}
+    solves = []
+    for (sc, _, plan), a, e0, e1 in zip(problems, aps, links, links[1:]):
+        edges = netsim.Backhaul(sc.num_aps, st.edges.src[e0:e1] - a, st.edges.dst[e0:e1] - a,
+                                st.edges.send_order[e0:e1] - e0)
+        solves.append(_Solve(sc, plan, edges, slice(a, a + sc.num_aps), slice(e0, e1),
+                             pilots_h[id(sc.pilots)], np.random.default_rng(
+                                 np.random.SeedSequence([_NETSIM_SALT, sc.seed]))))
+    return st, solves
 
 
 def run(
@@ -283,48 +372,64 @@ def run(
     Every round each live AP adapts on previous-round neighbor data, then
     all messages cross the backhaul at once (subject to the failure plan);
     missed messages leave the stale copy in place.  Deterministic for a
-    fixed scenario seed.
+    fixed scenario seed.  This is :func:`run_batch` of one problem.
+    """
+    return run_batch([(scenario, observations, plan)], hyper, options)[0]
+
+
+def run_batch(problems: list[Problem], hyper: Hyperparams,
+              options: SolverOptions | None = None) -> list[RunResult]:
+    """Solve independent ``(scenario, observations, plan)`` problems together.
+
+    All problems share L and N; each round advances every live AP of every
+    running problem in one step.  Each result equals :func:`run` of its
+    problem alone, bit for bit: a problem keeps its own streams, plan,
+    ledger, trace, early stop and round count.
     """
     if hyper.num_iters < 1:
         raise ConfigMismatch(f"num_iters must be >= 1, got {hyper.num_iters}")
     options = options or SolverOptions()
-    plan = plan or netsim.EMPTY_PLAN
-    plan.validate(scenario.neighbors, hyper.num_iters)
-    b, l = scenario.num_aps, scenario.pilot_len
-    if len(observations) != b:
-        raise ConfigMismatch(f"{len(observations)} observations for {b} APs")
-    for i, obs in enumerate(observations):
-        if obs.ap_id != i:
-            raise ConfigMismatch(f"observation {i} carries ap_id {obs.ap_id}")
-        if obs.sample_cov.shape != (l, l):
-            raise ConfigMismatch(
-                f"sample covariance at AP {i} has shape {obs.sample_cov.shape}, expected {(l, l)}"
-            )
+    problems = [(sc, obs, plan or netsim.EMPTY_PLAN) for sc, obs, plan in problems]
+    l, n = problems[0][0].pilot_len, problems[0][0].num_devices
+    for scenario, observations, plan in problems:
+        if (scenario.pilot_len, scenario.num_devices) != (l, n):
+            raise ConfigMismatch(f"batched problems need one (L, N), got {(l, n)} and "
+                                 f"{(scenario.pilot_len, scenario.num_devices)}")
+        _check(scenario, observations, plan, hyper.num_iters)
 
-    st = _Batch.initial(scenario, hyper.num_iters)
-    trace = IterationTrace()
-    ledger = netsim.CommLedger()
-    net_rng = np.random.default_rng(np.random.SeedSequence([_NETSIM_SALT, scenario.seed]))
+    st, solves = _setup(problems, hyper.num_iters)
+    # Stacked per chunk: all B at once would hold another (B, L, L) array.
+    covs = [o.sample_cov for _, observations, _ in problems for o in observations]
 
-    rounds_completed = 0
     for t in range(1, hyper.num_iters + 1):
-        is_live = ~plan.aps_down(t, b)
+        is_live = np.zeros(len(st.gamma), dtype=bool)
+        for s in solves:
+            if s.running:
+                is_live[s.aps] = ~s.plan.aps_down(t, s.scenario.num_aps)
         live = np.flatnonzero(is_live)
         if live.size:
-            outgoing = _round(st, live, t, scenario, [observations[i].sample_cov for i in live],
-                              hyper, options, trace)
-        delivered = netsim.deliver_round(is_live[st.edges.src], plan, t, net_rng, st.edges,
-                                         ledger, scenario.num_devices)
-        if delivered.any():
-            st.received[delivered] = outgoing[(np.cumsum(is_live) - 1)[st.edges.src[delivered]]]
-        rounds_completed = t
-        if options.check_state_every and t % options.check_state_every == 0:
-            for state in st.states(scenario.neighbors):
-                if is_live[state.ap_id]:
-                    verify_state(state, scenario)
-        if (options.early_stop_tol is not None and live.size
-                and st.delta[live].max() < options.early_stop_tol):
+            outgoing = _round(st, live, t, solves, covs, hyper, options)
+        row = np.cumsum(is_live) - 1
+        for s in solves:
+            if not s.running:
+                continue
+            delivered = netsim.deliver_round(is_live[st.edges.src[s.links]], s.plan, t, s.rng,
+                                             s.edges, s.ledger, n)
+            if delivered.any():
+                k = s.links.start + np.flatnonzero(delivered)
+                st.received[k] = outgoing[row[st.edges.src[k]]]
+            s.rounds_completed = t
+            mine = is_live[s.aps]
+            if options.check_state_every and t % options.check_state_every == 0:
+                for state in st.states(s.scenario.neighbors, s.aps.start, s.links.start):
+                    if mine[state.ap_id]:
+                        verify_state(state, s.scenario)
+            if (options.early_stop_tol is not None and mine.any()
+                    and st.delta[s.aps][mine].max() < options.early_stop_tol):
+                s.running = False
+        if not any(s.running for s in solves):
             break
 
-    return RunResult(gamma=st.gamma.copy(), trace=trace, ledger=ledger,
-                     states=st.states(scenario.neighbors), rounds_completed=rounds_completed)
+    return [RunResult(gamma=st.gamma[s.aps].copy(), trace=s.trace, ledger=s.ledger,
+                      states=st.states(s.scenario.neighbors, s.aps.start, s.links.start),
+                      rounds_completed=s.rounds_completed) for s in solves]

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coopdetect import harness, solver
+from coopdetect import harness, metrics, solver
 from coopdetect.errors import InvalidConfig
 from coopdetect.harness import (
     ExperimentConfig,
@@ -22,6 +22,7 @@ from coopdetect.harness import (
     run_experiment,
     trial_seed,
 )
+from coopdetect.netsim import FailurePlan
 from coopdetect.objective import Hyperparams
 from coopdetect.scenario import TopologyConfig, make_scenario, synthesize
 
@@ -105,6 +106,26 @@ class TestConfig:
         with pytest.raises(InvalidConfig, match=re.escape(message)):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("axis, values", [("coop_degree", (1, 1.5)), ("M", (4, 2.5)),
+                                              ("L", (8.5,))])
+    def test_fractional_value_on_integer_axis_rejected(self, monkeypatch, axis, values):
+        # Cast with int(), 1.5 would run degree 1 a second time under the label 1.5.
+        cfg = tiny_config(sweep_axis=axis, sweep_values=values)
+        message = f"sweep_values on {axis} must be integers, got [{values[-1]}]"
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            cfg.validate()
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver.run_batch called")
+
+        monkeypatch.setattr(solver, "run_batch", no_solve)
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            run_experiment(cfg)
+
+    def test_integral_values_accepted_on_every_axis(self):
+        tiny_config(sweep_values=(1, 2.0)).validate()
+        tiny_config(sweep_axis="snr_db", sweep_values=(1.5, 7.25)).validate()
+
 
 class TestSeeds:
     def test_trial_seed_varies_by_index(self):
@@ -140,9 +161,9 @@ class TestModeDispatch:
     def test_single_ap_modes_coincide_bitwise(self, single_ap):
         sc, obs = single_ap
         hyper = Hyperparams(tau=10.0, num_iters=6)
-        cmd = mode_dispatch("cmd", sc, obs, hyper)
-        noc = mode_dispatch("no_coop", sc, obs, hyper)
-        pool = mode_dispatch("centralized_pool", sc, obs, hyper)
+        cmd, noc, pool = solver.run_batch(
+            [mode_dispatch(mode, sc, obs) for mode in ("cmd", "no_coop", "centralized_pool")],
+            hyper)
         np.testing.assert_array_equal(cmd.gamma, noc.gamma)
         np.testing.assert_array_equal(pool.gamma, noc.gamma)
 
@@ -150,7 +171,7 @@ class TestModeDispatch:
         cfg = tiny_config()
         sc = build_scenario(cfg, 2, seed=3)
         obs = synthesize(sc)
-        res = mode_dispatch("no_coop", sc, obs, cfg.hyper())
+        (res,) = solver.run_batch([mode_dispatch("no_coop", sc, obs)], cfg.hyper())
         assert res.ledger.total_messages == 0
         assert res.ledger.total_scalars == 0
 
@@ -167,7 +188,7 @@ class TestModeDispatch:
         cfg = tiny_config()
         sc = build_scenario(cfg, 2, seed=3)
         with pytest.raises(InvalidConfig):
-            mode_dispatch("bogus", sc, synthesize(sc), cfg.hyper())
+            mode_dispatch("bogus", sc, synthesize(sc))
 
 
 class TestRunExperiment:
@@ -224,6 +245,57 @@ class TestRunExperiment:
         seq = run_experiment(tiny_config(iota=1.0))
         par = run_experiment(tiny_config(iota=1.0, workers=2))
         assert seq.rows == par.rows
+
+    def test_workers_match_sequential_with_calibration(self):
+        cfg = tiny_config(modes=("cmd", "no_coop"), trials=3, calibration_trials=2)
+        seq = run_experiment(cfg)
+        par = run_experiment(replace(cfg, workers=2))
+        assert seq.rows == par.rows
+        assert seq.iotas == par.iotas
+
+    def test_rows_match_per_trial_solves(self):
+        # Every mode of every trial solved alone, calibrated and scored by hand.
+        plan = {"ap_failures": [[1, 3]], "link_failures": [[[0, 2], 2, 4]], "drop_prob": 0.3}
+        cfg = tiny_config(sweep_values=(1, 2), modes=harness.MODES, calibration_trials=2,
+                          failure_plan=plan)
+        options = solver.SolverOptions(record_cost=False)
+
+        def solve(si, value, trial, calibration):
+            seed = trial_seed(cfg.master_seed, si, trial, calibration)
+            sc = build_scenario(cfg, value, seed)
+            obs = synthesize(sc)
+            results = {}
+            for mode in cfg.modes:
+                scenario, observations, mode_plan = mode_dispatch(
+                    mode, sc, obs, FailurePlan.from_dict(plan))
+                results[mode] = solver.run(scenario, observations, cfg.hyper(), plan=mode_plan,
+                                           options=options)
+            return seed, sc, results
+
+        rows = []
+        for si, value in enumerate(cfg.sweep_values):
+            held_out = [solve(si, value, v, True) for v in range(cfg.calibration_trials)]
+            iotas = {mode: metrics.calibrate_threshold([(res[mode].gamma, sc)
+                                                        for _, sc, res in held_out],
+                                                       grid=harness.CALIBRATION_GRID)
+                     for mode in cfg.modes}
+            for trial in range(cfg.trials):
+                seed, sc, results = solve(si, value, trial, False)
+                for mode, res in results.items():
+                    report = metrics.evaluate(res.gamma, sc, iotas[mode])
+                    rows.append({
+                        "axis_value": value, "mode": mode, "trial": trial, "seed": seed,
+                        "missed": report.missed_detection_prob,
+                        "false_alarm": report.false_alarm_prob, "aer": report.aer,
+                        "aer_pooled": report.aer_pooled, "iota": iotas[mode],
+                        "messages_delivered": res.ledger.total_messages,
+                        "messages_dropped": res.ledger.total_dropped,
+                        "scalars_delivered": res.ledger.total_scalars,
+                        "rounds": res.rounds_completed,
+                        "clamped": int(sum(s.clamp_count for s in res.states))})
+        art = run_experiment(cfg)
+        assert art.rows == rows
+        assert any(r["messages_dropped"] for r in rows)
 
     def test_failure_plan_applies_to_cmd(self):
         plan = {"ap_failures": [[0, 2]], "link_failures": [], "drop_prob": 0.2}

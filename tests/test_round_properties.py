@@ -3,8 +3,11 @@
 Each example draws a topology (up to 8 APs, any degree), a failure plan with
 crashes, link windows and random drops, hyperparameters and solver options,
 then checks the batched solver against the per-AP loop in
-``reference_loop`` and the invariants of its parts.
+``reference_loop``, a batch of such problems against each one solved alone,
+and the invariants of the round's parts.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 from coopdetect.netsim import Backhaul, CommLedger, FailurePlan, deliver_round
 from coopdetect.objective import Hyperparams, combiner_weights, similarity_prox
 from coopdetect.scenario import TopologyConfig, make_scenario, synthesize
-from coopdetect.solver import SolverOptions, run
+from coopdetect.solver import SolverOptions, run, run_batch
 
 import reference_loop
 
@@ -21,16 +24,17 @@ finite = st.floats(-1e3, 1e3, allow_nan=False)
 
 
 @st.composite
-def problems(draw):
+def problems(draw, sizes=st.integers(4, 16), pilot_lens=st.integers(2, 6),
+             round_counts=st.integers(1, 40)):
     """(scenario, observations, plan, hyperparameters, options)."""
     b = draw(st.integers(1, 8))
-    n = draw(st.integers(4, 16))
-    rounds = draw(st.integers(1, 40))
+    n = draw(sizes)
+    rounds = draw(round_counts)
     topo = TopologyConfig(num_aps=b, degree=draw(st.integers(0, b - 1)),
                           layout=draw(st.sampled_from(["grid", "ring"])),
                           seed=draw(st.integers(0, 2**32 - 1)))
     scenario = make_scenario(topo, num_devices=n, num_active=draw(st.integers(1, n - 1)),
-                             pilot_len=draw(st.integers(2, 6)),
+                             pilot_len=draw(pilot_lens),
                              num_antennas=draw(st.integers(1, 8)), snr_db=10.0,
                              gain_ref=50.0, pathloss_exponent=3.0)
     edges = [(i, j) for i, nbrs in enumerate(scenario.neighbors) for j in nbrs if i < j]
@@ -66,6 +70,35 @@ def test_batched_round_matches_the_loop(problem):
     if options.record_cost:
         np.testing.assert_allclose(got.trace.round_costs(), want.trace.round_costs(),
                                    rtol=1e-9)
+
+
+@given(st.data())
+def test_batch_matches_each_problem_alone(data):
+    n, l, rounds = data.draw(st.tuples(st.integers(4, 16), st.integers(2, 6),
+                                       st.integers(1, 40)))
+    drawn = data.draw(st.lists(problems(st.just(n), st.just(l), st.just(rounds)),
+                               min_size=1, max_size=4))
+    hyper = drawn[0][3]
+    options = replace(drawn[0][4],
+                      early_stop_tol=data.draw(st.sampled_from([None, 1e-3, 0.05, 1.0])))
+    batch = [(scenario, observations, plan) for scenario, observations, plan, _, _ in drawn]
+    got = run_batch(batch, hyper, options)
+    assert len(got) == len(batch)
+    for (scenario, observations, plan), g in zip(batch, got):
+        want = run(scenario, observations, hyper, plan=plan, options=options)
+        np.testing.assert_array_equal(g.gamma, want.gamma)
+        assert g.ledger.to_dict() == want.ledger.to_dict()
+        assert g.rounds_completed == want.rounds_completed
+        for gs, ws in zip(g.states, want.states, strict=True):
+            assert (gs.t, gs.clamp_count, gs.degenerate_count, gs.last_delta) == (
+                ws.t, ws.clamp_count, ws.degenerate_count, ws.last_delta)
+            np.testing.assert_array_equal(gs.sigma, ws.sigma)
+            np.testing.assert_array_equal(gs.x_agg, ws.x_agg)
+        assert len(g.trace.records) == len(want.trace.records)
+        for gr, wr in zip(g.trace.records, want.trace.records):
+            assert gr.keys() == wr.keys()
+            for key in gr:
+                np.testing.assert_array_equal(gr[key], wr[key])
 
 
 @settings(max_examples=60)
