@@ -22,7 +22,6 @@ import dataclasses
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cache
 
@@ -416,6 +415,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
     jobs = [(cfg, si, val, batch) for si, val in enumerate(cfg.sweep_values)
             for batch in _batches(cfg, keys)]
     if cfg.workers > 1:
+        # Imported here: it costs every process's cold start, and only pools need it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             batches = list(pool.map(_solve_batch, *zip(*jobs)))
     else:

@@ -1,15 +1,16 @@
 """Dense Hermitian positive-definite kernels for the covariance likelihood.
 
 Everything here works on plain complex128 ndarrays, one matrix or a stack
-of them along leading axes (one per AP).  Matrices passed in are expected to
-be Hermitian; only the lower triangle is ever factorized, and the
-positive-definiteness check is a Cholesky pivot test relative to the trace.
+of them along leading axes (one per AP), with numpy alone.  Matrices passed
+in are expected to be Hermitian; the positive-definiteness check is a
+Cholesky pivot test relative to the trace.  The gradient's quadratic forms
+go through one batched explicit inverse per stack and one GEMM over the
+shared pilot columns, as numpy has no batched triangular inverse or solve.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve, get_lapack_funcs
 
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularDowndate
 
@@ -64,21 +65,11 @@ def logdet_from_factor(low: np.ndarray) -> np.ndarray:
 
 def solve_from_factor(low: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Solve A x = v given the lower Cholesky factor of A; v may be a matrix."""
-    return cho_solve((low, True), v, check_finite=False)
-
-
-def _lower_inverse(low: np.ndarray) -> np.ndarray:
-    """Inverse of each lower-triangular factor, by one LAPACK trtri call per matrix."""
-    (trtri,) = get_lapack_funcs(("trtri",), (low,))
-    flat = low.reshape((-1,) + low.shape[-2:])
-    out = np.empty_like(flat)
-    for k, m in enumerate(flat):
-        out[k] = trtri(m, lower=1)[0]
-    return out.reshape(low.shape)
+    return np.linalg.solve(np.conj(np.swapaxes(low, -1, -2)), np.linalg.solve(low, v))
 
 
 def downdate_quadforms_batch(
-    low: np.ndarray, cols: np.ndarray, gammas: np.ndarray, b: np.ndarray
+    cov: np.ndarray, cols: np.ndarray, gammas: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quadratic forms of the inverse of rank-one downdates of A, per column.
 
@@ -89,23 +80,23 @@ def downdate_quadforms_batch(
         q2 = v^H A_d^-1 B A_d^-1 v
 
     using the Sherman-Morrison identity: for u = A^-1 v and alpha = v^H u,
-    A_d^-1 v = u / (1 - gamma * alpha).  ``low`` is the lower Cholesky factor
-    L of A (``gammas`` and ``b`` stacked alike); the (L, N) columns are
-    shared.  With w = L^-1 v and G = L^-1 B L^-H, alpha = |w|^2 and
-    u^H B u = w^H G w: O(L^3) per matrix plus two O(L^2 N) products.
+    A_d^-1 v = u / (1 - gamma * alpha).  ``cov`` is A itself, Hermitian
+    positive definite (``gammas`` and ``b`` stacked alike); the (L, N)
+    columns are shared.  One batched inverse gives A^-1, one GEMM over the
+    stack gives U = A^-1 V for all columns, and then alpha = Re v^H u and
+    u^H B u = Re u^H (B u): O(L^3) per matrix plus two O(L^2 N) products.
 
     Raises
     ------
     SingularDowndate
         If ``1 - gamma * v^H A^-1 v <= DOWNDATE_TOL`` for some column, i.e.
-        gamma is inconsistent with ``a``.
+        gamma is inconsistent with ``cov``.
     """
     l, n = cols.shape
-    linv = _lower_inverse(low)
-    w = (linv.reshape(-1, l) @ cols).reshape(linv.shape[:-1] + (n,))
-    alpha = np.sum(w.real**2 + w.imag**2, axis=-2)
-    g = linv @ b @ np.conj(np.swapaxes(linv, -1, -2))
-    ubu = np.real(np.vecdot(w, g @ w, axis=-2))
+    inv = np.linalg.inv(cov)
+    u = (inv.reshape(-1, l) @ cols).reshape(inv.shape[:-1] + (n,))
+    alpha = np.real(np.vecdot(cols, u, axis=-2))
+    ubu = np.real(np.vecdot(u, b @ u, axis=-2))
     denom = 1.0 - np.asarray(gammas) * alpha
     bad = denom <= DOWNDATE_TOL
     if np.any(bad):

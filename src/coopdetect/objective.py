@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .linalg import (
     cholesky_factor,
@@ -67,14 +66,16 @@ def ml_gradient(gamma, pilots, noise_power, sample_cov, cov=None) -> np.ndarray:
 
     Entry n is  q1/(1 + gamma_n q1) - q2/(1 + gamma_n q1)^2  with (q1, q2)
     the quadratic forms through the inverse of the covariance with device
-    n's own contribution removed; all N entries come from one factorization
-    (O(L^2 N)).  ``cov`` may carry a precomputed model covariance.
+    n's own contribution removed; all N entries come from one inverse of
+    the covariance (O(L^2 N)), after a Cholesky factorization has checked
+    that it is positive definite.  ``cov`` may carry a precomputed model
+    covariance.
     """
     gamma = np.asarray(gamma, dtype=float)
     if cov is None:
         cov = assemble_covariance(pilots, gamma, noise_power)
-    low = cholesky_factor(cov)
-    q1, q2 = downdate_quadforms_batch(low, pilots, gamma, sample_cov)
+    cholesky_factor(cov)  # raises NotPositiveDefinite
+    q1, q2 = downdate_quadforms_batch(cov, pilots, gamma, sample_cov)
     denom = 1.0 + gamma * q1
     return q1 / denom - q2 / denom**2
 
@@ -160,7 +161,10 @@ def combiner_weights(own_gamma, neighbor_gammas, rho, receivers=None) -> np.ndar
         receivers = np.zeros(len(nbrs), dtype=int)
     k = np.bincount(receivers, minlength=len(own))
     dists = np.linalg.norm(nbrs - own[receivers], axis=1)
-    w = (2.0 / k[receivers]) * expit(-rho * dists)
+    # The sigmoid of -rho * dists; exp overflows to inf for distant
+    # estimates, which gives a weight of exactly 0.
+    with np.errstate(over="ignore"):
+        w = (2.0 / k[receivers]) * (1.0 / (1.0 + np.exp(rho * dists)))
     return np.concatenate([w, 1.0 - np.bincount(receivers, w, minlength=len(own))])
 
 

@@ -266,13 +266,17 @@ def synthesize(scenario: Scenario, noise_power: float | None = None) -> list[ApO
     sigma2 = scenario.noise_power if noise_power is None else noise_power
     obs_stream = np.random.SeedSequence(scenario.seed).spawn(4)[_STREAM_OBSERVATIONS]
     ap_streams = obs_stream.spawn(scenario.num_aps)
-    amp = scenario.activity * np.sqrt(scenario.gains)  # (B, N)
+    # Inactive devices have amplitude exactly 0, so only the active columns
+    # enter the product; the full channel is still drawn to keep the stream.
+    act = np.flatnonzero(scenario.activity)
+    amp = scenario.activity[act] * np.sqrt(scenario.gains[:, act])  # (B, K)
+    pilots = scenario.pilots[:, act]
     out = []
     for b in range(scenario.num_aps):
         rng = np.random.default_rng(ap_streams[b])
         h = _complex_gaussian(rng, (scenario.num_devices, scenario.num_antennas))
         w = _complex_gaussian(rng, (scenario.pilot_len, scenario.num_antennas), scale=sigma2)
-        y = (scenario.pilots * amp[b]) @ h + w
+        y = (pilots * amp[b]) @ h[act] + w
         sample_cov = y @ y.conj().T / scenario.num_antennas
         out.append(ApObservation(ap_id=b, sample_cov=sample_cov))
     return out

@@ -43,6 +43,7 @@ pilots, measured slower than a call per problem.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -212,6 +213,30 @@ def _selection_cdfs(degree: np.ndarray) -> np.ndarray:
     return cdfs
 
 
+@cache
+def _retain_freed_memory() -> None:
+    """Keep freed heap memory for reuse instead of handing it back to the system.
+
+    A round allocates and frees the same few hundred kB of temporaries.
+    glibc trims the heap top once its free part passes a threshold that it
+    adapts to the largest block it has unmapped so far; at desk scale that
+    stays below a round's swing, so the heap was trimmed at the end of each
+    round and page-faulted back in during the next (about 1700 faults and a
+    fifth of the wall time of an experiment; importing scipy used to raise
+    the threshold as a side effect).  So the process keeps up to 8 MB of
+    free heap and serves blocks below 4 MB from it.  A no-op where the C
+    library has no ``mallopt``.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
+
+
 def verify_state(state: ApSolverState, scenario: Scenario, rtol: float = 1e-8) -> float:
     """Relative Frobenius gap between maintained and reassembled covariance.
 
@@ -226,7 +251,7 @@ def verify_state(state: ApSolverState, scenario: Scenario, rtol: float = 1e-8) -
     return gap
 
 
-def _round(st: _Batch, live: np.ndarray, t: int, solves: list[_Solve], covs: list,
+def _round(st: _Batch, live: np.ndarray, t: int, solves: list[_Solve], covs: np.ndarray,
            hyper: Hyperparams, options: SolverOptions) -> np.ndarray:
     """Advance the (nonempty) ``live`` APs by round ``t``; returns their outgoing estimates.
 
@@ -253,8 +278,8 @@ def _round(st: _Batch, live: np.ndarray, t: int, solves: list[_Solve], covs: lis
     g_old = st.gamma[live]
     grad = np.empty_like(g_old)
     for s, sl in chunks:
-        grad[sl] = ml_gradient(g_old[sl], s.scenario.pilots, None,
-                               np.stack([covs[i] for i in live[sl]]), cov=st.sigma[live[sl]])
+        grad[sl] = ml_gradient(g_old[sl], s.scenario.pilots, None, covs[live[sl]],
+                               cov=st.sigma[live[sl]])
     # Panels zero-padded to the largest inclusive degree, stored (c, K, N)
     # so the row norms reduce over contiguous rows.
     panel = np.zeros((c, st.cdfs.shape[1], n))
@@ -306,7 +331,7 @@ def _round(st: _Batch, live: np.ndarray, t: int, solves: list[_Solve], covs: lis
     if options.record_cost:
         for _, sl in chunks:
             cost[sl] = ml_cost_given_factor(cholesky_factor(st.sigma[live[sl]]),
-                                            np.stack([covs[i] for i in live[sl]]))
+                                            covs[live[sl]])
         panel[np.arange(c), own_col] = g_new
         cost += hyper.beta * sparsity_penalty(panel.swapaxes(1, 2), hyper.theta)
         sim = np.abs(g_new[erow] - st.received[ein]).sum(axis=1)
@@ -397,9 +422,9 @@ def run_batch(problems: list[Problem], hyper: Hyperparams,
                                  f"{(scenario.pilot_len, scenario.num_devices)}")
         _check(scenario, observations, plan, hyper.num_iters)
 
+    _retain_freed_memory()
     st, solves = _setup(problems, hyper.num_iters)
-    # Stacked per chunk: all B at once would hold another (B, L, L) array.
-    covs = [o.sample_cov for _, observations, _ in problems for o in observations]
+    covs = np.stack([o.sample_cov for _, observations, _ in problems for o in observations])
 
     for t in range(1, hyper.num_iters + 1):
         is_live = np.zeros(len(st.gamma), dtype=bool)

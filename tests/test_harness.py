@@ -3,7 +3,10 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,3 +314,20 @@ class TestRunExperiment:
             "aer_vs_coop_degree.csv", "trials.csv", "summary.json"}
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["config_hash"] == art.config_hash
+
+
+def test_experiment_loads_no_scipy():
+    # A fresh interpreter, so that no other test's imports count.
+    code = """
+import sys
+from coopdetect.harness import ExperimentConfig, run_experiment
+run_experiment(ExperimentConfig(num_aps=3, num_devices=20, num_active=3, pilot_len=8,
+                                num_antennas=4, degree=2, num_iters=2, trials=1,
+                                calibration_trials=1, sweep_axis="coop_degree",
+                                sweep_values=(2,), modes=("cmd",), master_seed=42))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

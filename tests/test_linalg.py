@@ -23,7 +23,7 @@ def solve(a, v):
 
 def downdate_quadforms(a, gamma, v, b):
     """The batch kernel on one column."""
-    q1, q2 = downdate_quadforms_batch(cholesky_factor(a), v[:, None], np.array([gamma]), b)
+    q1, q2 = downdate_quadforms_batch(a, v[:, None], np.array([gamma]), b)
     return q1[0], q2[0]
 
 
@@ -189,7 +189,7 @@ class TestDowndateQuadforms:
             for k in range(n):
                 quad = np.real(cols[:, k].conj() @ np.linalg.solve(a[i], cols[:, k]))
                 gammas[i, k] = min(gammas[i, k], 0.5 / quad)
-        q1s, q2s = downdate_quadforms_batch(cholesky_factor(a), cols, gammas, b)
+        q1s, q2s = downdate_quadforms_batch(a, cols, gammas, b)
         assert q1s.shape == q2s.shape == (aps, n)
         for i in range(aps):
             for k in range(n):
@@ -201,7 +201,7 @@ class TestDowndateQuadforms:
         a = np.stack([np.eye(3, dtype=complex)] * 2)
         gammas = np.array([[0.5, 0.5], [0.5, 1.0]])
         with pytest.raises(SingularDowndate, match=r"at \(1, 1\)"):
-            downdate_quadforms_batch(cholesky_factor(a), np.eye(3, 2, dtype=complex), gammas, a)
+            downdate_quadforms_batch(a, np.eye(3, 2, dtype=complex), gammas, a)
 
 
 class TestIdentities:

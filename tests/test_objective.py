@@ -1,5 +1,8 @@
 """Objective math: cost, gradient, shrink steps, prox, combiners."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -299,6 +302,22 @@ class TestCombiners:
     def test_no_neighbors_all_self(self):
         w = combiner_weights(np.ones(3), np.zeros((0, 3)), rho=500.0)
         np.testing.assert_array_equal(w, np.array([1.0]))
+
+    def test_desk_scale_distance_gives_exactly_zero_without_warning(self):
+        # At rho=500 a neighbour about 100 gain units away overflows exp.
+        own = np.zeros(4)
+        nbrs = np.stack([own + 50.0, own + 60.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = combiner_weights(own, nbrs, rho=500.0)
+        np.testing.assert_array_equal(w, [0.0, 0.0, 1.0])
+
+    def test_sigmoid_matches_scalar_formula(self):
+        # One neighbour at distance -x with rho=1 gets 2 * sigmoid(x).
+        xs = np.linspace(-700.0, 0.0, 1401)
+        for x in xs:
+            w = combiner_weights(np.zeros(1), np.array([[-x]]), rho=1.0)
+            assert w[0] / 2.0 == pytest.approx(1.0 / (1.0 + math.exp(-x)), rel=1e-15, abs=0)
 
 
 class TestStepSize:

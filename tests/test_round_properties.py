@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from coopdetect.netsim import Backhaul, CommLedger, FailurePlan, deliver_round
 from coopdetect.objective import Hyperparams, combiner_weights, similarity_prox
 from coopdetect.scenario import TopologyConfig, make_scenario, synthesize
-from coopdetect.solver import SolverOptions, run, run_batch
+from coopdetect.solver import SolverOptions, run, run_batch, verify_state
 
 import reference_loop
 
@@ -99,6 +99,16 @@ def test_batch_matches_each_problem_alone(data):
             assert gr.keys() == wr.keys()
             for key in gr:
                 np.testing.assert_array_equal(gr[key], wr[key])
+
+
+@given(problems())
+def test_maintained_covariance_stays_consistent(problem):
+    # check_state_every=1 raises StateConsistencyError on any drift mid-run.
+    scenario, observations, plan, hyper, options = problem
+    result = run(scenario, observations, hyper, plan=plan,
+                 options=replace(options, check_state_every=1))
+    for state in result.states:
+        assert verify_state(state, scenario) <= 1e-8
 
 
 @settings(max_examples=60)
