@@ -36,9 +36,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _parse_sweep(text: str):
     if "=" in text:
         axis, raw = text.split("=", 1)
-        values = tuple(float(v) if "." in v or axis == "snr_db" else int(v)
-                       for v in raw.split(","))
-        return axis, values
+        values = []
+        for v in raw.split(","):
+            kind = float if "." in v or axis == "snr_db" else int
+            try:
+                values.append(kind(v))
+            except ValueError:
+                what = "a number" if kind is float else "an integer"
+                raise InvalidConfig(f"sweep value {v!r} on {axis} is not {what}") from None
+        return axis, tuple(values)
     return text, _SWEEP_DEFAULTS.get(text)
 
 

@@ -21,6 +21,8 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 from functools import cache
@@ -37,6 +39,7 @@ from .scenario import (
     TopologyConfig,
     build_topology,
     check_sizes,
+    is_finite,
     isolated,
     make_scenario,
     synthesize,
@@ -48,8 +51,9 @@ _AXIS_FIELDS = {"coop_degree": ("degree", int), "M": ("num_antennas", int),
 SWEEP_AXES = tuple(_AXIS_FIELDS)
 MODES = ("cmd", "no_coop", "centralized_pool")
 
-# Most APs, over all trials and modes, that one batched solve advances; the
-# batch's arrays and temporaries grow with it.
+# Most APs, over all trials and modes, that one batched solve advances, with
+# each trial's pilot table counted as APs (solver.batch_aps); the batch's
+# arrays and temporaries grow with it.
 BATCH_APS = 256
 
 _TRIAL_SALT = 0x7E57
@@ -99,11 +103,17 @@ class ExperimentConfig:
         for name in ("num_iters", "trials", "calibration_trials", "workers"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
+        # Only finite numbers reach _at_point, which would raise on anything else.
+        ok = [isinstance(v, numbers.Real) and is_finite(v) for v in self.sweep_values]
+        values = [v for v, good in zip(self.sweep_values, ok) if good]
+        if not all(ok):
+            problems.append("sweep_values must be finite numbers, got "
+                            f"{[v for v, good in zip(self.sweep_values, ok) if not good]}")
         if self.sweep_axis not in SWEEP_AXES:
             problems.append(f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
         elif _AXIS_FIELDS[self.sweep_axis][1] is int:
             # _at_point truncates with int(), which would run 1.5 as 1 under the label 1.5.
-            fractional = [v for v in self.sweep_values if v != int(v)]
+            fractional = [v for v in values if v != int(v)]
             if fractional:
                 problems.append(f"sweep_values on {self.sweep_axis} must be integers, "
                                 f"got {fractional}")
@@ -136,14 +146,14 @@ class ExperimentConfig:
         points = {"config values": self}
         if self.sweep_axis in SWEEP_AXES:
             points.update((f"sweep point {self.sweep_axis}={v!r}", _at_point(self, v))
-                          for v in self.sweep_values)
+                          for v in values)
         failures: dict[str, list[str]] = {}
         neighbors = cache(lambda topo: build_topology(topo)[1])
         for label, point in points.items():
             try:
                 topo = _topology(point)
                 check_sizes(point.num_devices, point.num_active, point.pilot_len,
-                            point.num_antennas, _resolved_gain_ref(point))
+                            point.num_antennas, point.snr_db, _resolved_gain_ref(point))
                 if plan is not None:
                     plan.validate(neighbors(topo), point.num_iters)
             except InvalidConfig as err:
@@ -236,8 +246,13 @@ def _resolved_gain_ref(cfg: ExperimentConfig) -> float | None:
     # "auto" pins the median nearest-AP gain to (L/5) * SNR_lin, i.e. noise
     # power ~ L/5.  Growing the scale with L keeps the fixed gradient step
     # inside its stability region across pilot-length sweeps.
+    # An SNR too large for a float gives an infinite scale, which
+    # check_sizes rejects.
     if cfg.gain_ref == "auto":
-        return cfg.pilot_len / 5.0 * 10.0 ** (cfg.snr_db / 10.0)
+        try:
+            return cfg.pilot_len / 5.0 * 10.0 ** (cfg.snr_db / 10.0)
+        except OverflowError:
+            return math.inf
     if isinstance(cfg.gain_ref, str):
         raise InvalidConfig(f"gain_ref must be a number, None, or 'auto', got {cfg.gain_ref!r}")
     return cfg.gain_ref
@@ -331,11 +346,14 @@ def _outcome(result: solver.RunResult) -> tuple[np.ndarray, dict]:
 
 
 def _batches(cfg: ExperimentConfig, keys: list) -> list[list]:
-    """``keys`` cut into runs of trials whose problems hold at most ``BATCH_APS`` APs.
+    """``keys`` cut into runs of trials whose problems count for at most ``BATCH_APS``
+    APs (``solver.batch_aps``) at any sweep point.
 
     With several workers the runs are shortened so that each worker gets one.
     """
-    size = min(max(1, BATCH_APS // (cfg.num_aps * len(cfg.modes))), -(-len(keys) // cfg.workers))
+    per_trial = max(solver.batch_aps(cfg.num_aps * len(cfg.modes), p.pilot_len, p.num_devices)
+                    for p in (_at_point(cfg, v) for v in cfg.sweep_values))
+    size = min(max(1, BATCH_APS // per_trial), -(-len(keys) // cfg.workers))
     return [keys[k:k + size] for k in range(0, len(keys), size)]
 
 

@@ -24,7 +24,9 @@ import numpy as np
 from .linalg import (
     cholesky_factor,
     downdate_quadforms_batch,
+    is_table,
     logdet_from_factor,
+    outer_sum,
     solve_from_factor,
 )
 
@@ -49,6 +51,24 @@ def assemble_covariance(pilots: np.ndarray, gamma: np.ndarray, noise_power: floa
     return (pilots * np.asarray(gamma)[..., None, :]) @ pilots.conj().T + noise_power * np.eye(l)
 
 
+def update_covariance(sigma, pilots, delta, kernel) -> np.ndarray:
+    """``sigma + pilots @ diag(delta) @ pilots^H`` for a covariance or a stack of them.
+
+    ``kernel`` is the pilots' ``linalg.pilot_kernel``.  Where it is their
+    table, the increment is one real product per row of ``delta`` and
+    exactly Hermitian, so the sum stays Hermitian.  Otherwise it is the
+    pilots' conjugate transpose: the increment is one complex GEMM over the
+    stack and the sum is re-symmetrized.
+    """
+    if is_table(kernel):
+        total = outer_sum(delta, kernel)
+        total += sigma
+        return total
+    n = pilots.shape[1]
+    total = sigma + ((pilots * delta[..., None, :]).reshape(-1, n) @ kernel).reshape(sigma.shape)
+    return 0.5 * (total + np.conj(np.swapaxes(total, -1, -2)))
+
+
 def ml_cost(gamma, pilots, noise_power, sample_cov) -> float:
     """Negative log-likelihood ``ln det(Sigma) + tr(Sigma^-1 SampleCov)``."""
     sigma = assemble_covariance(pilots, np.asarray(gamma, dtype=float), noise_power)
@@ -61,7 +81,7 @@ def ml_cost_given_factor(low, sample_cov):
     return logdet_from_factor(low) + fit
 
 
-def ml_gradient(gamma, pilots, noise_power, sample_cov, cov=None) -> np.ndarray:
+def ml_gradient(gamma, pilots, noise_power, sample_cov, cov=None, kernel=None) -> np.ndarray:
     """Coordinate gradient of :func:`ml_cost` at ``gamma``.
 
     Entry n is  q1/(1 + gamma_n q1) - q2/(1 + gamma_n q1)^2  with (q1, q2)
@@ -69,13 +89,13 @@ def ml_gradient(gamma, pilots, noise_power, sample_cov, cov=None) -> np.ndarray:
     n's own contribution removed; all N entries come from one inverse of
     the covariance (O(L^2 N)), after a Cholesky factorization has checked
     that it is positive definite.  ``cov`` may carry a precomputed model
-    covariance.
+    covariance, and ``kernel`` the pilots' ``linalg.pilot_kernel``.
     """
     gamma = np.asarray(gamma, dtype=float)
     if cov is None:
         cov = assemble_covariance(pilots, gamma, noise_power)
     cholesky_factor(cov)  # raises NotPositiveDefinite
-    q1, q2 = downdate_quadforms_batch(cov, pilots, gamma, sample_cov)
+    q1, q2 = downdate_quadforms_batch(cov, pilots, gamma, sample_cov, kernel)
     denom = 1.0 + gamma * q1
     return q1 / denom - q2 / denom**2
 

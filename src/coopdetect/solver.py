@@ -31,13 +31,20 @@ Drops take one draw per surviving message of a problem, in (src, dst) order,
 from that problem's stream.  So each problem's result is bitwise what it
 gets solved alone.
 
-The gradient and the covariance update need (L, N) complex temporaries per
-AP and a problem's own pilots, so they run over chunks of one problem's live
-APs that keep one (chunk, L, N) temporary near ``CHUNK_BYTES``: all B at
-once would grow peak memory with B (5 MB per temporary for 64 APs at L=24,
-N=200) for no speed, as a chunk of a few APs already amortizes the per-call
-overhead.  One call over the stacked APs of several problems, with per-AP
-pilots, measured slower than a call per problem.
+The gradient and the covariance update read a problem's pilots through a
+kernel built once per solve for each pilot matrix (``linalg.pilot_kernel``):
+its table or, past the table's byte budget, its conjugate transpose for the
+complex path.  Each call covers consecutive live APs, so their covariances
+are slices of the batch's stacks.  With a table, every product in a call is
+per AP, so an AP's bits do not depend on which APs share its call, and the
+problems that share the table (the modes of a trial) share calls.  The
+complex path multiplies a call's stack at once, so its calls stay within
+one problem.  Calls are cut so that their temporaries stay near
+``CHUNK_BYTES``: all B APs at once would grow peak memory with B (3 MB of
+temporaries for 64 APs at L=24 with a table, 5 MB per (L, N) temporary at
+N=200 without) for little speed: at that shape one gradient call over 64
+APs took 0.95x the time of four calls over 16.  Each problem's table counts
+against a batch's size in APs (:func:`batch_aps`).
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ import numpy as np
 
 from . import netsim
 from .errors import ConfigMismatch, StateConsistencyError
-from .linalg import cholesky_factor
+from .linalg import cholesky_factor, gram_bytes, is_table, pilot_kernel
 from .objective import (
     Hyperparams,
     assemble_covariance,
@@ -62,12 +69,13 @@ from .objective import (
     stochastic_step_size,
     subgradient_aggregate_update,
     subgradient_local_update,
+    update_covariance,
 )
 from .scenario import ApObservation, Scenario
 
 _SELECTION_SALT = 0x5E1EC7
 _NETSIM_SALT = 0xD80B
-CHUNK_BYTES = 1 << 19
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass
@@ -157,8 +165,8 @@ class _Batch:
         draws = np.stack([np.random.default_rng(np.random.SeedSequence(
             [_SELECTION_SALT, sc.seed, i])).random(num_iters)
             for sc in scenarios for i in range(sc.num_aps)])
-        sigma = np.concatenate([np.tile(sc.noise_power * np.eye(l, dtype=complex),
-                                        (sc.num_aps, 1, 1)) for sc in scenarios])
+        noise = np.repeat([sc.noise_power for sc in scenarios], np.diff(aps))
+        sigma = noise[:, None, None] * np.eye(l, dtype=complex)
         return cls(edges, draws, _selection_cdfs(np.bincount(edges.dst, minlength=b)),
                    np.zeros((b, n)), sigma, np.zeros((b, n)), np.zeros((e, n)),
                    np.zeros((e, n)), np.zeros(b, dtype=int), np.zeros(b, dtype=int),
@@ -192,7 +200,7 @@ class _Solve:
     edges: netsim.Backhaul            # its own edges, local AP ids
     aps: slice                        # its rows of the batch's AP arrays
     links: slice                      # its rows of the batch's edge arrays
-    pilots_h: np.ndarray              # (N, L) conjugate transpose of its pilots
+    kernel: np.ndarray                # its pilots' linalg.pilot_kernel
     rng: np.random.Generator          # drop stream
     trace: IterationTrace = field(default_factory=IterationTrace)
     ledger: netsim.CommLedger = field(default_factory=netsim.CommLedger)
@@ -251,6 +259,34 @@ def verify_state(state: ApSolverState, scenario: Scenario, rtol: float = 1e-8) -
     return gap
 
 
+def _kernel_calls(live: np.ndarray, solves: list[_Solve], bounds: np.ndarray, l: int,
+                  n: int) -> list[tuple[_Solve, slice, slice]]:
+    """The gradient and covariance-update calls of a round: (problem, live positions, rows).
+
+    A call covers consecutive live APs, so its rows of the batch's arrays are
+    a slice and their stacks are views.  Problems that share a pilot table
+    (the modes of a trial) share calls; on the complex path a call stays
+    within one problem.  Calls are cut to keep their temporaries near
+    ``CHUNK_BYTES``: about four (L, L) complex arrays per AP with a table,
+    two (L, N) without.  ``bounds`` are the problems' first positions in
+    ``live``, and its length.
+    """
+    # Problems with the same pilot table share a key; each other problem has its own.
+    keys: dict[int, int] = {}
+    key = [keys.setdefault(id(s.kernel) if is_table(s.kernel) else id(s), len(keys))
+           for s in solves]
+    owner = np.repeat(np.arange(len(solves)), np.diff(bounds))     # problem per live AP
+    first = np.flatnonzero((np.diff(live, prepend=-2) != 1)
+                           | (np.diff(np.take(key, owner), prepend=-1) != 0))
+    calls = []
+    for r0, r1 in zip(first, np.append(first[1:], len(live))):
+        s = solves[owner[r0]]
+        step = max(1, CHUNK_BYTES // (64 * l * l if is_table(s.kernel) else 32 * l * n))
+        calls += [(s, slice(k, min(k + step, r1)), slice(live[k], live[min(k + step, r1) - 1] + 1))
+                  for k in range(r0, r1, step)]
+    return calls
+
+
 def _round(st: _Batch, live: np.ndarray, t: int, solves: list[_Solve], covs: np.ndarray,
            hyper: Hyperparams, options: SolverOptions) -> np.ndarray:
     """Advance the (nonempty) ``live`` APs by round ``t``; returns their outgoing estimates.
@@ -269,17 +305,17 @@ def _round(st: _Batch, live: np.ndarray, t: int, solves: list[_Solve], covs: np.
     row[live] = np.arange(c)
     ein = slice(None) if c == b else np.flatnonzero(row[dst] >= 0)   # edges into live APs
     erow, eslot, own_col = row[dst[ein]], (np.arange(e) - first[dst])[ein], degree[live]
-    # Each problem's live APs are a contiguous run of rows, cut into chunks.
     bounds = np.searchsorted(live, [s.aps.start for s in solves] + [b])
-    step = max(1, CHUNK_BYTES // (16 * l * n))
-    chunks = [(s, slice(k, min(k + step, r1)))
-              for s, r0, r1 in zip(solves, bounds[:-1], bounds[1:]) for k in range(r0, r1, step)]
+    calls = _kernel_calls(live, solves, bounds, l, n)
 
     g_old = st.gamma[live]
     grad = np.empty_like(g_old)
-    for s, sl in chunks:
-        grad[sl] = ml_gradient(g_old[sl], s.scenario.pilots, None, covs[live[sl]],
-                               cov=st.sigma[live[sl]])
+    for s, sl, rows in calls:
+        grad[sl] = ml_gradient(g_old[sl], s.scenario.pilots, None, covs[rows],
+                               cov=st.sigma[rows], kernel=s.kernel)
+    # The weights come before the panel, so that their temporaries and the
+    # panel are never held at once.
+    w = combiner_weights(g_old, st.received[ein], hyper.rho, receivers=erow)
     # Panels zero-padded to the largest inclusive degree, stored (c, K, N)
     # so the row norms reduce over contiguous rows.
     panel = np.zeros((c, st.cdfs.shape[1], n))
@@ -292,7 +328,6 @@ def _round(st: _Batch, live: np.ndarray, t: int, solves: list[_Solve], covs: np.
     sel = np.count_nonzero(st.cdfs[live] <= st.draws[live, t - 1, None], axis=1)
     own = sel == own_col
     pick = np.where(own, e + live, first[live] + sel)     # index into the weights
-    w = combiner_weights(g_old, st.received[ein], hyper.rho, receivers=erow)
     weights = np.empty(e + b)
     weights[:e][ein], weights[e + live] = w[:len(erow)], w[len(erow):]
     w_sel = weights[pick]
@@ -319,19 +354,17 @@ def _round(st: _Batch, live: np.ndarray, t: int, solves: list[_Solve], covs: np.
         st.x_local[ep] = x_new
 
     delta = g_new - g_old
-    for s, sl in chunks:
-        sigma = st.sigma[live[sl]] + (
-            (s.scenario.pilots * delta[sl, None, :]).reshape(-1, n) @ s.pilots_h).reshape(-1, l, l)
-        st.sigma[live[sl]] = 0.5 * (sigma + np.conj(np.swapaxes(sigma, -1, -2)))
+    for s, sl, rows in calls:
+        st.sigma[rows] = update_covariance(st.sigma[rows], s.scenario.pilots, delta[sl],
+                                           s.kernel)
     st.gamma[live] = g_new
     st.t[live] += 1
     st.delta[live] = np.max(np.abs(delta), axis=1, initial=0.0)
 
     cost = np.full(c, np.nan)
     if options.record_cost:
-        for _, sl in chunks:
-            cost[sl] = ml_cost_given_factor(cholesky_factor(st.sigma[live[sl]]),
-                                            covs[live[sl]])
+        for _, sl, rows in calls:
+            cost[sl] = ml_cost_given_factor(cholesky_factor(st.sigma[rows]), covs[rows])
         panel[np.arange(c), own_col] = g_new
         cost += hyper.beta * sparsity_penalty(panel.swapaxes(1, 2), hyper.theta)
         sim = np.abs(g_new[erow] - st.received[ein]).sum(axis=1)
@@ -373,16 +406,28 @@ def _setup(problems: list[Problem], num_iters: int) -> tuple[_Batch, list[_Solve
     st = _Batch.initial(*(sc for sc, _, _ in problems), num_iters=num_iters)
     aps = np.cumsum([0] + [sc.num_aps for sc, _, _ in problems])
     links = np.searchsorted(st.edges.dst, aps)        # edges are ordered by receiver
-    # Modes of one trial share their scenario's pilots, and so the transpose.
-    pilots_h = {id(sc.pilots): sc.pilots.conj().T for sc, _, _ in problems}
+    # Modes of one trial share their scenario's pilots, and so the kernel.
+    kernels = {id(sc.pilots): pilot_kernel(sc.pilots) for sc, _, _ in problems}
     solves = []
     for (sc, _, plan), a, e0, e1 in zip(problems, aps, links, links[1:]):
         edges = netsim.Backhaul(sc.num_aps, st.edges.src[e0:e1] - a, st.edges.dst[e0:e1] - a,
                                 st.edges.send_order[e0:e1] - e0)
         solves.append(_Solve(sc, plan, edges, slice(a, a + sc.num_aps), slice(e0, e1),
-                             pilots_h[id(sc.pilots)], np.random.default_rng(
+                             kernels[id(sc.pilots)], np.random.default_rng(
                                  np.random.SeedSequence([_NETSIM_SALT, sc.seed]))))
     return st, solves
+
+
+def batch_aps(num_aps: int, pilot_len: int, num_devices: int) -> int:
+    """APs that problems sharing one pilot matrix count for in a batched solve's size.
+
+    Their ``num_aps`` APs, plus the pilot table the solve builds for the
+    matrix (``linalg.pilot_gram``, 8 L^2 N bytes), counted as the APs whose
+    two (L, N) complex arrays take as many bytes: L/4 of them.  32 L N bytes
+    is about what a batch holds per AP: at L=24, N=100 (77 KB) its peak RSS
+    grew by 75 KB per AP over 20 rounds.
+    """
+    return num_aps + (-(-pilot_len // 4) if gram_bytes(pilot_len, num_devices) else 0)
 
 
 def run(

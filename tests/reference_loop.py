@@ -8,7 +8,11 @@ original: neighbor selection is always uniform (the package has no other
 selection distribution), the failure-plan checks ``ap_down`` and
 ``link_down`` are local helpers, and the per-AP scratch fields the batched
 solver does not report (``rng``, ``z`` and the last selection, weights and
-cost) live on ``LoopState``.
+cost) live on ``LoopState``.  Where the scenario's pilots have a table
+(``pilot_gram``), the gradient and the covariance update are the package's
+own functions called per AP with it, so that a solve is bitwise the loop.
+Past the table's byte budget the loop runs the complex path, with its own
+covariance update, so the table path can also be checked against it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from coopdetect import netsim
 from coopdetect.errors import ConfigMismatch, UnknownEdge
-from coopdetect.linalg import cholesky_factor
+from coopdetect.linalg import cholesky_factor, pilot_gram
 from coopdetect.netsim import CommLedger, FailurePlan
 from coopdetect.objective import (
     Hyperparams,
@@ -33,6 +37,7 @@ from coopdetect.objective import (
     stochastic_step_size,
     subgradient_aggregate_update,
     subgradient_local_update,
+    update_covariance,
 )
 from coopdetect.scenario import ApObservation, Scenario
 from coopdetect.solver import (
@@ -168,8 +173,9 @@ def ap_iteration(
 ) -> np.ndarray:
     """Run one adaptation round for a single AP; returns the outgoing payload."""
     options = options or SolverOptions()
+    gram = pilot_gram(pilots)
     gamma_old = state.gamma
-    grad = ml_gradient(gamma_old, pilots, None, sample_cov, cov=state.sigma)
+    grad = ml_gradient(gamma_old, pilots, None, sample_cov, cov=state.sigma, kernel=gram)
 
     order = state.inclusive_order
     nbr_mat = (
@@ -208,8 +214,11 @@ def ap_iteration(
         state.x_local[selected] = x_new
 
     delta = gamma_new - gamma_old
-    sigma = state.sigma + (pilots * delta) @ pilots.conj().T
-    state.sigma = 0.5 * (sigma + sigma.conj().T)
+    if gram is None:
+        sigma = state.sigma + (pilots * delta) @ pilots.conj().T
+        state.sigma = 0.5 * (sigma + sigma.conj().T)
+    else:
+        state.sigma = update_covariance(state.sigma, pilots, delta, gram)
     state.gamma = gamma_new
     state.z = z
     state.t += 1

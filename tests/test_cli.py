@@ -51,12 +51,18 @@ class TestRunVerb:
         rc = main(["run", "--config", config_file, "--sweep", "bananas"])
         assert rc == 2
 
+    @pytest.mark.parametrize("sweep", ["coop_degree=a", "L=1e1", "snr_db=nan", "M=4,"])
+    def test_bad_sweep_value_rejected(self, config_file, sweep, capsys):
+        rc = main(["run", "--config", config_file, "--sweep", sweep])
+        assert rc == 2
+        assert "invalid config" in capsys.readouterr().err
+
     def test_bad_sweep_point_rejected_before_output(self, config_file, tmp_path, capsys,
                                                     monkeypatch):
         def no_solve(*args, **kwargs):
-            raise AssertionError("solver.run called")
+            raise AssertionError("solver.run_batch called")
 
-        monkeypatch.setattr(solver, "run", no_solve)
+        monkeypatch.setattr(solver, "run_batch", no_solve)
         out = tmp_path / "results"
         rc = main(["run", "--config", config_file, "--sweep", "coop_degree=1,9",
                    "--out", str(out)])

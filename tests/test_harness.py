@@ -95,17 +95,24 @@ class TestConfig:
         (dict(sweep_values=(1,), failure_plan={"link_failures": [[[0, 4], 1, 2]]}),
          "sweep point coop_degree=1: link_failures references unknown edge (0, 4)"),
         (dict(sweep_values=(2, 2)), "sweep_values repeat [2]"),
+        (dict(snr_db=float("nan")), "sweep point coop_degree=4: snr_db must be finite, got nan"),
+        (dict(sweep_axis="snr_db", sweep_values=(float("inf"),)),
+         "sweep_values must be finite numbers, got [inf]"),
+        (dict(gain_ref=float("inf")),
+         "sweep point coop_degree=4: gain_ref must be positive and finite, got inf"),
+        (dict(snr_db=10**400), "sweep point coop_degree=4: snr_db must be finite, got 1000"),
     ], ids=["degree", "ap_spacing", "L", "M", "gain_ref", "plan_ap", "plan_round",
-            "plan_link", "repeated_value"])
+            "plan_link", "repeated_value", "snr_nan", "snr_inf_sweep", "gain_ref_inf",
+            "snr_overflow"])
     def test_bad_trial_rejected_before_any_solve(self, monkeypatch, overrides, message):
         cfg = tiny_config(**{"num_aps": 5, "degree": 4, "sweep_values": (4,), **overrides})
         with pytest.raises(InvalidConfig, match=re.escape(message)):
             cfg.validate()
 
         def no_solve(*args, **kwargs):
-            raise AssertionError("solver.run called")
+            raise AssertionError("solver.run_batch called")
 
-        monkeypatch.setattr(solver, "run", no_solve)
+        monkeypatch.setattr(solver, "run_batch", no_solve)
         with pytest.raises(InvalidConfig, match=re.escape(message)):
             run_experiment(cfg)
 
@@ -124,6 +131,15 @@ class TestConfig:
         monkeypatch.setattr(solver, "run_batch", no_solve)
         with pytest.raises(InvalidConfig, match=re.escape(message)):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("axis, values", [
+        ("coop_degree", ("a",)), ("coop_degree", (None,)), ("coop_degree", (float("nan"),)),
+        ("M", (4, float("inf"))), ("L", ("8",)), ("snr_db", (0.0, None)),
+        ("coop_degree", (10**400,)), ("snr_db", (-10**400,)),
+    ])
+    def test_non_numeric_sweep_value_rejected(self, axis, values):
+        with pytest.raises(InvalidConfig, match="sweep_values must be finite numbers"):
+            tiny_config(sweep_axis=axis, sweep_values=values).validate()
 
     def test_integral_values_accepted_on_every_axis(self):
         tiny_config(sweep_values=(1, 2.0)).validate()
@@ -231,6 +247,18 @@ class TestRunExperiment:
         assert built == [2, 2]
         for mode in cfg.modes:
             assert calibrate(replace(cfg, modes=(mode,)), 1, 2) == {mode: iotas[mode]}
+
+    @pytest.mark.parametrize("pilot_len, num_devices, per_batch", [(24, 100, 36),
+                                                                   (64, 1000, 100)])
+    def test_batches_charge_pilot_tables(self, pilot_len, num_devices, per_batch):
+        # A one-AP trial counts for 1 + L/4 APs where its pilots have a table,
+        # so 256 APs take 36 trials at L=24, N=100 but all 100 at L=64, N=1000.
+        cfg = tiny_config(num_aps=1, degree=0, sweep_values=(0,), num_devices=num_devices,
+                          num_active=10, pilot_len=pilot_len, modes=("no_coop",), trials=100)
+        keys = [(t, False) for t in range(cfg.trials)]
+        batches = harness._batches(cfg, keys)
+        assert [key for batch in batches for key in batch] == keys
+        assert max(map(len, batches)) == per_batch
 
     def test_fixed_iota_skips_calibration(self):
         cfg = tiny_config(iota=0.5)

@@ -2,15 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coopdetect.errors import DimensionMismatch, NotPositiveDefinite, SingularDowndate
 from coopdetect.linalg import (
+    GRAM_BYTES,
     cholesky_factor,
     downdate_quadforms_batch,
+    is_table,
     logdet_from_factor,
+    outer_sum,
+    pilot_gram,
+    pilot_kernel,
     solve_from_factor,
 )
-from coopdetect.objective import assemble_covariance
+from coopdetect.objective import assemble_covariance, update_covariance
 
 
 def logdet(a):
@@ -240,3 +247,70 @@ class TestIdentities:
         ainv = np.linalg.inv(a)
         assert q1 == pytest.approx(np.real(v.conj() @ ainv @ v), rel=1e-9)
         assert q2 == pytest.approx(np.real(v.conj() @ ainv @ b @ ainv @ v), rel=1e-9)
+
+
+def gram_case(seed, aps, l, n):
+    """Stacked HPD covariances, PSD matrices, admissible coefficients and pilots."""
+    rng = np.random.default_rng(seed)
+    a = np.stack([random_hpd(rng, l) for _ in range(aps)])
+    b = np.stack([random_psd(rng, l) for _ in range(aps)])
+    cols = rng.normal(size=(l, n)) + 1j * rng.normal(size=(l, n))
+    quad = np.real(np.einsum("ln,clm,mn->cn", cols.conj(), np.linalg.inv(a), cols))
+    gammas = rng.uniform(0.0, 0.5, size=(aps, n)) / quad     # 1 - gamma * quad >= 0.5
+    return a, b, cols, gammas, rng.normal(size=(aps, n))
+
+
+cases = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 9),
+                  st.integers(1, 12))
+
+
+class TestPilotGram:
+    @given(cases)
+    def test_matches_complex_path_and_dense_oracle(self, case):
+        a, b, cols, gammas, _ = gram_case(*case)
+        q1, q2 = downdate_quadforms_batch(a, cols, gammas, b, pilot_gram(cols))
+        c1, c2 = downdate_quadforms_batch(a, cols, gammas, b)
+        for got, want in ((q1, c1), (q2, c2)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        for i in range(len(a)):
+            for k in range(cols.shape[1]):
+                o1, o2 = dense_quadforms(a[i], gammas[i, k], cols[:, k], b[i])
+                assert q1[i, k] == pytest.approx(o1, rel=1e-12, abs=1e-12 * np.abs(c1).max())
+                assert q2[i, k] == pytest.approx(o2, rel=1e-12, abs=1e-12 * np.abs(c2).max())
+
+    @given(cases)
+    def test_each_row_is_its_one_matrix_call_bitwise(self, case):
+        a, b, cols, gammas, delta = gram_case(*case)
+        gram = pilot_gram(cols)
+        q1, q2 = downdate_quadforms_batch(a, cols, gammas, b, gram)
+        sigma = update_covariance(a, cols, delta, gram)
+        for i in range(len(a)):
+            one = downdate_quadforms_batch(a[i], cols, gammas[i], b[i], gram)
+            np.testing.assert_array_equal(one[0], q1[i])
+            np.testing.assert_array_equal(one[1], q2[i])
+            np.testing.assert_array_equal(update_covariance(a[i], cols, delta[i], gram),
+                                          sigma[i])
+
+    @given(cases)
+    def test_outer_sum_is_exactly_hermitian(self, case):
+        a, _, cols, _, delta = gram_case(*case)
+        gram = pilot_gram(cols)
+        step = outer_sum(delta, gram)
+        np.testing.assert_array_equal(step, np.conj(np.swapaxes(step, -1, -2)))
+        want = (cols * delta[:, None, :]) @ cols.conj().T
+        np.testing.assert_allclose(step, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        hermitian = 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+        sigma = update_covariance(hermitian, cols, delta, gram)
+        np.testing.assert_array_equal(sigma, np.conj(np.swapaxes(sigma, -1, -2)))
+
+    @pytest.mark.parametrize("l, n, built", [(24, 100, True), (24, 200, True),
+                                             (64, 1000, False)])
+    def test_table_only_within_the_byte_budget(self, l, n, built):
+        cols = np.ones((l, n), dtype=complex)
+        table, kernel = pilot_gram(cols), pilot_kernel(cols)
+        assert (table is not None) == built == (8 * l * l * n <= GRAM_BYTES) == is_table(kernel)
+        if built:
+            assert table.shape == (l * l, n)
+            np.testing.assert_array_equal(kernel, table)
+        else:
+            np.testing.assert_array_equal(kernel, cols.conj().T)

@@ -2,20 +2,24 @@
 
 Each example draws a topology (up to 8 APs, any degree), a failure plan with
 crashes, link windows and random drops, hyperparameters and solver options,
-then checks the batched solver against the per-AP loop in
-``reference_loop``, a batch of such problems against each one solved alone,
-and the invariants of the round's parts.
+then checks the batched solver, on the pilot-table path and on the complex
+path, against the per-AP loop in ``reference_loop`` on the complex path, a
+batch of such problems against each one solved alone on either path, and
+the invariants of the round's parts.
 """
 
+from contextlib import ExitStack
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopdetect import linalg
 from coopdetect.netsim import Backhaul, CommLedger, FailurePlan, deliver_round
 from coopdetect.objective import Hyperparams, combiner_weights, similarity_prox
-from coopdetect.scenario import TopologyConfig, make_scenario, synthesize
+from coopdetect.scenario import TopologyConfig, isolated, make_scenario, synthesize
 from coopdetect.solver import SolverOptions, run, run_batch, verify_state
 
 import reference_loop
@@ -53,11 +57,23 @@ def problems(draw, sizes=st.integers(4, 16), pilot_lens=st.integers(2, 6),
     return scenario, synthesize(scenario), plan, hyper, options
 
 
-@given(problems())
-def test_batched_round_matches_the_loop(problem):
+def kernel_path(table: bool) -> ExitStack:
+    """The pilot-table path, or the complex path forced by a zero table budget."""
+    stack = ExitStack()
+    if not table:
+        stack.enter_context(mock.patch.object(linalg, "GRAM_BYTES", 0))
+    return stack
+
+
+@given(problems(), st.booleans())
+def test_batched_round_matches_the_loop(problem, table):
+    # The loop always runs the complex path, with its own covariance update,
+    # so the table path is checked against an independent computation.
     scenario, observations, plan, hyper, options = problem
-    got = run(scenario, observations, hyper, plan=plan, options=options)
-    want = reference_loop.run(scenario, observations, hyper, plan=plan, options=options)
+    with kernel_path(table):
+        got = run(scenario, observations, hyper, plan=plan, options=options)
+    with kernel_path(False):
+        want = reference_loop.run(scenario, observations, hyper, plan=plan, options=options)
     scale = max(float(np.abs(want.gamma).max()), 1e-300)
     np.testing.assert_allclose(got.gamma, want.gamma, rtol=1e-9, atol=1e-9 * scale)
     assert got.ledger.to_dict() == want.ledger.to_dict()
@@ -82,10 +98,16 @@ def test_batch_matches_each_problem_alone(data):
     options = replace(drawn[0][4],
                       early_stop_tol=data.draw(st.sampled_from([None, 1e-3, 0.05, 1.0])))
     batch = [(scenario, observations, plan) for scenario, observations, plan, _, _ in drawn]
-    got = run_batch(batch, hyper, options)
+    if data.draw(st.booleans()):
+        # The second mode of the first trial: same pilots, so calls shared with it.
+        batch.insert(1, (isolated(batch[0][0]), batch[0][1], None))
+    table = data.draw(st.booleans())
+    with kernel_path(table):
+        got = run_batch(batch, hyper, options)
     assert len(got) == len(batch)
     for (scenario, observations, plan), g in zip(batch, got):
-        want = run(scenario, observations, hyper, plan=plan, options=options)
+        with kernel_path(table):
+            want = run(scenario, observations, hyper, plan=plan, options=options)
         np.testing.assert_array_equal(g.gamma, want.gamma)
         assert g.ledger.to_dict() == want.ledger.to_dict()
         assert g.rounds_completed == want.rounds_completed

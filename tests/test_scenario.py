@@ -163,6 +163,14 @@ class TestScenario:
             make_scenario(topo, num_devices=5, num_active=9, pilot_len=4,
                           num_antennas=2, snr_db=0.0)
 
+    @pytest.mark.parametrize("snr_db, gain_ref", [(float("nan"), None), (float("inf"), None),
+                                                  (10.0, float("nan")), (10.0, float("inf"))])
+    def test_non_finite_snr_or_gain_scale_rejected(self, snr_db, gain_ref):
+        topo = TopologyConfig(num_aps=3, degree=1)
+        with pytest.raises(InvalidConfig, match="must be"):
+            make_scenario(topo, num_devices=5, num_active=2, pilot_len=4, num_antennas=2,
+                          snr_db=snr_db, gain_ref=gain_ref)
+
 
 class TestSynthesize:
     def test_no_signal_no_noise_gives_zero(self):

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from coopdetect.errors import ConfigMismatch, StateConsistencyError
+from coopdetect.linalg import pilot_gram
 from coopdetect.netsim import FailurePlan
 from coopdetect.objective import Hyperparams, ml_cost
 from coopdetect.scenario import TopologyConfig, isolated, make_scenario, synthesize
 from coopdetect.solver import SolverOptions, _Batch, run, verify_state
 
+import reference_loop
 from reference_loop import ap_iteration, init_states
 
 
@@ -225,3 +227,18 @@ class TestIsolationEquivalences:
                      SolverOptions())
         np.testing.assert_array_equal(st.gamma, np.maximum(st.z, 0.0))
         assert np.all(st.x_local[0] == 0.0)  # self estimator never moves
+
+
+class TestKernelPath:
+    def test_long_pilot_shape_runs_the_complex_path(self):
+        # At L=64, N=1000 the pilot table would outgrow its byte budget, so a
+        # solve must be bitwise the loop on the complex path.
+        sc = small_scenario(seed=3, num_aps=1, degree=0, num_devices=1000, num_active=100,
+                            pilot_len=64, num_antennas=8)
+        obs = synthesize(sc)
+        assert pilot_gram(sc.pilots) is None
+        hyper = Hyperparams(num_iters=3)
+        got = run(sc, obs, hyper)
+        want = reference_loop.run(sc, obs, hyper)
+        np.testing.assert_array_equal(got.gamma, want.gamma)
+        np.testing.assert_array_equal(got.states[0].sigma, want.states[0].sigma)
