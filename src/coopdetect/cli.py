@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import CoopDetectError, InvalidConfig
@@ -11,6 +10,7 @@ from .harness import (
     ExperimentConfig,
     calibrate,
     load_config,
+    read_json,
     run_experiment,
 )
 from .scenario import save_scenario
@@ -65,8 +65,7 @@ def _build_config(args) -> ExperimentConfig:
     if args.trials is not None:
         updates["trials"] = args.trials
     if args.failure_plan:
-        with open(args.failure_plan) as fh:
-            updates["failure_plan"] = json.load(fh)
+        updates["failure_plan"] = read_json(args.failure_plan, "failure plan file")
     if updates:
         cfg = ExperimentConfig.from_dict({**cfg.to_dict(), **updates})
     cfg.validate()
@@ -108,15 +107,22 @@ def _cmd_fixture(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    with open(args.path) as fh:
-        summary = json.load(fh)
-    print(f"config hash: {summary['config_hash']}")
-    print(f"axis: {summary['axis']} | trial rows: {summary['trials']}")
-    for a in summary["aggregates"]:
-        print(f"  {summary['axis']}={a['axis_value']} mode={a['mode']}: "
-              f"AER {a['mean_aer']:.4f} +/- {a['stderr']:.4f} "
-              f"(missed {a['mean_missed']:.4f}, false alarm {a['mean_false_alarm']:.4f}, "
-              f"iota {a['iota']:.4g})")
+    try:
+        summary = read_json(args.path, "summary")
+        lines = [f"config hash: {summary['config_hash']}",
+                 f"axis: {summary['axis']} | trial rows: {summary['trials']}"]
+        lines += [f"  {summary['axis']}={a['axis_value']} mode={a['mode']}: "
+                  f"AER {a['mean_aer']:.4f} +/- {a['stderr']:.4f} "
+                  f"(missed {a['mean_missed']:.4f}, false alarm {a['mean_false_alarm']:.4f}, "
+                  f"iota {a['iota']:.4g})" for a in summary["aggregates"]]
+    except InvalidConfig as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    except (KeyError, TypeError, ValueError) as err:
+        print(f"error: {args.path} is not a summary.json ({type(err).__name__}: {err})",
+              file=sys.stderr)
+        return 2
+    print("\n".join(lines))
     return 0
 
 

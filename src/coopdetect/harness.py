@@ -24,6 +24,7 @@ import json
 import math
 import numbers
 import os
+import typing
 from dataclasses import dataclass, replace
 from functools import cache
 
@@ -55,6 +56,12 @@ MODES = ("cmd", "no_coop", "centralized_pool")
 # each trial's pilot table counted as APs (solver.batch_aps); the batch's
 # arrays and temporaries grow with it.
 BATCH_APS = 256
+
+# What each type a config field is annotated with accepts, and its name in messages.
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+          str: (str, "a string"), bool: (bool, "true or false"),
+          tuple: ((tuple, list), "a list"), dict: (dict, "an object"),
+          type(None): (type(None), "null")}
 
 _TRIAL_SALT = 0x7E57
 _CALIBRATION_SALT = 0xCA11B
@@ -99,6 +106,15 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Raise InvalidConfig naming every problem a run of this config would hit."""
+        # The checks below compare and convert values, so a field of another type stops here.
+        wrong = []
+        for name, (kinds, what) in _field_kinds().items():
+            value = getattr(self, name)
+            # A bool is an int to isinstance, but true is not a count.
+            if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
+                wrong.append(f"{name} must be {what}, got {value!r}")
+        if wrong:
+            raise InvalidConfig("; ".join(wrong))
         problems = []
         for name in ("num_iters", "trials", "calibration_trials", "workers"):
             if getattr(self, name) < 1:
@@ -174,15 +190,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise InvalidConfig(f"a config must be a JSON object, got {d!r}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known
         if unknown:
             raise InvalidConfig(f"unknown config fields: {sorted(unknown)}")
         d = dict(d)
-        if "sweep_values" in d:
-            d["sweep_values"] = tuple(d["sweep_values"])
-        if "modes" in d:
-            d["modes"] = tuple(d["modes"])
+        for name in ("sweep_values", "modes"):
+            # Only lists: a bare string would become a tuple of its characters.
+            if isinstance(d.get(name), list):
+                d[name] = tuple(d[name])
         return cls(**d)
 
     def config_hash(self) -> str:
@@ -193,9 +211,32 @@ class ExperimentConfig:
         return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()[:16]
 
 
+@cache
+def _field_kinds() -> dict:
+    """Per config field, the types it accepts and how messages name them."""
+    out = {}
+    for name, hint in typing.get_type_hints(ExperimentConfig).items():
+        kinds = [_KINDS[k] for k in typing.get_args(hint) or (hint,)]
+        out[name] = (tuple(kind for kind, _ in kinds), " or ".join(what for _, what in kinds))
+    return out
+
+
+def read_json(path, what: str):
+    """The JSON document in the file ``path``; InvalidConfig if it is missing or not JSON.
+
+    ``what`` names the file in the message.
+    """
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as err:
+        raise InvalidConfig(f"cannot read {what} {path}: {err.strerror}") from None
+    except ValueError as err:  # not JSON, or not text
+        raise InvalidConfig(f"{what} {path} is not JSON: {err}") from None
+
+
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return ExperimentConfig.from_dict(json.load(fh))
+    return ExperimentConfig.from_dict(read_json(path, "config file"))
 
 
 def desk_fixture(master_seed: int, **overrides) -> ExperimentConfig:

@@ -22,29 +22,45 @@ is not stored.  Each step calls its objective function once for all live
 APs.  What is not shared stays per problem: its failure plan, drop stream,
 ledger, trace, early stop and round count.
 
+A round reads what depends only on which APs are live from a round plan
+(``_RoundPlan``): the live rows and each AP's position among them, the edges
+into live APs with their receivers' positions and panel slots, each live
+AP's own column (its in-degree), the live rows of the selection CDFs, each
+problem's first live position and its masks of live APs and of edges that
+carry a message, and the gradient and covariance-update calls.  The live
+set changes only when a failure plan crashes an AP, in a round known before
+the solve, or when a problem stops early, so the plan is built in round 1
+and again only in a crash round and in the round after an early stop; the
+in-degrees and first edges, which never change, are kept on the batch.
+The plan lives in one solve and is dropped with it.
+
 Random streams do not depend on the batching.  AP i of a problem pre-draws
 its selection uniforms as ``rng.random(num_iters)`` from
 ``SeedSequence([_SELECTION_SALT, seed, i])`` with its scenario's seed;
 comparing the round-t value with the CDF of its inclusive degree equals the
 t-th ``rng.choice`` of a per-AP loop, as a crashed AP never draws again.
+An AP without neighbors always selects itself, so it draws nothing.
 Drops take one draw per surviving message of a problem, in (src, dst) order,
 from that problem's stream.  So each problem's result is bitwise what it
 gets solved alone.
 
 The gradient and the covariance update read a problem's pilots through a
-kernel built once per solve for each pilot matrix (``linalg.pilot_kernel``):
-its table or, past the table's byte budget, its conjugate transpose for the
-complex path.  Each call covers consecutive live APs, so their covariances
-are slices of the batch's stacks.  With a table, every product in a call is
-per AP, so an AP's bits do not depend on which APs share its call, and the
-problems that share the table (the modes of a trial) share calls.  The
-complex path multiplies a call's stack at once, so its calls stay within
-one problem.  Calls are cut so that their temporaries stay near
-``CHUNK_BYTES``: all B APs at once would grow peak memory with B (3 MB of
-temporaries for 64 APs at L=24 with a table, 5 MB per (L, N) temporary at
-N=200 without) for little speed: at that shape one gradient call over 64
-APs took 0.95x the time of four calls over 16.  Each problem's table counts
-against a batch's size in APs (:func:`batch_aps`).
+kernel built once per solve for each distinct pilot matrix
+(``linalg.pilot_kernel``): its table or, past the table's byte budget, its
+conjugate transpose for the complex path.  Each call covers consecutive
+live APs, so their covariances are slices of the batch's stacks.  With a
+table, every product in a call is per AP, so an AP's bits do not depend on
+which APs share its call, and the problems that share the table (the modes
+of a trial) share calls.  Products stay per AP rather than one product
+over a call's APs because BLAS results change with the row count: a batched
+product would be faster, but a problem's bits would then depend on what it
+is batched with.  The complex path multiplies a call's stack at once, so
+its calls stay within one problem.  Calls are cut so that their
+temporaries stay near ``CHUNK_BYTES``: all B APs at once would grow peak
+memory with B (3 MB of temporaries for 64 APs at L=24 with a table, 5 MB
+per (L, N) temporary at N=200 without) for little speed: at that shape one
+gradient call over 64 APs took 0.95x the time of four calls over 16.  Each
+problem's table counts against a batch's size in APs (:func:`batch_aps`).
 """
 
 from __future__ import annotations
@@ -132,7 +148,9 @@ class _Batch:
     """All APs' iterates and counters as flat arrays (see the module docstring)."""
 
     edges: netsim.Backhaul
-    draws: np.ndarray                 # (B, T) pre-drawn selection uniforms
+    degree: np.ndarray                # (B,) neighbors of each AP: its edges in
+    first: np.ndarray                 # (B,) each AP's first edge in
+    draws: np.ndarray                 # (B, T) pre-drawn selection uniforms, 0 without neighbors
     cdfs: np.ndarray                  # (B, max degree + 1) selection CDFs
     gamma: np.ndarray                 # (B, N)
     sigma: np.ndarray                 # (B, L, L)
@@ -162,12 +180,16 @@ class _Batch:
                                 np.concatenate([net.dst + a for net, a in zip(nets, aps)]),
                                 np.concatenate([net.send_order + k
                                                 for net, k in zip(nets, links)]))
-        draws = np.stack([np.random.default_rng(np.random.SeedSequence(
-            [_SELECTION_SALT, sc.seed, i])).random(num_iters)
-            for sc in scenarios for i in range(sc.num_aps)])
+        degree = np.bincount(edges.dst, minlength=b)
+        # An AP without neighbors always selects itself, whatever it draws.
+        draws = np.zeros((b, num_iters))
+        for sc, a in zip(scenarios, aps):
+            for i in np.flatnonzero(degree[a:a + sc.num_aps]):
+                draws[a + i] = np.random.default_rng(np.random.SeedSequence(
+                    [_SELECTION_SALT, sc.seed, int(i)])).random(num_iters)
         noise = np.repeat([sc.noise_power for sc in scenarios], np.diff(aps))
         sigma = noise[:, None, None] * np.eye(l, dtype=complex)
-        return cls(edges, draws, _selection_cdfs(np.bincount(edges.dst, minlength=b)),
+        return cls(edges, degree, np.cumsum(degree) - degree, draws, _selection_cdfs(degree),
                    np.zeros((b, n)), sigma, np.zeros((b, n)), np.zeros((e, n)),
                    np.zeros((e, n)), np.zeros(b, dtype=int), np.zeros(b, dtype=int),
                    np.zeros(b, dtype=int), np.full(b, np.inf))
@@ -206,6 +228,23 @@ class _Solve:
     ledger: netsim.CommLedger = field(default_factory=netsim.CommLedger)
     rounds_completed: int = 0
     running: bool = True
+
+
+@dataclass
+class _RoundPlan:
+    """What a round needs that depends only on which APs are live (see the module docstring)."""
+
+    live: np.ndarray                  # (c,) live rows of the batch, ascending
+    row: np.ndarray                   # (B,) each AP's position in ``live``, -1 if not live
+    ein: slice | np.ndarray           # edges into live APs
+    erow: np.ndarray                  # their receivers' positions in ``live``
+    eslot: np.ndarray                 # their slots in the receivers' panels
+    own_col: np.ndarray               # (c,) each live AP's own slot: its in-degree
+    cdfs: np.ndarray                  # (c, max degree + 1) the live APs' selection CDFs
+    bounds: np.ndarray                # the problems' first positions in ``live``, then c
+    mine: list                        # per problem, the mask of its live APs
+    sent: list                        # per problem, the mask of its edges that carry a message
+    calls: list                       # (problem, live positions, rows) per kernel call
 
 
 def _selection_cdfs(degree: np.ndarray) -> np.ndarray:
@@ -287,30 +326,43 @@ def _kernel_calls(live: np.ndarray, solves: list[_Solve], bounds: np.ndarray, l:
     return calls
 
 
-def _round(st: _Batch, live: np.ndarray, t: int, solves: list[_Solve], covs: np.ndarray,
+def _round_plan(st: _Batch, solves: list[_Solve], t: int) -> _RoundPlan:
+    """The plan of round ``t``: the live APs of the running problems, and what follows."""
+    b = len(st.gamma)
+    is_live = np.zeros(b, dtype=bool)
+    for s in solves:
+        if s.running:
+            is_live[s.aps] = ~s.plan.aps_down(t, s.scenario.num_aps)
+    live = np.flatnonzero(is_live)
+    c, dst = len(live), st.edges.dst
+    row = np.full(b, -1)
+    row[live] = np.arange(c)
+    ein = slice(None) if c == b else np.flatnonzero(row[dst] >= 0)     # edges into live APs
+    slot = np.arange(len(dst)) - st.first[dst]
+    bounds = np.searchsorted(live, [s.aps.start for s in solves] + [b])
+    return _RoundPlan(live, row, ein, row[dst[ein]], slot[ein], st.degree[live], st.cdfs[live],
+                      bounds, [is_live[s.aps] for s in solves],
+                      [is_live[st.edges.src[s.links]] for s in solves],
+                      _kernel_calls(live, solves, bounds, st.sigma.shape[-1], st.gamma.shape[1]))
+
+
+def _round(st: _Batch, rplan: _RoundPlan, t: int, solves: list[_Solve], covs: np.ndarray,
            hyper: Hyperparams, options: SolverOptions) -> np.ndarray:
-    """Advance the (nonempty) ``live`` APs by round ``t``; returns their outgoing estimates.
+    """Advance the (nonempty) live APs of ``rplan`` by round ``t``; returns what they send.
 
     Selecting the own AP (or drawing a zero combiner weight) degenerates the
     similarity step to the identity: the similarity penalty against oneself
     is identically zero, so the new estimate is the clamped z step and the
     estimators stay untouched.
     """
-    l, n = st.sigma.shape[-1], st.gamma.shape[1]
-    src, dst = st.edges.src, st.edges.dst
+    n = st.gamma.shape[1]
+    src, live, ein, erow = st.edges.src, rplan.live, rplan.ein, rplan.erow
+    own_col = rplan.own_col
     b, e, c = len(st.gamma), len(src), len(live)
-    degree = np.bincount(dst, minlength=b)
-    first = np.cumsum(degree) - degree
-    row = np.full(b, -1)
-    row[live] = np.arange(c)
-    ein = slice(None) if c == b else np.flatnonzero(row[dst] >= 0)   # edges into live APs
-    erow, eslot, own_col = row[dst[ein]], (np.arange(e) - first[dst])[ein], degree[live]
-    bounds = np.searchsorted(live, [s.aps.start for s in solves] + [b])
-    calls = _kernel_calls(live, solves, bounds, l, n)
 
     g_old = st.gamma[live]
     grad = np.empty_like(g_old)
-    for s, sl, rows in calls:
+    for s, sl, rows in rplan.calls:
         grad[sl] = ml_gradient(g_old[sl], s.scenario.pilots, None, covs[rows],
                                cov=st.sigma[rows], kernel=s.kernel)
     # The weights come before the panel, so that their temporaries and the
@@ -319,15 +371,15 @@ def _round(st: _Batch, live: np.ndarray, t: int, solves: list[_Solve], covs: np.
     # Panels zero-padded to the largest inclusive degree, stored (c, K, N)
     # so the row norms reduce over contiguous rows.
     panel = np.zeros((c, st.cdfs.shape[1], n))
-    panel[erow, eslot] = st.received[ein]
+    panel[erow, rplan.eslot] = st.received[ein]
     panel[np.arange(c), own_col] = g_old
     z = sparsity_step(g_old, grad, st.x_agg[live], panel.swapaxes(1, 2),
                       hyper.beta, hyper.tau, hyper.eta)
 
     count = own_col + 1
-    sel = np.count_nonzero(st.cdfs[live] <= st.draws[live, t - 1, None], axis=1)
+    sel = np.count_nonzero(rplan.cdfs <= st.draws[live, t - 1, None], axis=1)
     own = sel == own_col
-    pick = np.where(own, e + live, first[live] + sel)     # index into the weights
+    pick = np.where(own, e + live, st.first[live] + sel)     # index into the weights
     weights = np.empty(e + b)
     weights[:e][ein], weights[e + live] = w[:len(erow)], w[len(erow):]
     w_sel = weights[pick]
@@ -354,7 +406,7 @@ def _round(st: _Batch, live: np.ndarray, t: int, solves: list[_Solve], covs: np.
         st.x_local[ep] = x_new
 
     delta = g_new - g_old
-    for s, sl, rows in calls:
+    for s, sl, rows in rplan.calls:
         st.sigma[rows] = update_covariance(st.sigma[rows], s.scenario.pilots, delta[sl],
                                            s.kernel)
     st.gamma[live] = g_new
@@ -363,7 +415,7 @@ def _round(st: _Batch, live: np.ndarray, t: int, solves: list[_Solve], covs: np.
 
     cost = np.full(c, np.nan)
     if options.record_cost:
-        for _, sl, rows in calls:
+        for _, sl, rows in rplan.calls:
             cost[sl] = ml_cost_given_factor(cholesky_factor(st.sigma[rows]), covs[rows])
         panel[np.arange(c), own_col] = g_new
         cost += hyper.beta * sparsity_penalty(panel.swapaxes(1, 2), hyper.theta)
@@ -371,7 +423,7 @@ def _round(st: _Batch, live: np.ndarray, t: int, solves: list[_Solve], covs: np.
         cost += hyper.tau * np.bincount(erow, w[:len(erow)] * sim, minlength=c)
     selected = live.copy()
     selected[~own] = src[pick[~own]]
-    for s, r0, r1 in zip(solves, bounds[:-1], bounds[1:]):
+    for s, r0, r1 in zip(solves, rplan.bounds[:-1], rplan.bounds[1:]):
         if r1 > r0:
             mine = live[r0:r1]
             s.trace.records.append(dict(
@@ -407,7 +459,8 @@ def _setup(problems: list[Problem], num_iters: int) -> tuple[_Batch, list[_Solve
     aps = np.cumsum([0] + [sc.num_aps for sc, _, _ in problems])
     links = np.searchsorted(st.edges.dst, aps)        # edges are ordered by receiver
     # Modes of one trial share their scenario's pilots, and so the kernel.
-    kernels = {id(sc.pilots): pilot_kernel(sc.pilots) for sc, _, _ in problems}
+    pilots = {id(sc.pilots): sc.pilots for sc, _, _ in problems}
+    kernels = {key: pilot_kernel(cols) for key, cols in pilots.items()}
     solves = []
     for (sc, _, plan), a, e0, e1 in zip(problems, aps, links, links[1:]):
         edges = netsim.Backhaul(sc.num_aps, st.edges.src[e0:e1] - a, st.edges.dst[e0:e1] - a,
@@ -471,32 +524,32 @@ def run_batch(problems: list[Problem], hyper: Hyperparams,
     st, solves = _setup(problems, hyper.num_iters)
     covs = np.stack([o.sample_cov for _, observations, _ in problems for o in observations])
 
+    # The live set changes only in a crash round or after an early stop.
+    crashes = {r for s in solves for _, r in s.plan.ap_failures}
+    rplan = None
     for t in range(1, hyper.num_iters + 1):
-        is_live = np.zeros(len(st.gamma), dtype=bool)
-        for s in solves:
-            if s.running:
-                is_live[s.aps] = ~s.plan.aps_down(t, s.scenario.num_aps)
-        live = np.flatnonzero(is_live)
-        if live.size:
-            outgoing = _round(st, live, t, solves, covs, hyper, options)
-        row = np.cumsum(is_live) - 1
-        for s in solves:
+        if rplan is None or t in crashes:
+            rplan = _round_plan(st, solves, t)
+        if rplan.live.size:
+            outgoing = _round(st, rplan, t, solves, covs, hyper, options)
+        stopped = False
+        for s, sent, mine in zip(solves, rplan.sent, rplan.mine):
             if not s.running:
                 continue
-            delivered = netsim.deliver_round(is_live[st.edges.src[s.links]], s.plan, t, s.rng,
-                                             s.edges, s.ledger, n)
+            delivered = netsim.deliver_round(sent, s.plan, t, s.rng, s.edges, s.ledger, n)
             if delivered.any():
                 k = s.links.start + np.flatnonzero(delivered)
-                st.received[k] = outgoing[row[st.edges.src[k]]]
+                st.received[k] = outgoing[rplan.row[st.edges.src[k]]]
             s.rounds_completed = t
-            mine = is_live[s.aps]
             if options.check_state_every and t % options.check_state_every == 0:
                 for state in st.states(s.scenario.neighbors, s.aps.start, s.links.start):
                     if mine[state.ap_id]:
                         verify_state(state, s.scenario)
             if (options.early_stop_tol is not None and mine.any()
                     and st.delta[s.aps][mine].max() < options.early_stop_tol):
-                s.running = False
+                s.running, stopped = False, True
+        if stopped:
+            rplan = None
         if not any(s.running for s in solves):
             break
 

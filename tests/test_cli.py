@@ -100,3 +100,43 @@ class TestOtherVerbs:
         assert rc == 0
         text = capsys.readouterr().out
         assert "AER" in text and "coop_degree" in text
+
+
+class TestBadInput:
+    """Bad input files and fields end in exit code 2 and a one-line message."""
+
+    @staticmethod
+    def assert_rejected(argv, capsys, expected):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.strip().splitlines()) == 1
+        assert expected in err
+
+    @pytest.mark.parametrize("field, value", [("num_aps", "5"), ("snr_db", "10"),
+                                              ("master_seed", "x"), ("modes", "cmd")])
+    def test_wrongly_typed_field(self, config_file, tmp_path, capsys, field, value):
+        cfg = json.loads(open(config_file).read())
+        cfg[field] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(cfg))
+        self.assert_rejected(["run", "--config", str(path)], capsys, f"{field} must be")
+
+    @pytest.mark.parametrize("flag", ["--config", "--failure-plan"])
+    def test_missing_file(self, tmp_path, capsys, flag):
+        argv = ["run", "--seed", "1", flag, str(tmp_path / "absent.json")]
+        self.assert_rejected(argv, capsys, "cannot read")
+
+    @pytest.mark.parametrize("flag", ["--config", "--failure-plan"])
+    def test_file_that_is_not_json(self, tmp_path, capsys, flag):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        self.assert_rejected(["run", "--seed", "1", flag, str(path)], capsys, "is not JSON")
+
+    def test_inspect_json_that_is_not_a_summary(self, config_file, capsys):
+        self.assert_rejected(["inspect", config_file], capsys, "is not a summary.json")
+
+    def test_inspect_file_that_is_not_json(self, tmp_path, capsys):
+        path = tmp_path / "summary.json"
+        path.write_text("{not json")
+        self.assert_rejected(["inspect", str(path)], capsys, "is not JSON")

@@ -80,6 +80,16 @@ class TestConfig:
     def test_desk_fixture_validates(self):
         desk_fixture(1).validate()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("gain_ref", [1], "gain_ref must be a number or a string or null, got [1]"),
+        ("lag_transmit", "no", "lag_transmit must be true or false, got 'no'"),
+        ("out_dir", 5, "out_dir must be a string or null, got 5"),
+        ("num_aps", True, "num_aps must be an integer, got True"),
+    ], ids=["gain_ref", "lag_transmit", "out_dir", "bool_count"])
+    def test_wrongly_typed_field_rejected(self, field, value, message):
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            tiny_config(**{field: value}).validate()
+
     # Each of these passes the config-level checks but breaks one trial.
     @pytest.mark.parametrize("overrides, message", [
         (dict(sweep_values=(9,)), "sweep point coop_degree=9: degree 9 must be < num_aps 5"),
@@ -359,3 +369,43 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# Experiments shaped like the benchmark's workloads, cut to a few rounds: the
+# desk run (both pilot-table calls, calibrated thresholds), a 64-AP lossy run
+# with a crash and a link window, and one AP on the complex path (L=64,
+# N=1000).  Their rows are pinned, so a change that moves a result fails here.
+PINNED = {
+    "desk": (dict(modes=("cmd", "no_coop"), trials=1, calibration_trials=1, num_iters=12), [
+        dict(mode="cmd", missed=0.3, false_alarm=0.13333333333333333,
+             aer=0.43333333333333335, aer_pooled=0.15, iota=0.23713737056616552,
+             messages_delivered=240, messages_dropped=0, scalars_delivered=24000,
+             rounds=12, clamped=46),
+        dict(mode="no_coop", missed=0.0, false_alarm=0.2222222222222222,
+             aer=0.2222222222222222, aer_pooled=0.2, iota=0.1333521432163324,
+             messages_delivered=0, messages_dropped=0, scalars_delivered=0,
+             rounds=12, clamped=0)]),
+    "wide": (dict(num_aps=64, num_devices=200, num_active=20, trials=1, num_iters=3,
+                  iota=0.056234132519034905,
+                  failure_plan={"drop_prob": 0.1, "ap_failures": [[27, 2]],
+                                "link_failures": [[[0, 1], 2, 3]]}), [
+        dict(mode="cmd", missed=0.0, false_alarm=0.12777777777777777,
+             aer=0.12777777777777777, aer_pooled=0.115, iota=0.056234132519034905,
+             messages_delivered=758, messages_dropped=92, scalars_delivered=151600,
+             rounds=3, clamped=1638)]),
+    "long": (dict(num_aps=1, degree=0, sweep_values=(0,), num_devices=1000, num_active=100,
+                  pilot_len=64, num_antennas=256, modes=("no_coop",), trials=1,
+                  num_iters=3, iota=5.62341325190349), [
+        dict(mode="no_coop", missed=0.02, false_alarm=0.9233333333333333,
+             aer=0.9433333333333334, aer_pooled=0.833, iota=5.62341325190349,
+             messages_delivered=0, messages_dropped=0, scalars_delivered=0,
+             rounds=3, clamped=0)]),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_workload_shaped_rows_are_pinned(name):
+    overrides, rows = PINNED[name]
+    cfg = desk_fixture(2008, **overrides)
+    fixed = dict(axis_value=cfg.sweep_values[0], trial=0, seed=14256204363764795539)
+    assert run_experiment(cfg).rows == [{**fixed, **row} for row in rows]

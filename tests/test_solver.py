@@ -1,14 +1,23 @@
 """Solver state machine: initialization, rounds, consistency, determinism."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from coopdetect import linalg, solver
 from coopdetect.errors import ConfigMismatch, StateConsistencyError
 from coopdetect.linalg import pilot_gram
 from coopdetect.netsim import FailurePlan
 from coopdetect.objective import Hyperparams, ml_cost
-from coopdetect.scenario import TopologyConfig, isolated, make_scenario, synthesize
-from coopdetect.solver import SolverOptions, _Batch, run, verify_state
+from coopdetect.scenario import (
+    ApObservation,
+    TopologyConfig,
+    isolated,
+    make_scenario,
+    synthesize,
+)
+from coopdetect.solver import SolverOptions, _Batch, run, run_batch, verify_state
 
 import reference_loop
 from reference_loop import ap_iteration, init_states
@@ -242,3 +251,35 @@ class TestKernelPath:
         want = reference_loop.run(sc, obs, hyper)
         np.testing.assert_array_equal(got.gamma, want.gamma)
         np.testing.assert_array_equal(got.states[0].sigma, want.states[0].sigma)
+
+
+class TestSetupOnce:
+    def test_one_pilot_kernel_per_pilot_matrix(self):
+        # Two trials in two modes: the modes of a trial share its pilots.
+        batch = []
+        for seed in (1, 2):
+            sc = small_scenario(seed=seed)
+            obs = synthesize(sc)
+            batch += [(sc, obs, None), (isolated(sc), obs, None)]
+        with mock.patch.object(linalg, "pilot_gram", wraps=linalg.pilot_gram) as gram:
+            run_batch(batch, Hyperparams(num_iters=2))
+        assert gram.call_count == 2
+
+    @pytest.mark.parametrize("plan, builds", [(None, 1), (FailurePlan(ap_failures=((1, 5),)), 2)])
+    def test_round_plan_built_once_per_live_set(self, setup, plan, builds):
+        sc, obs = setup
+        with mock.patch.object(solver, "_round_plan", wraps=solver._round_plan) as build:
+            res = run(sc, obs, Hyperparams(num_iters=12), plan=plan)
+        assert res.rounds_completed == 12
+        assert build.call_count == builds
+
+    def test_round_plan_rebuilt_after_an_early_stop(self, setup):
+        # Observations that equal the initial covariance leave every estimate at
+        # zero, so that problem stops after round 1 while the other one runs on.
+        sc, obs = setup
+        still = [ApObservation(o.ap_id, sc.noise_power * np.eye(sc.pilot_len)) for o in obs]
+        with mock.patch.object(solver, "_round_plan", wraps=solver._round_plan) as build:
+            res = run_batch([(sc, obs, None), (sc, still, None)], Hyperparams(num_iters=12),
+                            SolverOptions(early_stop_tol=1e-9))
+        assert [r.rounds_completed for r in res] == [12, 1]
+        assert build.call_count == 2
