@@ -14,7 +14,6 @@ from .errors import (
     DimensionMismatch,
     InvalidConfig,
     NotPositiveDefinite,
-    SingularDowndate,
     StateConsistencyError,
     UnknownEdge,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "RunArtifact",
     "RunResult",
     "Scenario",
-    "SingularDowndate",
     "SolverOptions",
     "StateConsistencyError",
     "TopologyConfig",

@@ -13,14 +13,6 @@ class NotPositiveDefinite(CoopDetectError):
     """A matrix required to be Hermitian positive definite is not."""
 
 
-class SingularDowndate(CoopDetectError):
-    """A rank-one downdate would make the matrix singular or indefinite.
-
-    Signals a downdate coefficient inconsistent with the matrix it is
-    removed from (e.g. a corrupted solver iterate).
-    """
-
-
 class InvalidConfig(CoopDetectError):
     """A configuration object failed validation; message lists the fields."""
 

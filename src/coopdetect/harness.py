@@ -119,8 +119,10 @@ class ExperimentConfig:
         for name in ("num_iters", "trials", "calibration_trials", "workers"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
-        # Only finite numbers reach _at_point, which would raise on anything else.
-        ok = [isinstance(v, numbers.Real) and is_finite(v) for v in self.sweep_values]
+        # Only finite numbers reach _at_point, which would raise on anything
+        # else; a bool is a number to isinstance, but true is no sweep value.
+        ok = [isinstance(v, numbers.Real) and not isinstance(v, bool) and is_finite(v)
+              for v in self.sweep_values]
         values = [v for v, good in zip(self.sweep_values, ok) if good]
         if not all(ok):
             problems.append("sweep_values must be finite numbers, got "

@@ -3,9 +3,9 @@
 Everything here works on plain complex128 ndarrays, one matrix or a stack
 of them along leading axes (one per AP), with numpy alone.  Matrices passed
 in are expected to be Hermitian; the positive-definiteness check is a
-Cholesky pivot test relative to the trace.  The gradient's quadratic forms
-start from one batched explicit inverse per stack, as numpy has no batched
-triangular inverse or solve, and then take one of two paths, which
+Cholesky pivot test relative to the trace.  The likelihood's gradient is
+one quadratic form per device, Re a_n^H X a_n of one Hermitian X per AP
+(:func:`quadforms`), taken along one of two paths, which
 :func:`pilot_kernel` picks once per pilot matrix:
 
 - the pilot table (:func:`pilot_gram`): every AP sees the same (L, N)
@@ -17,14 +17,14 @@ triangular inverse or solve, and then take one of two paths, which
   so Re a_n^H X a_n = coords(X) . G[:, n] for every n in one real product.
   A sum of outer products sum_n d_n a_n a_n^H is d @ G^T read back from
   coordinates, which is exactly Hermitian.  This is a quarter of the flops
-  of the complex products.  Every product is per AP (a (2, L^2) by (L^2, N)
+  of the complex products.  Every product is per AP (a (1, L^2) by (L^2, N)
   product for the forms, an N-vector by (N, L^2) one for the sum), so an
   AP's bits do not depend on how many APs share a call: one product over
   all APs would be faster, but BLAS results change with the row count.
 - the complex path, where the table would exceed ``GRAM_BYTES`` (it would
   take 32.8 MB at L=64, N=1000), since past the cache the table path
-  measured slower: U = Sigma^-1 A as one GEMM over the stack, then
-  column-wise inner products.
+  measured slower: U = X A as one GEMM over the stack, then column-wise
+  inner products.
 """
 
 from __future__ import annotations
@@ -34,17 +34,16 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, SingularDowndate
+from .errors import DimensionMismatch, NotPositiveDefinite
 
 # Cholesky pivots below this fraction of the trace count as non-positive.
 PIVOT_RTOL = 1e-12
-# 1 - gamma * v^H A^-1 v at or below this kills a downdate.
-DOWNDATE_TOL = 1e-12
 # Largest pilot table pilot_gram builds, in bytes.  Per AP, gradient plus
 # covariance update, on one core with a 2 MB L2 cache: the table path took
 # 0.88x the complex path's time at L=24, N=100 (0.46 MB), 0.74x at N=200
 # (0.92 MB) and 0.94x at L=32, N=256 (2.1 MB), but 1.29x at L=48, N=200
-# (3.7 MB) and 1.42x at L=64, N=1000 (32.8 MB).
+# (3.7 MB) and 1.42x at L=64, N=1000 (32.8 MB), measured when the gradient
+# still took two quadratic forms per device.
 GRAM_BYTES = 2 << 20
 
 
@@ -53,12 +52,6 @@ def _as_square(a: np.ndarray) -> np.ndarray:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a (stack of) square matrices, got shape {a.shape}")
     return a
-
-
-def _first(bad: np.ndarray) -> tuple:
-    """Index of the first True entry of ``bad``, and its position as a message prefix."""
-    k = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    return k, (f"at {tuple(int(i) for i in k)}: " if k else "")
 
 
 def cholesky_factor(a: np.ndarray) -> np.ndarray:
@@ -79,7 +72,8 @@ def cholesky_factor(a: np.ndarray) -> np.ndarray:
     pivots = np.min(np.real(np.diagonal(low, axis1=-2, axis2=-1)) ** 2, axis=-1)
     bad = (trace <= 0.0) | (pivots <= PIVOT_RTOL * trace)
     if np.any(bad):
-        k, at = _first(bad)
+        k = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        at = f"at {tuple(int(i) for i in k)}: " if k else ""
         raise NotPositiveDefinite(
             f"{at}pivot {pivots[k]:.3e} below tolerance {PIVOT_RTOL * trace[k]:.3e}"
         )
@@ -189,46 +183,17 @@ def outer_sum(weights: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return floats.view(complex).reshape(floats.shape[:-1] + (l, l))
 
 
-def downdate_quadforms_batch(
-    cov: np.ndarray, cols: np.ndarray, gammas: np.ndarray, b: np.ndarray,
-    kernel: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic forms of the inverse of rank-one downdates of A, per column.
+def quadforms(x: np.ndarray, cols: np.ndarray, kernel: np.ndarray | None = None) -> np.ndarray:
+    """Re v_n^H X v_n for every column v_n of the (L, N) ``cols``, per Hermitian X of ``x``.
 
-    For each column ``v = cols[:, n]`` with coefficient ``gamma = gammas[..., n]``
-    and ``A_d = A - gamma v v^H`` (never formed), returns
-
-        q1 = v^H A_d^-1 v
-        q2 = v^H A_d^-1 B A_d^-1 v
-
-    using the Sherman-Morrison identity: for u = A^-1 v and alpha = v^H u,
-    A_d^-1 v = u / (1 - gamma * alpha).  ``cov`` is A itself, Hermitian
-    positive definite (``gammas`` and ``b`` stacked alike); the (L, N)
-    columns are shared.  One batched inverse gives A^-1.  Where the columns'
-    ``kernel`` (:func:`pilot_kernel`) is their table, alpha and u^H B u are
-    the coordinates of A^-1 and A^-1 B A^-1 times the table, one (2, L^2) by
-    (L^2, N) product per matrix.  Otherwise one GEMM over the stack gives
-    U = A^-1 V for all columns, then alpha = Re v^H u and u^H B u =
-    Re u^H (B u): two complex O(L^2 N) products per matrix.
-
-    Raises
-    ------
-    SingularDowndate
-        If ``1 - gamma * v^H A^-1 v <= DOWNDATE_TOL`` for some column, i.e.
-        gamma is inconsistent with ``cov``.
+    ``x`` is one (L, L) matrix or a stack; the result is (..., N).  Where
+    the columns' ``kernel`` (:func:`pilot_kernel`) is their table, the forms
+    are the coordinates of X times the table, one (1, L^2) by (L^2, N)
+    product per matrix.  Otherwise one GEMM over the stack gives U = X V,
+    then Re v^H u column by column.
     """
-    l, n = cols.shape
-    inv = np.linalg.inv(cov)
     if is_table(kernel):
-        forms = np.stack([hermitian_coords(inv), hermitian_coords(inv @ b @ inv)], axis=-2)
-        alpha, ubu = np.moveaxis(forms @ kernel, -2, 0)
-    else:
-        u = (inv.reshape(-1, l) @ cols).reshape(inv.shape[:-1] + (n,))
-        alpha = np.real(np.vecdot(cols, u, axis=-2))
-        ubu = np.real(np.vecdot(u, b @ u, axis=-2))
-    denom = 1.0 - np.asarray(gammas) * alpha
-    bad = denom <= DOWNDATE_TOL
-    if np.any(bad):
-        k, at = _first(bad)
-        raise SingularDowndate(f"{at}1 - gamma * v^H A^-1 v = {denom[k]:.3e}")
-    return alpha / denom, ubu / denom**2
+        return (hermitian_coords(x)[..., None, :] @ kernel)[..., 0, :]
+    l, n = cols.shape
+    u = (x.reshape(-1, l) @ cols).reshape(x.shape[:-1] + (n,))
+    return np.real(np.vecdot(cols, u, axis=-2))

@@ -204,6 +204,11 @@ def deliver_round(
     failure-free runs are bit-identical with and without a plan.
     """
     src, dst = backhaul.src, backhaul.dst
+    if not len(src):
+        # Isolated APs (no_coop): nothing to mask, nothing to draw.
+        if ledger is not None:
+            ledger.record_round(rnd, attempted=0, delivered=0, scalars=0)
+        return np.zeros(0, dtype=bool)
     down = plan.aps_down(rnd, backhaul.num_aps)
     delivered = sent & ~down[src] & ~down[dst]
     for (i, j), r0, r1 in plan.link_failures:

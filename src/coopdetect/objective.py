@@ -23,10 +23,10 @@ import numpy as np
 
 from .linalg import (
     cholesky_factor,
-    downdate_quadforms_batch,
     is_table,
     logdet_from_factor,
     outer_sum,
+    quadforms,
     solve_from_factor,
 )
 
@@ -84,20 +84,20 @@ def ml_cost_given_factor(low, sample_cov):
 def ml_gradient(gamma, pilots, noise_power, sample_cov, cov=None, kernel=None) -> np.ndarray:
     """Coordinate gradient of :func:`ml_cost` at ``gamma``.
 
-    Entry n is  q1/(1 + gamma_n q1) - q2/(1 + gamma_n q1)^2  with (q1, q2)
-    the quadratic forms through the inverse of the covariance with device
-    n's own contribution removed; all N entries come from one inverse of
-    the covariance (O(L^2 N)), after a Cholesky factorization has checked
-    that it is positive definite.  ``cov`` may carry a precomputed model
-    covariance, and ``kernel`` the pilots' ``linalg.pilot_kernel``.
+    Entry n is  alpha_n - beta_n = Re a_n^H D a_n  with alpha_n = a_n^H Sigma^-1 a_n,
+    beta_n = a_n^H Sigma^-1 S Sigma^-1 a_n and D = Sigma^-1 - Sigma^-1 S Sigma^-1.
+    The downdate cancels: coordinate descent's q1/(1 + gamma_n q1) - q2/(1 + gamma_n q1)^2,
+    with q1, q2 the forms without device n, is the same alpha_n - beta_n.  One
+    inverse of the covariance and two (L, L) products give D, after a
+    Cholesky factorization has checked that the covariance is positive
+    definite.  ``cov`` may carry a precomputed model covariance, and
+    ``kernel`` the pilots' ``linalg.pilot_kernel``.
     """
-    gamma = np.asarray(gamma, dtype=float)
     if cov is None:
-        cov = assemble_covariance(pilots, gamma, noise_power)
+        cov = assemble_covariance(pilots, np.asarray(gamma, dtype=float), noise_power)
     cholesky_factor(cov)  # raises NotPositiveDefinite
-    q1, q2 = downdate_quadforms_batch(cov, pilots, gamma, sample_cov, kernel)
-    denom = 1.0 + gamma * q1
-    return q1 / denom - q2 / denom**2
+    inv = np.linalg.inv(cov)
+    return quadforms(inv - inv @ sample_cov @ inv, pilots, kernel)
 
 
 def row_norms(panel: np.ndarray) -> np.ndarray:

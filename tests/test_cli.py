@@ -114,7 +114,8 @@ class TestBadInput:
         assert expected in err
 
     @pytest.mark.parametrize("field, value", [("num_aps", "5"), ("snr_db", "10"),
-                                              ("master_seed", "x"), ("modes", "cmd")])
+                                              ("master_seed", "x"), ("modes", "cmd"),
+                                              ("sweep_values", [True])])
     def test_wrongly_typed_field(self, config_file, tmp_path, capsys, field, value):
         cfg = json.loads(open(config_file).read())
         cfg[field] = value

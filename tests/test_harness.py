@@ -146,6 +146,8 @@ class TestConfig:
         ("coop_degree", ("a",)), ("coop_degree", (None,)), ("coop_degree", (float("nan"),)),
         ("M", (4, float("inf"))), ("L", ("8",)), ("snr_db", (0.0, None)),
         ("coop_degree", (10**400,)), ("snr_db", (-10**400,)),
+        # true would run degree 1 (or 1 dB) under the label True.
+        ("coop_degree", (2, True)), ("snr_db", (True,)),
     ])
     def test_non_numeric_sweep_value_rejected(self, axis, values):
         with pytest.raises(InvalidConfig, match="sweep_values must be finite numbers"):

@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coopdetect.errors import DimensionMismatch, NotPositiveDefinite, SingularDowndate
+from coopdetect.errors import DimensionMismatch, NotPositiveDefinite
 from coopdetect.linalg import (
     GRAM_BYTES,
     cholesky_factor,
-    downdate_quadforms_batch,
     is_table,
     logdet_from_factor,
     outer_sum,
     pilot_gram,
     pilot_kernel,
+    quadforms,
     solve_from_factor,
 )
-from coopdetect.objective import assemble_covariance, update_covariance
+from coopdetect.objective import assemble_covariance, ml_gradient, update_covariance
 
 
 def logdet(a):
@@ -28,16 +28,22 @@ def solve(a, v):
     return solve_from_factor(cholesky_factor(a), v)
 
 
-def downdate_quadforms(a, gamma, v, b):
-    """The batch kernel on one column."""
-    q1, q2 = downdate_quadforms_batch(a, v[:, None], np.array([gamma]), b)
-    return q1[0], q2[0]
-
-
 def dense_quadforms(a, gamma, v, b):
     """Oracle: q1, q2 through the explicit inverse of the formed downdate."""
     inv = np.linalg.inv(a - gamma * np.outer(v, v.conj()))
     return np.real(v.conj() @ inv @ v), np.real(v.conj() @ inv @ b @ inv @ v)
+
+
+def downdated_gradient(a, gamma, v, b):
+    """Oracle: the coordinate-descent detector's gradient from the downdated forms."""
+    q1, q2 = dense_quadforms(a, gamma, v, b)
+    return q1 / (1.0 + gamma * q1) - q2 / (1.0 + gamma * q1) ** 2
+
+
+def gradient_matrix(a, b):
+    """A^-1 - A^-1 B A^-1, whose quadratic forms are the gradient."""
+    inv = np.linalg.inv(a)
+    return inv - inv @ b @ inv
 
 
 def random_hpd(rng, dim, extra=3):
@@ -138,23 +144,33 @@ class TestRank1Update:
 
 
 class TestDowndateQuadforms:
+    """The gradient against the downdated forms of the coordinate-descent detector.
+
+    q1/(1 + gamma q1) - q2/(1 + gamma q1)^2, with q1 and q2 taken through
+    the explicit inverse of the formed downdate, is alpha - beta for every
+    admissible gamma: the downdate cancels.
+    """
+
     def test_gamma_zero_reduces_to_plain_quadforms(self):
         rng = np.random.default_rng(6)
         a = random_hpd(rng, 5)
         b = random_psd(rng, 5)
         v = rng.normal(size=5) + 1j * rng.normal(size=5)
-        q1, q2 = downdate_quadforms(a, 0.0, v, b)
         ainv = np.linalg.inv(a)
-        assert q1 == pytest.approx(np.real(v.conj() @ ainv @ v), rel=1e-10)
-        assert q2 == pytest.approx(np.real(v.conj() @ ainv @ b @ ainv @ v), rel=1e-10)
+        alpha = np.real(v.conj() @ ainv @ v)
+        beta = np.real(v.conj() @ ainv @ b @ ainv @ v)
+        assert quadforms(ainv, v[:, None])[0] == pytest.approx(alpha, rel=1e-10)
+        assert quadforms(ainv @ b @ ainv, v[:, None])[0] == pytest.approx(beta, rel=1e-10)
+        grad = ml_gradient(np.zeros(1), v[:, None], None, b, cov=a)[0]
+        assert grad == pytest.approx(downdated_gradient(a, 0.0, v, b), rel=1e-10)
+        assert grad == pytest.approx(alpha - beta, rel=1e-10)
 
     def test_identity_unit_vector(self):
-        v = np.zeros(4, dtype=complex)
+        v = np.zeros((4, 1), dtype=complex)
         v[1] = 1.0
-        q1, q2 = downdate_quadforms(np.eye(4, dtype=complex), 0.0, v,
-                                    np.eye(4, dtype=complex))
-        assert q1 == pytest.approx(1.0)
-        assert q2 == pytest.approx(1.0)
+        eye = np.eye(4, dtype=complex)
+        assert quadforms(eye, v)[0] == pytest.approx(1.0)
+        assert ml_gradient(np.zeros(1), v, None, eye, cov=eye)[0] == pytest.approx(0.0)
 
     def test_matches_explicit_downdate_oracle(self):
         # gamma and v scaled so the downdate stays PD, as the caller guarantees.
@@ -165,50 +181,30 @@ class TestDowndateQuadforms:
             v = rng.normal(size=6) + 1j * rng.normal(size=6)
             gamma = 0.3
             v *= np.sqrt(0.5 / (gamma * np.real(v.conj() @ np.linalg.solve(a, v))))
-            q1, q2 = downdate_quadforms(a, gamma, v, b)
-            o1, o2 = dense_quadforms(a, gamma, v, b)
-            assert q1 == pytest.approx(o1, rel=1e-9)
-            assert q2 == pytest.approx(o2, rel=1e-9)
+            grad = ml_gradient(np.array([gamma]), v[:, None], None, b, cov=a)[0]
+            assert grad == pytest.approx(downdated_gradient(a, gamma, v, b), rel=1e-9)
 
     def test_nonnegative_outputs(self):
         rng = np.random.default_rng(8)
         a = random_hpd(rng, 5)
         b = random_psd(rng, 5)
-        v = rng.normal(size=5) + 1j * rng.normal(size=5)
-        q1, q2 = downdate_quadforms(a, 0.1, v, b)
-        assert q1 >= 0.0 and q2 >= 0.0
-
-    def test_singular_downdate_raises(self):
-        v = np.zeros(3, dtype=complex)
-        v[0] = 1.0
-        with pytest.raises(SingularDowndate):
-            downdate_quadforms(np.eye(3, dtype=complex), 1.0, v, np.eye(3, dtype=complex))
+        cols = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
+        for x in (np.linalg.inv(a), b):
+            for kernel in (None, pilot_gram(cols)):
+                assert np.all(quadforms(x, cols, kernel) >= 0.0)
 
     def test_batch_matches_scalar(self):
-        # Every column of every stacked matrix against the dense inverse.
-        rng = np.random.default_rng(9)
+        # Every column of every stacked matrix, on both paths, against the
+        # downdated forms through the dense inverse.
         aps, l, n = 3, 6, 8
-        a = np.stack([random_hpd(rng, l) for _ in range(aps)])
-        b = np.stack([random_psd(rng, l) for _ in range(aps)])
-        cols = rng.normal(size=(l, n)) + 1j * rng.normal(size=(l, n))
-        gammas = rng.uniform(0.0, 0.2, size=(aps, n))
-        for i in range(aps):  # keep every downdate admissible
-            for k in range(n):
-                quad = np.real(cols[:, k].conj() @ np.linalg.solve(a[i], cols[:, k]))
-                gammas[i, k] = min(gammas[i, k], 0.5 / quad)
-        q1s, q2s = downdate_quadforms_batch(a, cols, gammas, b)
-        assert q1s.shape == q2s.shape == (aps, n)
-        for i in range(aps):
-            for k in range(n):
-                o1, o2 = dense_quadforms(a[i], gammas[i, k], cols[:, k], b[i])
-                assert q1s[i, k] == pytest.approx(o1, rel=1e-9)
-                assert q2s[i, k] == pytest.approx(o2, rel=1e-9)
-
-    def test_stack_names_the_singular_downdate(self):
-        a = np.stack([np.eye(3, dtype=complex)] * 2)
-        gammas = np.array([[0.5, 0.5], [0.5, 1.0]])
-        with pytest.raises(SingularDowndate, match=r"at \(1, 1\)"):
-            downdate_quadforms_batch(a, np.eye(3, 2, dtype=complex), gammas, a)
+        a, b, cols, gammas, _ = gram_case(9, aps, l, n)
+        for kernel in (None, pilot_gram(cols)):
+            grads = ml_gradient(gammas, cols, None, b, cov=a, kernel=kernel)
+            assert grads.shape == (aps, n)
+            for i in range(aps):
+                for k in range(n):
+                    want = downdated_gradient(a[i], gammas[i, k], cols[:, k], b[i])
+                    assert grads[i, k] == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 class TestIdentities:
@@ -242,11 +238,15 @@ class TestIdentities:
         b = random_psd(rng, 6)
         v = rng.normal(size=6) + 1j * rng.normal(size=6)
         gamma = 0.4
+        # The gradient at A + gamma v v^H is the downdated expression of
+        # the plain forms at A.
         updated = a + gamma * np.outer(v, v.conj())
-        q1, q2 = downdate_quadforms(updated, gamma, v, b)
         ainv = np.linalg.inv(a)
-        assert q1 == pytest.approx(np.real(v.conj() @ ainv @ v), rel=1e-9)
-        assert q2 == pytest.approx(np.real(v.conj() @ ainv @ b @ ainv @ v), rel=1e-9)
+        q1 = np.real(v.conj() @ ainv @ v)
+        q2 = np.real(v.conj() @ ainv @ b @ ainv @ v)
+        grad = ml_gradient(np.array([gamma]), v[:, None], None, b, cov=updated)[0]
+        assert grad == pytest.approx(q1 / (1 + gamma * q1) - q2 / (1 + gamma * q1) ** 2,
+                                     rel=1e-9)
 
 
 def gram_case(seed, aps, l, n):
@@ -267,27 +267,31 @@ cases = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 9
 class TestPilotGram:
     @given(cases)
     def test_matches_complex_path_and_dense_oracle(self, case):
-        a, b, cols, gammas, _ = gram_case(*case)
-        q1, q2 = downdate_quadforms_batch(a, cols, gammas, b, pilot_gram(cols))
-        c1, c2 = downdate_quadforms_batch(a, cols, gammas, b)
-        for got, want in ((q1, c1), (q2, c2)):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        a, b, cols, _, _ = gram_case(*case)
+        x = gradient_matrix(a, b)
+        got, want = quadforms(x, cols, pilot_gram(cols)), quadforms(x, cols)
+        scale = 0.0
         for i in range(len(a)):
+            inv = np.linalg.inv(a[i])
             for k in range(cols.shape[1]):
-                o1, o2 = dense_quadforms(a[i], gammas[i, k], cols[:, k], b[i])
-                assert q1[i, k] == pytest.approx(o1, rel=1e-12, abs=1e-12 * np.abs(c1).max())
-                assert q2[i, k] == pytest.approx(o2, rel=1e-12, abs=1e-12 * np.abs(c2).max())
+                v = cols[:, k]
+                alpha = np.real(v.conj() @ inv @ v)
+                beta = np.real(v.conj() @ inv @ b[i] @ inv @ v)
+                scale = max(scale, alpha + beta)
+                for path in (got, want):
+                    assert path[i, k] == pytest.approx(alpha - beta, rel=1e-12,
+                                                       abs=1e-12 * (alpha + beta))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
     @given(cases)
     def test_each_row_is_its_one_matrix_call_bitwise(self, case):
-        a, b, cols, gammas, delta = gram_case(*case)
+        a, b, cols, _, delta = gram_case(*case)
         gram = pilot_gram(cols)
-        q1, q2 = downdate_quadforms_batch(a, cols, gammas, b, gram)
+        x = gradient_matrix(a, b)
+        forms = quadforms(x, cols, gram)
         sigma = update_covariance(a, cols, delta, gram)
         for i in range(len(a)):
-            one = downdate_quadforms_batch(a[i], cols, gammas[i], b[i], gram)
-            np.testing.assert_array_equal(one[0], q1[i])
-            np.testing.assert_array_equal(one[1], q2[i])
+            np.testing.assert_array_equal(quadforms(x[i], cols, gram), forms[i])
             np.testing.assert_array_equal(update_covariance(a[i], cols, delta[i], gram),
                                           sigma[i])
 

@@ -114,6 +114,27 @@ class TestDelivery:
             assert pairs(mask) == set(reference_loop.deliver_round(
                 messages, plan, rnd, rng2, NEIGHBORS))
 
+    def test_edgeless_backhaul_builds_no_crash_mask(self, monkeypatch):
+        # Isolated APs have nothing to deliver, whatever the plan: every
+        # round is recorded empty, and no mask is built and nothing drawn.
+        def no_mask(*args):
+            raise AssertionError("FailurePlan.aps_down called")
+
+        monkeypatch.setattr(FailurePlan, "aps_down", no_mask)
+        edges = Backhaul.from_neighbors(((), (), ()))
+        plan = FailurePlan(ap_failures=((1, 1),), link_failures=(), drop_prob=0.5)
+        rng = np.random.default_rng(10)
+        state = rng.bit_generator.state
+        ledger = CommLedger()
+        for rnd in (1, 2):
+            out = deliver_round(np.zeros(0, dtype=bool), plan, rnd, rng, edges, ledger, 7)
+            assert out.dtype == bool and out.shape == (0,)
+        assert rng.bit_generator.state == state
+        assert ledger.rounds == [{"round": r, "attempted": 0, "delivered": 0, "dropped": 0,
+                                  "scalars_delivered": 0} for r in (1, 2)]
+        assert ledger.sent.size == ledger.received.size == 0
+        assert ledger.to_dict()["sent_by_ap"] == ledger.to_dict()["received_by_ap"] == {}
+
 
 class TestFailurePlan:
     def test_validation_rejects_bad_ap(self):
