@@ -41,12 +41,12 @@ print(f"AER {report.aer:.3f} (degrades by {report.aer - clean_report.aer:+.3f})"
 print(f"messages attempted {led.total_messages + led.total_dropped}, "
       f"delivered {led.total_messages}, dropped {led.total_dropped}")
 
-frozen = faulty.states[2]
-print(f"\nAP 2 stopped at round {frozen.t} (crashed at 150); "
+print(f"\nAP 2 stopped at round {faulty.t[2]} (crashed at 150); "
       f"its last estimate stayed usable by neighbors:")
-for st in faulty.states:
-    if 2 in st.neighbors:
-        same = np.array_equal(st.last_received[2], frozen.gamma)
-        print(f"  AP {st.ap_id} holds AP 2's final estimate: {same}")
+from_2 = faulty.edges.src == 2
+for ap, copy in zip(faulty.edges.dst[from_2], faulty.received[from_2]):
+    same = np.array_equal(copy, faulty.gamma[2])
+    print(f"  AP {ap} holds AP 2's final estimate: {same}"
+          + ("" if same else " (AP 2's last message to it was lost; it keeps an earlier one)"))
 print("\nper-round conservation: attempted == delivered + dropped on every round:",
       all(r["attempted"] == r["delivered"] + r["dropped"] for r in led.rounds))

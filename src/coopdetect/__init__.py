@@ -33,13 +33,12 @@ from .scenario import (
     snr_to_noise,
     synthesize,
 )
-from .solver import ApSolverState, IterationTrace, RunResult, SolverOptions, run, run_batch
+from .solver import IterationTrace, RunResult, SolverOptions, run, run_batch
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ApObservation",
-    "ApSolverState",
     "CommLedger",
     "ConfigMismatch",
     "CoopDetectError",

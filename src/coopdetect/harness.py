@@ -361,7 +361,7 @@ def _solve_batch(cfg: ExperimentConfig, sweep_index: int, sweep_value, keys) -> 
     Each trial is built and synthesized once; all trials x modes go through
     one ``solver.run_batch``.  Returns, per key, the trial's seed, its
     scenario and ``{mode: (gamma, row counts)}``: what scoring needs, so that
-    traces and states are not kept or sent back from a worker.
+    traces and per-AP arrays are not kept or sent back from a worker.
     """
     plan = FailurePlan.from_dict(cfg.failure_plan) if cfg.failure_plan else None
     trials, problems = [], []
@@ -384,7 +384,7 @@ def _outcome(result: solver.RunResult) -> tuple[np.ndarray, dict]:
         "messages_dropped": result.ledger.total_dropped,
         "scalars_delivered": result.ledger.total_scalars,
         "rounds": result.rounds_completed,
-        "clamped": int(sum(s.clamp_count for s in result.states)),
+        "clamped": int(result.clamped.sum()),
     }
 
 

@@ -36,16 +36,6 @@ class DetectionReport:
     threshold: float                # iota * noise_power actually applied
     assigned_ap: np.ndarray         # (N,) AP index the decision was read from
 
-    def to_dict(self) -> dict:
-        return {
-            "missed_detection_prob": self.missed_detection_prob,
-            "false_alarm_prob": self.false_alarm_prob,
-            "aer": self.aer,
-            "aer_pooled": self.aer_pooled,
-            "iota": self.iota,
-            "threshold": self.threshold,
-        }
-
 
 def assign_aps(gamma_est: np.ndarray, scenario: Scenario, b0_mode: str = "nearest") -> np.ndarray:
     """Pick the AP whose estimate decides each device."""
@@ -96,10 +86,9 @@ def aer(decisions: np.ndarray, truth: np.ndarray) -> tuple[float, float, float]:
 
 
 def evaluate(gamma_est: np.ndarray, scenario: Scenario, iota: float,
-             b0_mode: str = "nearest", noise_power: float | None = None) -> DetectionReport:
+             b0_mode: str = "nearest") -> DetectionReport:
     """Threshold, score against ground truth, and assemble a report."""
-    sigma2 = scenario.noise_power if noise_power is None else noise_power
-    decisions, assigned = detect(gamma_est, scenario, sigma2, iota, b0_mode)
+    decisions, assigned = detect(gamma_est, scenario, scenario.noise_power, iota, b0_mode)
     missed, false_alarm, combined = (float(r) for r in aer(decisions, scenario.activity))
     errors = int(np.sum(decisions != scenario.activity))
     return DetectionReport(
@@ -109,7 +98,7 @@ def evaluate(gamma_est: np.ndarray, scenario: Scenario, iota: float,
         aer=combined,
         aer_pooled=errors / scenario.num_devices,
         iota=iota,
-        threshold=iota * sigma2,
+        threshold=iota * scenario.noise_power,
         assigned_ap=assigned,
     )
 

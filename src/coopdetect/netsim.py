@@ -186,7 +186,7 @@ class CommLedger:
 
 
 def deliver_round(
-    sent: np.ndarray,
+    up: np.ndarray,
     plan: FailurePlan,
     rnd: int,
     rng: np.random.Generator,
@@ -194,14 +194,17 @@ def deliver_round(
     ledger: CommLedger | None = None,
     payload_size: int = 1,
 ) -> np.ndarray:
-    """Deliver one round of messages, applying the failure plan.
+    """Deliver one round of messages, applying the plan's link windows and drops.
 
-    ``sent`` masks the edges of ``backhaul`` that carry a message (of
-    ``payload_size`` scalars) this round; the result masks the delivered
-    ones.  Drops happen for crashed endpoints, failed links, and with
-    ``drop_prob`` otherwise, one draw per surviving message in (src, dst)
-    order.  The random stream is only consumed when drop_prob > 0, so
-    failure-free runs are bit-identical with and without a plan.
+    ``up`` masks the APs of ``backhaul`` that are live this round.  The
+    caller reads it from the plan's crash schedule (the solver from its
+    round plan), so the plan contributes only link windows and drops here.
+    Every live AP sends a message of ``payload_size`` scalars over each of
+    its edges; the result masks the delivered ones.  A message to a down AP
+    or over a failed link is lost, and each other one is dropped with
+    ``drop_prob``, one draw per surviving message in (src, dst) order.  The
+    random stream is only consumed when drop_prob > 0, so failure-free runs
+    are bit-identical with and without a plan.
     """
     src, dst = backhaul.src, backhaul.dst
     if not len(src):
@@ -209,8 +212,8 @@ def deliver_round(
         if ledger is not None:
             ledger.record_round(rnd, attempted=0, delivered=0, scalars=0)
         return np.zeros(0, dtype=bool)
-    down = plan.aps_down(rnd, backhaul.num_aps)
-    delivered = sent & ~down[src] & ~down[dst]
+    sent = up[src]
+    delivered = sent & up[dst]
     for (i, j), r0, r1 in plan.link_failures:
         if r0 <= rnd <= r1:
             delivered &= ~(((src == i) & (dst == j)) | ((src == j) & (dst == i)))

@@ -81,8 +81,8 @@ def ml_cost_given_factor(low, sample_cov):
     return logdet_from_factor(low) + fit
 
 
-def ml_gradient(gamma, pilots, noise_power, sample_cov, cov=None, kernel=None) -> np.ndarray:
-    """Coordinate gradient of :func:`ml_cost` at ``gamma``.
+def ml_gradient(sigma, sample_cov, pilots, kernel=None) -> np.ndarray:
+    """Coordinate gradient of :func:`ml_cost` at the model covariance ``sigma``.
 
     Entry n is  alpha_n - beta_n = Re a_n^H D a_n  with alpha_n = a_n^H Sigma^-1 a_n,
     beta_n = a_n^H Sigma^-1 S Sigma^-1 a_n and D = Sigma^-1 - Sigma^-1 S Sigma^-1.
@@ -90,13 +90,10 @@ def ml_gradient(gamma, pilots, noise_power, sample_cov, cov=None, kernel=None) -
     with q1, q2 the forms without device n, is the same alpha_n - beta_n.  One
     inverse of the covariance and two (L, L) products give D, after a
     Cholesky factorization has checked that the covariance is positive
-    definite.  ``cov`` may carry a precomputed model covariance, and
-    ``kernel`` the pilots' ``linalg.pilot_kernel``.
+    definite.  ``kernel`` is the pilots' ``linalg.pilot_kernel``.
     """
-    if cov is None:
-        cov = assemble_covariance(pilots, np.asarray(gamma, dtype=float), noise_power)
-    cholesky_factor(cov)  # raises NotPositiveDefinite
-    inv = np.linalg.inv(cov)
+    cholesky_factor(sigma)  # raises NotPositiveDefinite
+    inv = np.linalg.inv(sigma)
     return quadforms(inv - inv @ sample_cov @ inv, pilots, kernel)
 
 

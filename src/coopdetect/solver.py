@@ -26,13 +26,18 @@ A round reads what depends only on which APs are live from a round plan
 (``_RoundPlan``): the live rows and each AP's position among them, the edges
 into live APs with their receivers' positions and panel slots, each live
 AP's own column (its in-degree), the live rows of the selection CDFs, each
-problem's first live position and its masks of live APs and of edges that
-carry a message, and the gradient and covariance-update calls.  The live
-set changes only when a failure plan crashes an AP, in a round known before
-the solve, or when a problem stops early, so the plan is built in round 1
-and again only in a crash round and in the round after an early stop; the
-in-degrees and first edges, which never change, are kept on the batch.
-The plan lives in one solve and is dropped with it.
+problem's first live position and its mask of live APs, which is also what
+``netsim.deliver_round`` delivers from, and the gradient and
+covariance-update calls.  So only the round plan reads the crash schedule.
+The live set changes only when a failure plan crashes an AP, in a round
+known before the solve, or when a problem stops early, so the plan is built
+in round 1 and again only in a crash round and in the round after an early
+stop; the in-degrees and first edges, which never change, are kept on the
+batch.  The plan lives in one solve and is dropped with it.
+
+A problem's :class:`RunResult` is its slices of the batch: its rows of the
+per-AP and edge-indexed arrays, as views, and its own ``Backhaul``, which
+maps each of its edges to (src, dst).  Only ``gamma`` is copied.
 
 Random streams do not depend on the batching.  AP i of a problem pre-draws
 its selection uniforms as ``rng.random(num_iters)`` from
@@ -105,23 +110,6 @@ class SolverOptions:
 
 
 @dataclass
-class ApSolverState:
-    """One AP's final iterates; :attr:`RunResult.states` holds one per AP."""
-
-    ap_id: int
-    neighbors: tuple[int, ...]        # one-hop neighbors, self excluded
-    gamma: np.ndarray                 # (N,) current device state estimate
-    sigma: np.ndarray                 # (L, L) maintained model covariance
-    x_agg: np.ndarray                 # (N,) combined subgradient estimator
-    x_local: dict                     # neighbor id -> (N,) estimator (self stays 0)
-    last_received: dict               # neighbor id -> (N,) their last estimate
-    t: int = 0
-    clamp_count: int = 0
-    degenerate_count: int = 0
-    last_delta: float = float("inf")  # inf-norm of the latest estimate change
-
-
-@dataclass
 class IterationTrace:
     """Append-only per-round records of arrays over the APs live in that round."""
 
@@ -134,13 +122,26 @@ class IterationTrace:
 
 @dataclass
 class RunResult:
-    """Final estimates plus everything needed to audit the run."""
+    """Final estimates plus everything needed to audit the run.
+
+    Per-AP arrays have a row per AP id, edge-indexed ones a row per edge e
+    of ``edges``, which carries ``edges.src[e]``'s estimate to
+    ``edges.dst[e]``.  All but ``gamma`` are views of the batch's arrays.
+    """
 
     gamma: np.ndarray                 # (B, N) final estimates, row per AP
     trace: IterationTrace
     ledger: netsim.CommLedger
-    states: list
     rounds_completed: int
+    edges: netsim.Backhaul            # the problem's directed edges
+    sigma: np.ndarray                 # (B, L, L) maintained model covariances
+    x_agg: np.ndarray                 # (B, N) combined subgradient estimators
+    t: np.ndarray                     # (B,) rounds computed
+    clamped: np.ndarray               # (B,) entries clamped to zero
+    degenerate: np.ndarray            # (B,) zero-weight similarity steps
+    delta: np.ndarray                 # (B,) inf-norm of the last estimate change
+    x_local: np.ndarray               # (E, N) receiver's estimator per neighbor
+    received: np.ndarray              # (E, N) last estimate over each edge
 
 
 @dataclass
@@ -194,24 +195,6 @@ class _Batch:
                    np.zeros((e, n)), np.zeros(b, dtype=int), np.zeros(b, dtype=int),
                    np.zeros(b, dtype=int), np.full(b, np.inf))
 
-    def states(self, neighbors, ap0: int = 0, link0: int = 0) -> list[ApSolverState]:
-        """Per-AP views of the rows of the APs from ``ap0`` and their edges from ``link0``."""
-        out, first = [], link0
-        for i, nbrs in enumerate(neighbors):
-            own = range(first, first + len(nbrs))
-            first += len(nbrs)
-            k = ap0 + i
-            out.append(ApSolverState(
-                ap_id=i, neighbors=tuple(nbrs), gamma=self.gamma[k], sigma=self.sigma[k],
-                x_agg=self.x_agg[k],
-                x_local={**{j: self.x_local[e] for j, e in zip(nbrs, own)},
-                         i: np.zeros_like(self.gamma[k])},
-                last_received={j: self.received[e] for j, e in zip(nbrs, own)},
-                t=int(self.t[k]), clamp_count=int(self.clamped[k]),
-                degenerate_count=int(self.degenerate[k]), last_delta=float(self.delta[k]),
-            ))
-        return out
-
 
 @dataclass
 class _Solve:
@@ -243,7 +226,6 @@ class _RoundPlan:
     cdfs: np.ndarray                  # (c, max degree + 1) the live APs' selection CDFs
     bounds: np.ndarray                # the problems' first positions in ``live``, then c
     mine: list                        # per problem, the mask of its live APs
-    sent: list                        # per problem, the mask of its edges that carry a message
     calls: list                       # (problem, live positions, rows) per kernel call
 
 
@@ -284,18 +266,26 @@ def _retain_freed_memory() -> None:
     mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
 
 
-def verify_state(state: ApSolverState, scenario: Scenario, rtol: float = 1e-8) -> float:
-    """Relative Frobenius gap between maintained and reassembled covariance.
+def verify_state(sigma: np.ndarray, gamma: np.ndarray, scenario: Scenario,
+                 live: np.ndarray | None = None, rtol: float = 1e-8) -> np.ndarray:
+    """Relative Frobenius gaps between maintained and reassembled covariances.
 
-    Raises StateConsistencyError when the gap exceeds ``rtol``.
+    ``sigma`` (B, L, L) and ``gamma`` (B, N) are a problem's APs; ``live``
+    masks the ones to check (all by default).  Returns their gaps, and
+    raises StateConsistencyError naming the first AP whose gap exceeds
+    ``rtol`` or is not a number.
     """
-    fresh = assemble_covariance(scenario.pilots, state.gamma, scenario.noise_power)
-    gap = float(np.linalg.norm(state.sigma - fresh) / np.linalg.norm(fresh))
-    if gap > rtol:
+    aps = np.arange(len(gamma)) if live is None else np.flatnonzero(live)
+    fresh = assemble_covariance(scenario.pilots, gamma[aps], scenario.noise_power)
+    gaps = (np.linalg.norm(sigma[aps] - fresh, axis=(-2, -1))
+            / np.linalg.norm(fresh, axis=(-2, -1)))
+    drifted = np.flatnonzero(~(gaps <= rtol))
+    if drifted.size:
+        k = drifted[0]
         raise StateConsistencyError(
-            f"AP {state.ap_id}: maintained covariance drifted (relative gap {gap:.3e})"
+            f"AP {aps[k]}: maintained covariance drifted (relative gap {gaps[k]:.3e})"
         )
-    return gap
+    return gaps
 
 
 def _kernel_calls(live: np.ndarray, solves: list[_Solve], bounds: np.ndarray, l: int,
@@ -342,7 +332,6 @@ def _round_plan(st: _Batch, solves: list[_Solve], t: int) -> _RoundPlan:
     bounds = np.searchsorted(live, [s.aps.start for s in solves] + [b])
     return _RoundPlan(live, row, ein, row[dst[ein]], slot[ein], st.degree[live], st.cdfs[live],
                       bounds, [is_live[s.aps] for s in solves],
-                      [is_live[st.edges.src[s.links]] for s in solves],
                       _kernel_calls(live, solves, bounds, st.sigma.shape[-1], st.gamma.shape[1]))
 
 
@@ -363,8 +352,7 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, solves: list[_Solve], covs: np
     g_old = st.gamma[live]
     grad = np.empty_like(g_old)
     for s, sl, rows in rplan.calls:
-        grad[sl] = ml_gradient(g_old[sl], s.scenario.pilots, None, covs[rows],
-                               cov=st.sigma[rows], kernel=s.kernel)
+        grad[sl] = ml_gradient(st.sigma[rows], covs[rows], s.scenario.pilots, s.kernel)
     # The weights come before the panel, so that their temporaries and the
     # panel are never held at once.
     w = combiner_weights(g_old, st.received[ein], hyper.rho, receivers=erow)
@@ -533,18 +521,16 @@ def run_batch(problems: list[Problem], hyper: Hyperparams,
         if rplan.live.size:
             outgoing = _round(st, rplan, t, solves, covs, hyper, options)
         stopped = False
-        for s, sent, mine in zip(solves, rplan.sent, rplan.mine):
+        for s, mine in zip(solves, rplan.mine):
             if not s.running:
                 continue
-            delivered = netsim.deliver_round(sent, s.plan, t, s.rng, s.edges, s.ledger, n)
+            delivered = netsim.deliver_round(mine, s.plan, t, s.rng, s.edges, s.ledger, n)
             if delivered.any():
                 k = s.links.start + np.flatnonzero(delivered)
                 st.received[k] = outgoing[rplan.row[st.edges.src[k]]]
             s.rounds_completed = t
             if options.check_state_every and t % options.check_state_every == 0:
-                for state in st.states(s.scenario.neighbors, s.aps.start, s.links.start):
-                    if mine[state.ap_id]:
-                        verify_state(state, s.scenario)
+                verify_state(st.sigma[s.aps], st.gamma[s.aps], s.scenario, mine)
             if (options.early_stop_tol is not None and mine.any()
                     and st.delta[s.aps][mine].max() < options.early_stop_tol):
                 s.running, stopped = False, True
@@ -554,5 +540,8 @@ def run_batch(problems: list[Problem], hyper: Hyperparams,
             break
 
     return [RunResult(gamma=st.gamma[s.aps].copy(), trace=s.trace, ledger=s.ledger,
-                      states=st.states(s.scenario.neighbors, s.aps.start, s.links.start),
-                      rounds_completed=s.rounds_completed) for s in solves]
+                      rounds_completed=s.rounds_completed, edges=s.edges,
+                      sigma=st.sigma[s.aps], x_agg=st.x_agg[s.aps], t=st.t[s.aps],
+                      clamped=st.clamped[s.aps], degenerate=st.degenerate[s.aps],
+                      delta=st.delta[s.aps], x_local=st.x_local[s.links],
+                      received=st.received[s.links]) for s in solves]

@@ -8,11 +8,13 @@ original: neighbor selection is always uniform (the package has no other
 selection distribution), the failure-plan checks ``ap_down`` and
 ``link_down`` are local helpers, and the per-AP scratch fields the batched
 solver does not report (``rng``, ``z`` and the last selection, weights and
-cost) live on ``LoopState``.  Where the scenario's pilots have a table
-(``pilot_gram``), the gradient and the covariance update are the package's
-own functions called per AP with it, so that a solve is bitwise the loop.
-Past the table's byte budget the loop runs the complex path, with its own
-covariance update, so the table path can also be checked against it.
+cost) live on ``LoopState``.  ``run`` stacks the states into the batched
+solver's ``RunResult`` arrays, so results compare array by array.  Where
+the scenario's pilots have a table (``pilot_gram``), the gradient and the
+covariance update are the package's own functions called per AP with it,
+so that a solve is bitwise the loop.  Past the table's byte budget the loop
+runs the complex path, with its own covariance update, so the table path
+can also be checked against it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from coopdetect.scenario import ApObservation, Scenario
 from coopdetect.solver import (
     _NETSIM_SALT,
     _SELECTION_SALT,
-    ApSolverState,
     RunResult,
     SolverOptions,
     verify_state,
@@ -51,9 +52,20 @@ from coopdetect.solver import (
 
 
 @dataclass
-class LoopState(ApSolverState):
+class LoopState:
     """An AP's state in the loop, with its own selection stream."""
 
+    ap_id: int
+    neighbors: tuple[int, ...]        # one-hop neighbors, self excluded
+    gamma: np.ndarray                 # (N,) current device state estimate
+    sigma: np.ndarray                 # (L, L) maintained model covariance
+    x_agg: np.ndarray                 # (N,) combined subgradient estimator
+    x_local: dict                     # neighbor id -> (N,) estimator (self stays 0)
+    last_received: dict               # neighbor id -> (N,) their last estimate
+    t: int = 0
+    clamp_count: int = 0
+    degenerate_count: int = 0
+    last_delta: float = float("inf")  # inf-norm of the latest estimate change
     rng: np.random.Generator | None = None
     z: np.ndarray | None = None
     last_selected: int = -1
@@ -175,7 +187,7 @@ def ap_iteration(
     options = options or SolverOptions()
     gram = pilot_gram(pilots)
     gamma_old = state.gamma
-    grad = ml_gradient(gamma_old, pilots, None, sample_cov, cov=state.sigma, kernel=gram)
+    grad = ml_gradient(state.sigma, sample_cov, pilots, gram)
 
     order = state.inclusive_order
     nbr_mat = (
@@ -293,14 +305,24 @@ def run(
             states[dst].last_received[src] = payload
         rounds_completed = t
         if options.check_state_every and t % options.check_state_every == 0:
-            for state in states:
-                if not ap_down(plan, state.ap_id, t):
-                    verify_state(state, scenario)
+            verify_state(np.stack([s.sigma for s in states]), np.stack([s.gamma for s in states]),
+                         scenario, [not ap_down(plan, s.ap_id, t) for s in states])
         if options.early_stop_tol is not None:
             live = [s for s in states if not ap_down(plan, s.ap_id, t)]
             if live and max(s.last_delta for s in live) < options.early_stop_tol:
                 break
 
-    gamma = np.stack([s.gamma for s in states])
-    return RunResult(gamma=gamma, trace=trace, ledger=ledger, states=states,
-                     rounds_completed=rounds_completed)
+    edges = netsim.Backhaul.from_neighbors(scenario.neighbors)
+
+    def per_edge(field: str) -> np.ndarray:
+        rows = [getattr(states[dst], field)[src] for src, dst in zip(edges.src, edges.dst)]
+        return np.array(rows).reshape(len(rows), scenario.num_devices)
+
+    return RunResult(
+        gamma=np.stack([s.gamma for s in states]), trace=trace, ledger=ledger,
+        rounds_completed=rounds_completed, edges=edges,
+        sigma=np.stack([s.sigma for s in states]), x_agg=np.stack([s.x_agg for s in states]),
+        t=np.array([s.t for s in states]), clamped=np.array([s.clamp_count for s in states]),
+        degenerate=np.array([s.degenerate_count for s in states]),
+        delta=np.array([s.last_delta for s in states]),
+        x_local=per_edge("x_local"), received=per_edge("last_received"))

@@ -1,16 +1,23 @@
-"""The demo scripts parse and import only names the package has.
+"""The demo scripts import only names the package has, and the fast ones run.
 
 Nothing else runs the demos, so a removed or renamed name would otherwise
-break them unseen.  The demos are parsed, not run.
+break them unseen.  Every demo is parsed for its imports.  Demos 01, 02 and
+04 (about a second each) are also run to exit 0; demos 03 (about 5 s) and 05
+(about 85 s) are too slow for the suite and are only parsed.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+FAST_DEMOS = [p for p in DEMOS if p.name[:3] in ("01_", "02_", "04_")]
 
 
 def package_imports(tree):
@@ -27,6 +34,7 @@ def package_imports(tree):
 
 def test_demos_exist():
     assert DEMOS
+    assert len(FAST_DEMOS) == 3
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
@@ -37,3 +45,13 @@ def test_demo_imports_exist(path):
     for module, name in imports:
         mod = importlib.import_module(module)
         assert name is None or hasattr(mod, name), f"{path.name}: {module} has no {name}"
+
+
+@pytest.mark.parametrize("path", FAST_DEMOS, ids=lambda p: p.name)
+def test_fast_demo_runs(path):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(path)], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, f"{path.name} exited {done.returncode}:\n{done.stderr}"

@@ -335,7 +335,7 @@ class TestRunExperiment:
                         "messages_dropped": res.ledger.total_dropped,
                         "scalars_delivered": res.ledger.total_scalars,
                         "rounds": res.rounds_completed,
-                        "clamped": int(sum(s.clamp_count for s in res.states))})
+                        "clamped": int(res.clamped.sum())})
         art = run_experiment(cfg)
         assert art.rows == rows
         assert any(r["messages_dropped"] for r in rows)

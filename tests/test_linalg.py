@@ -161,7 +161,7 @@ class TestDowndateQuadforms:
         beta = np.real(v.conj() @ ainv @ b @ ainv @ v)
         assert quadforms(ainv, v[:, None])[0] == pytest.approx(alpha, rel=1e-10)
         assert quadforms(ainv @ b @ ainv, v[:, None])[0] == pytest.approx(beta, rel=1e-10)
-        grad = ml_gradient(np.zeros(1), v[:, None], None, b, cov=a)[0]
+        grad = ml_gradient(a, b, v[:, None])[0]
         assert grad == pytest.approx(downdated_gradient(a, 0.0, v, b), rel=1e-10)
         assert grad == pytest.approx(alpha - beta, rel=1e-10)
 
@@ -170,7 +170,7 @@ class TestDowndateQuadforms:
         v[1] = 1.0
         eye = np.eye(4, dtype=complex)
         assert quadforms(eye, v)[0] == pytest.approx(1.0)
-        assert ml_gradient(np.zeros(1), v, None, eye, cov=eye)[0] == pytest.approx(0.0)
+        assert ml_gradient(eye, eye, v)[0] == pytest.approx(0.0)
 
     def test_matches_explicit_downdate_oracle(self):
         # gamma and v scaled so the downdate stays PD, as the caller guarantees.
@@ -181,7 +181,7 @@ class TestDowndateQuadforms:
             v = rng.normal(size=6) + 1j * rng.normal(size=6)
             gamma = 0.3
             v *= np.sqrt(0.5 / (gamma * np.real(v.conj() @ np.linalg.solve(a, v))))
-            grad = ml_gradient(np.array([gamma]), v[:, None], None, b, cov=a)[0]
+            grad = ml_gradient(a, b, v[:, None])[0]
             assert grad == pytest.approx(downdated_gradient(a, gamma, v, b), rel=1e-9)
 
     def test_nonnegative_outputs(self):
@@ -199,7 +199,7 @@ class TestDowndateQuadforms:
         aps, l, n = 3, 6, 8
         a, b, cols, gammas, _ = gram_case(9, aps, l, n)
         for kernel in (None, pilot_gram(cols)):
-            grads = ml_gradient(gammas, cols, None, b, cov=a, kernel=kernel)
+            grads = ml_gradient(a, b, cols, kernel)
             assert grads.shape == (aps, n)
             for i in range(aps):
                 for k in range(n):
@@ -244,7 +244,7 @@ class TestIdentities:
         ainv = np.linalg.inv(a)
         q1 = np.real(v.conj() @ ainv @ v)
         q2 = np.real(v.conj() @ ainv @ b @ ainv @ v)
-        grad = ml_gradient(np.array([gamma]), v[:, None], None, b, cov=updated)[0]
+        grad = ml_gradient(updated, b, v[:, None])[0]
         assert grad == pytest.approx(q1 / (1 + gamma * q1) - q2 / (1 + gamma * q1) ** 2,
                                      rel=1e-9)
 

@@ -12,8 +12,8 @@ NEIGHBORS = ((1, 2), (0, 2), (0, 1))  # triangle
 EDGES = Backhaul.from_neighbors(NEIGHBORS)
 
 
-def all_sent():
-    return np.ones(len(EDGES.src), dtype=bool)
+def all_up():
+    return np.ones(EDGES.num_aps, dtype=bool)
 
 
 def pairs(mask):
@@ -36,15 +36,15 @@ class TestDelivery:
     def test_no_failures_is_identity(self):
         rng = np.random.default_rng(0)
         ledger = CommLedger()
-        out = deliver_round(all_sent(), FailurePlan(), 1, rng, EDGES, ledger)
-        np.testing.assert_array_equal(out, all_sent())
+        out = deliver_round(all_up(), FailurePlan(), 1, rng, EDGES, ledger)
+        np.testing.assert_array_equal(out, np.ones(len(EDGES.src), dtype=bool))
         assert ledger.sent_by_ap == ledger.received_by_ap == {0: 2, 1: 2, 2: 2}
 
     def test_scalar_count_matches_graph_size(self):
         rng = np.random.default_rng(1)
         n = 7
         ledger = CommLedger()
-        deliver_round(all_sent(), FailurePlan(), 1, rng, EDGES, ledger, payload_size=n)
+        deliver_round(all_up(), FailurePlan(), 1, rng, EDGES, ledger, payload_size=n)
         expected = n * sum(len(nb) for nb in NEIGHBORS)
         assert ledger.total_scalars == expected
 
@@ -57,24 +57,25 @@ class TestDelivery:
             Backhaul.from_neighbors(((3,), (), ()))        # no such AP
 
     def test_crashed_ap_sends_and_receives_nothing(self):
+        # The caller reads the crash schedule; delivery takes the live set.
         rng = np.random.default_rng(3)
         plan = FailurePlan(ap_failures=((1, 2),))
-        before = pairs(deliver_round(all_sent(), plan, 1, rng, EDGES))
+        before = pairs(deliver_round(~plan.aps_down(1, 3), plan, 1, rng, EDGES))
         assert (1, 0) in before and (0, 1) in before
-        after = pairs(deliver_round(all_sent(), plan, 2, rng, EDGES))
+        after = pairs(deliver_round(~plan.aps_down(2, 3), plan, 2, rng, EDGES))
         assert after and all(1 not in edge for edge in after)
 
     def test_link_failure_window(self):
         plan = FailurePlan(link_failures=(((0, 1), 2, 3),))
         rng = np.random.default_rng(4)
         for rnd, expect in [(1, True), (2, False), (3, False), (4, True)]:
-            out = pairs(deliver_round(all_sent(), plan, rnd, rng, EDGES))
+            out = pairs(deliver_round(all_up(), plan, rnd, rng, EDGES))
             assert ((0, 1) in out) is expect
             assert ((1, 0) in out) is expect  # undirected failure
 
     def test_drop_prob_one_drops_everything(self):
         rng = np.random.default_rng(5)
-        out = deliver_round(all_sent(), FailurePlan(drop_prob=1.0), 1, rng, EDGES)
+        out = deliver_round(all_up(), FailurePlan(drop_prob=1.0), 1, rng, EDGES)
         assert not out.any()
 
     def test_ledger_conservation_under_random_drops(self):
@@ -82,7 +83,7 @@ class TestDelivery:
         ledger = CommLedger()
         plan = FailurePlan(drop_prob=0.4)
         for rnd in range(1, 20):
-            deliver_round(all_sent(), plan, rnd, rng, EDGES, ledger)
+            deliver_round(all_up(), plan, rnd, rng, EDGES, ledger)
         for rec in ledger.rounds:
             assert rec["delivered"] + rec["dropped"] == rec["attempted"]
         assert ledger.total_messages + ledger.total_dropped == 19 * 6
@@ -91,16 +92,18 @@ class TestDelivery:
         # A failure-free run must not depend on whether a plan object exists.
         rng1 = np.random.default_rng(7)
         rng2 = np.random.default_rng(7)
-        deliver_round(all_sent(), FailurePlan(), 1, rng1, EDGES)
+        deliver_round(all_up(), FailurePlan(), 1, rng1, EDGES)
         assert rng1.random() == rng2.random()
 
     def test_unsent_edges_are_neither_delivered_nor_attempted(self):
+        # A down AP sends nothing; what its neighbors send it is attempted
+        # but not delivered.
         rng = np.random.default_rng(8)
         ledger = CommLedger()
-        sent = EDGES.src != 2
-        out = deliver_round(sent, FailurePlan(), 1, rng, EDGES, ledger)
-        np.testing.assert_array_equal(out, sent)
+        out = deliver_round(np.array([True, True, False]), FailurePlan(), 1, rng, EDGES, ledger)
+        np.testing.assert_array_equal(out, (EDGES.src != 2) & (EDGES.dst != 2))
         assert ledger.rounds[0]["attempted"] == 4
+        assert ledger.rounds[0]["delivered"] == 2
 
     def test_drops_match_the_dict_delivery(self):
         # One draw per surviving message in (src, dst) order, as the
@@ -109,7 +112,7 @@ class TestDelivery:
                            drop_prob=0.5)
         rng1, rng2 = np.random.default_rng(9), np.random.default_rng(9)
         for rnd in range(1, 6):
-            mask = deliver_round(all_sent(), plan, rnd, rng1, EDGES)
+            mask = deliver_round(~plan.aps_down(rnd, 3), plan, rnd, rng1, EDGES)
             messages = {(int(s), int(d)): np.zeros(1) for s, d in zip(EDGES.src, EDGES.dst)}
             assert pairs(mask) == set(reference_loop.deliver_round(
                 messages, plan, rnd, rng2, NEIGHBORS))

@@ -31,6 +31,11 @@ def random_instance(rng, num_devices=8, pilot_len=6, noise_power=0.8):
     return gamma, pilots, noise_power, sample_cov
 
 
+def gradient_at(gamma, pilots, noise_power, sample_cov):
+    """:func:`ml_gradient` at the model covariance of ``gamma``."""
+    return ml_gradient(assemble_covariance(pilots, gamma, noise_power), sample_cov, pilots)
+
+
 def direct_cost(gamma, pilots, noise_power, sample_cov):
     """Independent dense evaluation: loop assembly, slogdet, explicit inverse."""
     l, n = pilots.shape
@@ -94,7 +99,7 @@ class TestMlGradient:
     def test_stationary_at_matched_noise(self):
         # Scalar case: one pilot of unit power, sample covariance equal to noise.
         pilots = np.ones((1, 1), dtype=complex)
-        grad = ml_gradient(np.zeros(1), pilots, 1.0, np.eye(1, dtype=complex))
+        grad = gradient_at(np.zeros(1), pilots, 1.0, np.eye(1, dtype=complex))
         assert grad[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_finite_differences(self):
@@ -102,7 +107,7 @@ class TestMlGradient:
         h = 1e-6
         for _ in range(5):
             gamma, pilots, sigma2, sample_cov = random_instance(rng)
-            grad = ml_gradient(gamma, pilots, sigma2, sample_cov)
+            grad = gradient_at(gamma, pilots, sigma2, sample_cov)
             for n in range(gamma.size):
                 ep = gamma.copy()
                 em = gamma.copy()
@@ -116,8 +121,8 @@ class TestMlGradient:
         rng = np.random.default_rng(4)
         gamma, pilots, sigma2, sample_cov = random_instance(rng)
         zero = np.zeros_like(gamma)
-        g1 = ml_gradient(zero, pilots, sigma2, sample_cov)
-        g2 = ml_gradient(zero, pilots, sigma2, 2.0 * sample_cov)
+        g1 = gradient_at(zero, pilots, sigma2, sample_cov)
+        g2 = gradient_at(zero, pilots, sigma2, 2.0 * sample_cov)
         # At gamma = 0, grad = q1 - q2 with q1 = ||s_n||^2 / sigma^2 fixed
         # and q2 linear in the sample covariance, so g2 = 2 g1 - q1.
         q1 = np.sum(np.abs(pilots) ** 2, axis=0) / sigma2
@@ -351,7 +356,7 @@ class TestGradientDescentSanity:
         gamma = np.zeros(n)
         costs = [ml_cost(gamma, pilots, sigma2, sample_cov)]
         for _ in range(60):
-            gamma = np.maximum(0.0, gamma - 0.003 * ml_gradient(gamma, pilots, sigma2, sample_cov))
+            gamma = np.maximum(0.0, gamma - 0.003 * gradient_at(gamma, pilots, sigma2, sample_cov))
             costs.append(ml_cost(gamma, pilots, sigma2, sample_cov))
         diffs = np.diff(costs)
         assert np.all(diffs <= 1e-6)

@@ -40,14 +40,13 @@ def setup():
 class TestInit:
     def test_zero_start(self, setup):
         sc, obs = setup
-        states = _Batch.initial(sc, num_iters=1).states(sc.neighbors)
-        for st in states:
-            assert np.all(st.gamma == 0.0)
-            np.testing.assert_array_equal(st.sigma,
-                                          sc.noise_power * np.eye(sc.pilot_len))
-            assert np.all(st.x_agg == 0.0)
-            assert all(np.all(v == 0.0) for v in st.x_local.values())
-            assert all(np.all(v == 0.0) for v in st.last_received.values())
+        st = _Batch.initial(sc, num_iters=1)
+        assert np.all(st.gamma == 0.0)
+        for sigma in st.sigma:
+            np.testing.assert_array_equal(sigma, sc.noise_power * np.eye(sc.pilot_len))
+        assert np.all(st.x_agg == 0.0)
+        assert st.x_local.shape == st.received.shape == (len(st.edges.src), sc.num_devices)
+        assert np.all(st.x_local == 0.0) and np.all(st.received == 0.0)
 
     def test_initial_cost_closed_form(self, setup):
         sc, obs = setup
@@ -91,25 +90,43 @@ class TestRounds:
         sc, obs = setup
         res = run(sc, obs, Hyperparams(num_iters=8),
                   options=SolverOptions(check_state_every=1))
-        for st in res.states:
-            assert verify_state(st, sc) <= 1e-8
+        gaps = verify_state(res.sigma, res.gamma, sc)
+        assert gaps.shape == (sc.num_aps,) and np.all(gaps <= 1e-8)
 
     def test_verify_state_raises_on_corruption(self, setup):
         sc, obs = setup
         res = run(sc, obs, Hyperparams(num_iters=2))
-        st = res.states[0]
-        st.sigma = st.sigma + 0.5 * np.eye(sc.pilot_len)
+        sigma = res.sigma.copy()
+        sigma[0] += 0.5 * np.eye(sc.pilot_len)
         with pytest.raises(StateConsistencyError):
-            verify_state(st, sc)
+            verify_state(sigma, res.gamma, sc)
+
+    def test_verify_state_names_the_drifted_ap(self):
+        sc = small_scenario(seed=4, num_aps=5, degree=2)
+        res = run(sc, synthesize(sc), Hyperparams(num_iters=3))
+        sigma = res.sigma.copy()
+        sigma[3] += 0.5 * np.eye(sc.pilot_len)
+        with pytest.raises(StateConsistencyError, match=r"^AP 3: "):
+            verify_state(sigma, res.gamma, sc)
+        # Checking only some APs still names the AP, not its position among them.
+        live = np.array([False, True, False, True, True])
+        with pytest.raises(StateConsistencyError, match=r"^AP 3: "):
+            verify_state(sigma, res.gamma, sc, live)
+        assert verify_state(sigma, res.gamma, sc, ~live).shape == (2,)
+        # A covariance gone to NaN has no gap below any tolerance.
+        sigma[3] = np.nan
+        with pytest.raises(StateConsistencyError, match=r"^AP 3: "):
+            verify_state(sigma, res.gamma, sc)
 
     def test_frozen_combiners_aggregate_identity(self, setup):
         sc, obs = setup
         # rho = 0 holds every weight constant: 1/k per neighbor, 0 for self.
         res = run(sc, obs, Hyperparams(num_iters=12, rho=0.0))
-        for st in res.states:
-            k = len(st.neighbors)
-            recomputed = sum((1.0 / k) * st.x_local[j] for j in st.neighbors)
-            np.testing.assert_allclose(st.x_agg, recomputed, atol=1e-10)
+        dst = res.edges.dst
+        k = np.bincount(dst, minlength=sc.num_aps)
+        recomputed = np.zeros_like(res.x_agg)
+        np.add.at(recomputed, dst, res.x_local / k[dst, None])
+        np.testing.assert_allclose(res.x_agg, recomputed, atol=1e-10)
 
     def test_cost_trajectory_improves(self, setup):
         sc, obs = setup
@@ -159,19 +176,17 @@ class TestMessaging:
         res = run(sc, obs, Hyperparams(num_iters=1),
                   options=SolverOptions(lag_transmit=True))
         # Round 1 transmits the pre-update (all-zero) estimates.
-        for st in res.states:
-            assert all(np.all(v == 0.0) for v in st.last_received.values())
+        assert res.received.size and np.all(res.received == 0.0)
         res2 = run(sc, obs, Hyperparams(num_iters=1))
-        assert any(np.any(v != 0.0) for st in res2.states
-                   for v in st.last_received.values())
+        assert np.any(res2.received != 0.0)
 
     def test_messages_are_copies(self, setup):
         sc, obs = setup
         res = run(sc, obs, Hyperparams(num_iters=3))
-        st0 = res.states[0]
-        for j in st0.neighbors:
-            # received buffers are distinct objects from the sender's state
-            assert res.states[j].gamma is not st0.last_received[j]
+        # Without failures each edge holds its sender's final estimate, in
+        # its own buffer.
+        np.testing.assert_array_equal(res.received, res.gamma[res.edges.src])
+        assert not np.shares_memory(res.received, res.gamma)
 
 
 class TestFailures:
@@ -180,18 +195,18 @@ class TestFailures:
         plan = FailurePlan(ap_failures=((1, 3),))
         hyper = Hyperparams(num_iters=6)
         res = run(sc, obs, hyper, plan=plan)
-        baseline = run(sc, obs, Hyperparams(num_iters=2)).states[1].gamma
-        np.testing.assert_array_equal(res.states[1].gamma, baseline)
-        assert res.states[1].t == 2
+        baseline = run(sc, obs, Hyperparams(num_iters=2)).gamma[1]
+        np.testing.assert_array_equal(res.gamma[1], baseline)
+        assert list(res.t) == [6, 2, 6]
 
     def test_crashed_ap_estimate_stays_usable(self, setup):
         sc, obs = setup
         plan = FailurePlan(ap_failures=((1, 3),))
         res = run(sc, obs, Hyperparams(num_iters=6), plan=plan)
-        frozen = res.states[1].gamma
-        for st in res.states:
-            if 1 in st.neighbors:
-                np.testing.assert_array_equal(st.last_received[1], frozen)
+        from_1 = res.edges.src == 1
+        assert from_1.any()
+        for copy in res.received[from_1]:
+            np.testing.assert_array_equal(copy, res.gamma[1])
 
     def test_full_drop_equals_all_links_failed(self, setup):
         sc, obs = setup
@@ -223,8 +238,8 @@ class TestIsolationEquivalences:
             for st in states:
                 ap_iteration(st, obs[st.ap_id].sample_cov, iso.pilots, hyper,
                              st.last_received, SolverOptions())
-        for st, ref in zip(states, full.states):
-            np.testing.assert_array_equal(st.gamma, ref.gamma)
+        for st in states:
+            np.testing.assert_array_equal(st.gamma, full.gamma[st.ap_id])
 
     def test_self_selection_is_clamped_z_step(self, setup):
         sc, obs = setup
@@ -250,7 +265,7 @@ class TestKernelPath:
         got = run(sc, obs, hyper)
         want = reference_loop.run(sc, obs, hyper)
         np.testing.assert_array_equal(got.gamma, want.gamma)
-        np.testing.assert_array_equal(got.states[0].sigma, want.states[0].sigma)
+        np.testing.assert_array_equal(got.sigma, want.sigma)
 
 
 class TestSetupOnce:
