@@ -160,11 +160,16 @@ class ExperimentConfig:
                 plan = FailurePlan.from_dict(self.failure_plan)
             except (InvalidConfig, TypeError, KeyError, ValueError) as err:
                 problems.append(f"failure_plan invalid: {err}")
-        # A trial's own checks at every point; points failing alike share a message.
-        points = {"config values": self}
+        # A trial's own checks at every sweep point; points failing alike share a
+        # message.  Trials run only at sweep points, so the config's own value of
+        # the swept field is checked only where no valid point can name a broken
+        # field.
+        points = {}
         if self.sweep_axis in SWEEP_AXES:
-            points.update((f"sweep point {self.sweep_axis}={v!r}", _at_point(self, v))
-                          for v in values)
+            points = {f"sweep point {self.sweep_axis}={v!r}": _at_point(self, v)
+                      for v in values}
+        if not points:
+            points = {"config values": self}
         failures: dict[str, list[str]] = {}
         neighbors = cache(lambda topo: build_topology(topo)[1])
         for label, point in points.items():

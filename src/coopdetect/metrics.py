@@ -49,15 +49,15 @@ def assign_aps(gamma_est: np.ndarray, scenario: Scenario, b0_mode: str = "neares
     raise ValueError(f"unknown b0_mode {b0_mode!r}")
 
 
-def detect(gamma_est: np.ndarray, scenario: Scenario, noise_power: float,
-           iota: float, b0_mode: str = "nearest") -> tuple[np.ndarray, np.ndarray]:
+def detect(gamma_est: np.ndarray, scenario: Scenario, iota: float,
+           b0_mode: str = "nearest") -> tuple[np.ndarray, np.ndarray]:
     """Elementwise thresholding at each device's assigned AP.
 
     Returns (decisions, assigned_ap); device n is declared active iff
-    ``gamma_est[assigned_ap[n], n] > iota * noise_power``.
+    ``gamma_est[assigned_ap[n], n] > iota * scenario.noise_power``.
     """
     read, assigned = _read(gamma_est, scenario, b0_mode)
-    return (read > iota * noise_power).astype(np.int8), assigned
+    return (read > iota * scenario.noise_power).astype(np.int8), assigned
 
 
 def _read(gamma_est: np.ndarray, scenario: Scenario, b0_mode: str):
@@ -88,7 +88,7 @@ def aer(decisions: np.ndarray, truth: np.ndarray) -> tuple[float, float, float]:
 def evaluate(gamma_est: np.ndarray, scenario: Scenario, iota: float,
              b0_mode: str = "nearest") -> DetectionReport:
     """Threshold, score against ground truth, and assemble a report."""
-    decisions, assigned = detect(gamma_est, scenario, scenario.noise_power, iota, b0_mode)
+    decisions, assigned = detect(gamma_est, scenario, iota, b0_mode)
     missed, false_alarm, combined = (float(r) for r in aer(decisions, scenario.activity))
     errors = int(np.sum(decisions != scenario.activity))
     return DetectionReport(

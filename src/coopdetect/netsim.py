@@ -5,7 +5,9 @@ Messages move once per synchronized round, one per directed edge of a
 crash APs (permanently, from a given round), take links down over a round
 window, or drop individual messages at random.  An AP that misses a
 neighbor's message keeps using the last value it received; that rule lives
-in the solver, which simply does not update its stale copy.
+in the solver, which simply does not update its stale copy.  A solve's
+:class:`CommLedger` counts its messages from the masks: attempted and
+delivered per round, and delivered per edge.
 """
 
 from __future__ import annotations
@@ -115,74 +117,43 @@ class Backhaul:
         return cls(b, src, dst, np.lexsort((dst, src)))
 
 
-def _count(counts: np.ndarray, aps: np.ndarray) -> np.ndarray:
-    """``counts`` plus one per entry of ``aps``, grown to the largest AP id."""
-    out = np.bincount(aps, minlength=len(counts))
-    out[:len(counts)] += counts
-    return out
-
-
-def _by_ap(counts: np.ndarray) -> dict:
-    return {int(ap): int(counts[ap]) for ap in np.flatnonzero(counts)}
-
-
 @dataclass
 class CommLedger:
-    """Per-round message accounting; delivered + dropped == attempted."""
+    """Message counts of one solve: attempted and delivered per round, delivered per edge.
 
-    rounds: list = field(default_factory=list)
-    # Messages delivered from and to each AP id, grown to the largest id seen.
-    sent: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
-    received: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
+    A message is attempted when its sender is live; the attempted ones not
+    delivered were dropped.  ``per_edge[e]`` counts the messages delivered
+    over edge e of the solve's :class:`Backhaul`, so
+    ``np.bincount(edges.src, per_edge, minlength=B)`` is what each AP
+    delivered, and ``edges.dst`` in place of ``edges.src`` what each received.
+    """
 
-    def record_round(self, rnd: int, attempted: int, delivered: int,
-                     scalars: int) -> None:
-        self.rounds.append(
-            {
-                "round": rnd,
-                "attempted": attempted,
-                "delivered": delivered,
-                "dropped": attempted - delivered,
-                "scalars_delivered": scalars,
-            }
-        )
+    num_edges: int
+    payload_size: int                 # scalars per message
+    attempted: list = field(default_factory=list)    # per round
+    delivered: list = field(default_factory=list)    # per round
+    per_edge: np.ndarray = field(init=False)
 
-    def credit(self, src: np.ndarray, dst: np.ndarray) -> None:
-        """Count one delivered message per (src[k], dst[k]) pair."""
-        self.sent = _count(self.sent, src)
-        self.received = _count(self.received, dst)
+    def __post_init__(self):
+        self.per_edge = np.zeros(self.num_edges, dtype=np.intp)
 
-    @property
-    def sent_by_ap(self) -> dict:
-        """Messages delivered from each AP that sent any, ``{ap: count}``."""
-        return _by_ap(self.sent)
-
-    @property
-    def received_by_ap(self) -> dict:
-        """Messages delivered to each AP that received any, ``{ap: count}``."""
-        return _by_ap(self.received)
+    def record(self, sent: np.ndarray, delivered: np.ndarray) -> None:
+        """Count one round from its masks over the edges."""
+        self.attempted.append(int(np.count_nonzero(sent)))
+        self.delivered.append(int(np.count_nonzero(delivered)))
+        self.per_edge += delivered
 
     @property
     def total_messages(self) -> int:
-        return sum(r["delivered"] for r in self.rounds)
+        return sum(self.delivered)
 
     @property
     def total_dropped(self) -> int:
-        return sum(r["dropped"] for r in self.rounds)
+        return sum(self.attempted) - self.total_messages
 
     @property
     def total_scalars(self) -> int:
-        return sum(r["scalars_delivered"] for r in self.rounds)
-
-    def to_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "sent_by_ap": {str(k): v for k, v in self.sent_by_ap.items()},
-            "received_by_ap": {str(k): v for k, v in self.received_by_ap.items()},
-            "total_messages": self.total_messages,
-            "total_dropped": self.total_dropped,
-            "total_scalars": self.total_scalars,
-        }
+        return self.payload_size * self.total_messages
 
 
 def deliver_round(
@@ -192,26 +163,27 @@ def deliver_round(
     rng: np.random.Generator,
     backhaul: Backhaul,
     ledger: CommLedger | None = None,
-    payload_size: int = 1,
 ) -> np.ndarray:
     """Deliver one round of messages, applying the plan's link windows and drops.
 
     ``up`` masks the APs of ``backhaul`` that are live this round.  The
     caller reads it from the plan's crash schedule (the solver from its
     round plan), so the plan contributes only link windows and drops here.
-    Every live AP sends a message of ``payload_size`` scalars over each of
-    its edges; the result masks the delivered ones.  A message to a down AP
-    or over a failed link is lost, and each other one is dropped with
-    ``drop_prob``, one draw per surviving message in (src, dst) order.  The
-    random stream is only consumed when drop_prob > 0, so failure-free runs
-    are bit-identical with and without a plan.
+    Every live AP sends a message over each of its edges; the result masks
+    the delivered ones.  A message to a down AP or over a failed link is
+    lost, and each other one is dropped with ``drop_prob``, one draw per
+    surviving message in (src, dst) order.  The random stream is only
+    consumed when drop_prob > 0, so failure-free runs are bit-identical with
+    and without a plan.  ``ledger`` records the round's sent and delivered
+    masks.
     """
     src, dst = backhaul.src, backhaul.dst
     if not len(src):
         # Isolated APs (no_coop): nothing to mask, nothing to draw.
+        delivered = np.zeros(0, dtype=bool)
         if ledger is not None:
-            ledger.record_round(rnd, attempted=0, delivered=0, scalars=0)
-        return np.zeros(0, dtype=bool)
+            ledger.record(delivered, delivered)
+        return delivered
     sent = up[src]
     delivered = sent & up[dst]
     for (i, j), r0, r1 in plan.link_failures:
@@ -221,8 +193,5 @@ def deliver_round(
         survivors = backhaul.send_order[delivered[backhaul.send_order]]
         delivered[survivors] = rng.random(len(survivors)) >= plan.drop_prob
     if ledger is not None:
-        count = int(np.count_nonzero(delivered))
-        ledger.credit(src[delivered], dst[delivered])
-        ledger.record_round(rnd, attempted=int(np.count_nonzero(sent)), delivered=count,
-                            scalars=count * payload_size)
+        ledger.record(sent, delivered)
     return delivered

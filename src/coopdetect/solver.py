@@ -19,16 +19,16 @@ estimates and combined subgradient estimators are (B, N), covariances
 subgradient estimator for that neighbor are edge-indexed (E, N), so memory
 grows with the edges, not B^2; an AP's estimator for itself never moves and
 is not stored.  Each step calls its objective function once for all live
-APs.  What is not shared stays per problem: its failure plan, drop stream,
-ledger, trace, early stop and round count.
+APs.  The trace is four (rounds, B) arrays of the batch, which each round
+writes for its live APs.  What is not shared stays per problem: its failure
+plan, drop stream, ledger, early stop and round count.
 
 A round reads what depends only on which APs are live from a round plan
 (``_RoundPlan``): the live rows and each AP's position among them, the edges
 into live APs with their receivers' positions and panel slots, each live
 AP's own column (its in-degree), the live rows of the selection CDFs, each
-problem's first live position and its mask of live APs, which is also what
-``netsim.deliver_round`` delivers from, and the gradient and
-covariance-update calls.  So only the round plan reads the crash schedule.
+problem's mask of live APs, which is also what ``netsim.deliver_round``
+delivers from, and the gradient and covariance-update calls.  So only the round plan reads the crash schedule.
 The live set changes only when a failure plan crashes an AP, in a round
 known before the solve, or when a problem stops early, so the plan is built
 in round 1 and again only in a crash round and in the round after an early
@@ -36,8 +36,9 @@ stop; the in-degrees and first edges, which never change, are kept on the
 batch.  The plan lives in one solve and is dropped with it.
 
 A problem's :class:`RunResult` is its slices of the batch: its rows of the
-per-AP and edge-indexed arrays, as views, and its own ``Backhaul``, which
-maps each of its edges to (src, dst).  Only ``gamma`` is copied.
+per-AP and edge-indexed arrays and its columns of the trace up to its last
+round, as views, with its own ``Backhaul``, which maps each of its edges to
+(src, dst), and its ledger.  Only ``gamma`` is copied.
 
 Random streams do not depend on the batching.  AP i of a problem pre-draws
 its selection uniforms as ``rng.random(num_iters)`` from
@@ -70,7 +71,7 @@ problem's table counts against a batch's size in APs (:func:`batch_aps`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -111,13 +112,29 @@ class SolverOptions:
 
 @dataclass
 class IterationTrace:
-    """Append-only per-round records of arrays over the APs live in that round."""
+    """Per-round records: entry (t - 1, i) is what AP i recorded in round t.
 
-    records: list = field(default_factory=list)
+    An AP records its cost (NaN unless ``record_cost``), the AP it selected
+    (itself included) and its clamp and degenerate-step counts so far.  An
+    AP that did not compute in a round, as it had crashed, records -1 there
+    (NaN for ``cost``).
+    """
+
+    cost: np.ndarray                  # (rounds, B)
+    selected: np.ndarray              # (rounds, B)
+    clamped: np.ndarray               # (rounds, B)
+    degenerate: np.ndarray            # (rounds, B)
+
+    def __getitem__(self, key) -> "IterationTrace":
+        """The records at ``key`` of each array, such as ``trace[:rounds, aps]``."""
+        return IterationTrace(self.cost[key], self.selected[key], self.clamped[key],
+                              self.degenerate[key])
 
     def round_costs(self) -> np.ndarray:
-        """Total cost across APs per round, ordered by round."""
-        return np.array([float(np.sum(r["cost"])) for r in self.records])
+        """Total cost across the APs that computed, per round in which any did."""
+        return np.array([float(np.sum(cost[computed]))
+                         for cost, computed in zip(self.cost, self.selected >= 0)
+                         if computed.any()])
 
 
 @dataclass
@@ -162,43 +179,13 @@ class _Batch:
     clamped: np.ndarray               # (B,)
     degenerate: np.ndarray            # (B,)
     delta: np.ndarray                 # (B,) inf-norm of the last estimate change
-
-    @classmethod
-    def initial(cls, *scenarios: Scenario, num_iters: int) -> "_Batch":
-        """Zero estimates, noise-only covariances and zero estimators.
-
-        The APs of ``scenarios`` are stacked in turn and their backhauls
-        joined block-diagonally.
-        """
-        nets = [netsim.Backhaul.from_neighbors(sc.neighbors) for sc in scenarios]
-        aps = np.cumsum([0] + [sc.num_aps for sc in scenarios])
-        links = np.cumsum([0] + [len(net.src) for net in nets])
-        b, e = int(aps[-1]), int(links[-1])
-        n, l = scenarios[0].num_devices, scenarios[0].pilot_len
-        # Receiver order and (src, dst) send order hold across the join, as
-        # each scenario's AP ids follow the previous one's.
-        edges = netsim.Backhaul(b, np.concatenate([net.src + a for net, a in zip(nets, aps)]),
-                                np.concatenate([net.dst + a for net, a in zip(nets, aps)]),
-                                np.concatenate([net.send_order + k
-                                                for net, k in zip(nets, links)]))
-        degree = np.bincount(edges.dst, minlength=b)
-        # An AP without neighbors always selects itself, whatever it draws.
-        draws = np.zeros((b, num_iters))
-        for sc, a in zip(scenarios, aps):
-            for i in np.flatnonzero(degree[a:a + sc.num_aps]):
-                draws[a + i] = np.random.default_rng(np.random.SeedSequence(
-                    [_SELECTION_SALT, sc.seed, int(i)])).random(num_iters)
-        noise = np.repeat([sc.noise_power for sc in scenarios], np.diff(aps))
-        sigma = noise[:, None, None] * np.eye(l, dtype=complex)
-        return cls(edges, degree, np.cumsum(degree) - degree, draws, _selection_cdfs(degree),
-                   np.zeros((b, n)), sigma, np.zeros((b, n)), np.zeros((e, n)),
-                   np.zeros((e, n)), np.zeros(b, dtype=int), np.zeros(b, dtype=int),
-                   np.zeros(b, dtype=int), np.full(b, np.inf))
+    base: np.ndarray                  # (B,) first AP of each AP's problem
+    trace: IterationTrace             # (num_iters, B) records
 
 
 @dataclass
 class _Solve:
-    """One problem's own part of a batched solve: its rows, plan, streams and records."""
+    """One problem's own part of a batched solve: its rows, plan, stream and ledger."""
 
     scenario: Scenario
     plan: netsim.FailurePlan
@@ -207,8 +194,7 @@ class _Solve:
     links: slice                      # its rows of the batch's edge arrays
     kernel: np.ndarray                # its pilots' linalg.pilot_kernel
     rng: np.random.Generator          # drop stream
-    trace: IterationTrace = field(default_factory=IterationTrace)
-    ledger: netsim.CommLedger = field(default_factory=netsim.CommLedger)
+    ledger: netsim.CommLedger
     rounds_completed: int = 0
     running: bool = True
 
@@ -224,7 +210,6 @@ class _RoundPlan:
     eslot: np.ndarray                 # their slots in the receivers' panels
     own_col: np.ndarray               # (c,) each live AP's own slot: its in-degree
     cdfs: np.ndarray                  # (c, max degree + 1) the live APs' selection CDFs
-    bounds: np.ndarray                # the problems' first positions in ``live``, then c
     mine: list                        # per problem, the mask of its live APs
     calls: list                       # (problem, live positions, rows) per kernel call
 
@@ -331,7 +316,7 @@ def _round_plan(st: _Batch, solves: list[_Solve], t: int) -> _RoundPlan:
     slot = np.arange(len(dst)) - st.first[dst]
     bounds = np.searchsorted(live, [s.aps.start for s in solves] + [b])
     return _RoundPlan(live, row, ein, row[dst[ein]], slot[ein], st.degree[live], st.cdfs[live],
-                      bounds, [is_live[s.aps] for s in solves],
+                      [is_live[s.aps] for s in solves],
                       _kernel_calls(live, solves, bounds, st.sigma.shape[-1], st.gamma.shape[1]))
 
 
@@ -411,13 +396,11 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, solves: list[_Solve], covs: np
         cost += hyper.tau * np.bincount(erow, w[:len(erow)] * sim, minlength=c)
     selected = live.copy()
     selected[~own] = src[pick[~own]]
-    for s, r0, r1 in zip(solves, rplan.bounds[:-1], rplan.bounds[1:]):
-        if r1 > r0:
-            mine = live[r0:r1]
-            s.trace.records.append(dict(
-                round=t, ap=mine - s.aps.start, cost=cost[r0:r1],
-                selected=selected[r0:r1] - s.aps.start, clamped=st.clamped[mine],
-                degenerate=st.degenerate[mine]))
+    trace = st.trace
+    trace.cost[t - 1, live] = cost
+    trace.selected[t - 1, live] = selected - st.base[live]
+    trace.clamped[t - 1, live] = st.clamped[live]
+    trace.degenerate[t - 1, live] = st.degenerate[live]
     return g_old if options.lag_transmit else g_new
 
 
@@ -442,20 +425,46 @@ def _check(scenario: Scenario, observations: list[ApObservation], plan: netsim.F
 
 
 def _setup(problems: list[Problem], num_iters: int) -> tuple[_Batch, list[_Solve]]:
-    """The initial batch of all problems, and each problem's part of it."""
-    st = _Batch.initial(*(sc for sc, _, _ in problems), num_iters=num_iters)
-    aps = np.cumsum([0] + [sc.num_aps for sc, _, _ in problems])
-    links = np.searchsorted(st.edges.dst, aps)        # edges are ordered by receiver
+    """The initial batch of all problems, and each problem's part of it.
+
+    Zero estimates, noise-only covariances and zero estimators.  The
+    problems' APs are stacked in turn and their backhauls joined
+    block-diagonally.
+    """
+    scenarios = [sc for sc, _, _ in problems]
+    nets = [netsim.Backhaul.from_neighbors(sc.neighbors) for sc in scenarios]
+    aps = np.cumsum([0] + [sc.num_aps for sc in scenarios])
+    links = np.cumsum([0] + [len(net.src) for net in nets])
+    b, e = int(aps[-1]), int(links[-1])
+    n, l = scenarios[0].num_devices, scenarios[0].pilot_len
+    # Receiver order and (src, dst) send order hold across the join, as
+    # each scenario's AP ids follow the previous one's.
+    edges = netsim.Backhaul(b, np.concatenate([net.src + a for net, a in zip(nets, aps)]),
+                            np.concatenate([net.dst + a for net, a in zip(nets, aps)]),
+                            np.concatenate([net.send_order + k for net, k in zip(nets, links)]))
+    degree = np.bincount(edges.dst, minlength=b)
+    # An AP without neighbors always selects itself, whatever it draws.
+    draws = np.zeros((b, num_iters))
+    for sc, a in zip(scenarios, aps):
+        for i in np.flatnonzero(degree[a:a + sc.num_aps]):
+            draws[a + i] = np.random.default_rng(np.random.SeedSequence(
+                [_SELECTION_SALT, sc.seed, int(i)])).random(num_iters)
+    noise = np.repeat([sc.noise_power for sc in scenarios], np.diff(aps))
+    sigma = noise[:, None, None] * np.eye(l, dtype=complex)
+    unset = np.full((num_iters, b), -1)
+    trace = IterationTrace(np.full((num_iters, b), np.nan), unset, unset.copy(), unset.copy())
+    st = _Batch(edges, degree, np.cumsum(degree) - degree, draws, _selection_cdfs(degree),
+                np.zeros((b, n)), sigma, np.zeros((b, n)), np.zeros((e, n)), np.zeros((e, n)),
+                np.zeros(b, dtype=int), np.zeros(b, dtype=int), np.zeros(b, dtype=int),
+                np.full(b, np.inf), np.repeat(aps[:-1], np.diff(aps)), trace)
     # Modes of one trial share their scenario's pilots, and so the kernel.
-    pilots = {id(sc.pilots): sc.pilots for sc, _, _ in problems}
+    pilots = {id(sc.pilots): sc.pilots for sc in scenarios}
     kernels = {key: pilot_kernel(cols) for key, cols in pilots.items()}
-    solves = []
-    for (sc, _, plan), a, e0, e1 in zip(problems, aps, links, links[1:]):
-        edges = netsim.Backhaul(sc.num_aps, st.edges.src[e0:e1] - a, st.edges.dst[e0:e1] - a,
-                                st.edges.send_order[e0:e1] - e0)
-        solves.append(_Solve(sc, plan, edges, slice(a, a + sc.num_aps), slice(e0, e1),
-                             kernels[id(sc.pilots)], np.random.default_rng(
-                                 np.random.SeedSequence([_NETSIM_SALT, sc.seed]))))
+    solves = [_Solve(sc, plan, net, slice(a0, a1), slice(e0, e1), kernels[id(sc.pilots)],
+                     np.random.default_rng(np.random.SeedSequence([_NETSIM_SALT, sc.seed])),
+                     netsim.CommLedger(len(net.src), n))
+              for (sc, _, plan), net, a0, a1, e0, e1
+              in zip(problems, nets, aps, aps[1:], links, links[1:])]
     return st, solves
 
 
@@ -524,7 +533,7 @@ def run_batch(problems: list[Problem], hyper: Hyperparams,
         for s, mine in zip(solves, rplan.mine):
             if not s.running:
                 continue
-            delivered = netsim.deliver_round(mine, s.plan, t, s.rng, s.edges, s.ledger, n)
+            delivered = netsim.deliver_round(mine, s.plan, t, s.rng, s.edges, s.ledger)
             if delivered.any():
                 k = s.links.start + np.flatnonzero(delivered)
                 st.received[k] = outgoing[rplan.row[st.edges.src[k]]]
@@ -539,8 +548,8 @@ def run_batch(problems: list[Problem], hyper: Hyperparams,
         if not any(s.running for s in solves):
             break
 
-    return [RunResult(gamma=st.gamma[s.aps].copy(), trace=s.trace, ledger=s.ledger,
-                      rounds_completed=s.rounds_completed, edges=s.edges,
+    return [RunResult(gamma=st.gamma[s.aps].copy(), trace=st.trace[:s.rounds_completed, s.aps],
+                      ledger=s.ledger, rounds_completed=s.rounds_completed, edges=s.edges,
                       sigma=st.sigma[s.aps], x_agg=st.x_agg[s.aps], t=st.t[s.aps],
                       clamped=st.clamped[s.aps], degenerate=st.degenerate[s.aps],
                       delta=st.delta[s.aps], x_local=st.x_local[s.links],

@@ -9,18 +9,18 @@ selection distribution), the failure-plan checks ``ap_down`` and
 ``link_down`` are local helpers, and the per-AP scratch fields the batched
 solver does not report (``rng``, ``z`` and the last selection, weights and
 cost) live on ``LoopState``.  ``run`` stacks the states into the batched
-solver's ``RunResult`` arrays, so results compare array by array.  Where
-the scenario's pilots have a table (``pilot_gram``), the gradient and the
-covariance update are the package's own functions called per AP with it,
-so that a solve is bitwise the loop.  Past the table's byte budget the loop
-runs the complex path, with its own covariance update, so the table path
-can also be checked against it.
+solver's ``RunResult`` arrays and fills the same trace arrays and ledger
+counts, so results compare array by array.  Where the scenario's pilots
+have a table (``pilot_gram``), the gradient and the covariance update are
+the package's own functions called per AP with it, so that a solve is
+bitwise the loop.  Past the table's byte budget the loop runs the complex
+path, with its own covariance update, so the table path can also be
+checked against it.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from coopdetect.scenario import ApObservation, Scenario
 from coopdetect.solver import (
     _NETSIM_SALT,
     _SELECTION_SALT,
+    IterationTrace,
     RunResult,
     SolverOptions,
     verify_state,
@@ -88,23 +89,6 @@ def link_down(plan: FailurePlan, edge, rnd: int) -> bool:
                for fe, r0, r1 in plan.link_failures)
 
 
-@dataclass
-class IterationTrace:
-    """Append-only per-(round, AP) records of cost, choices and traffic."""
-
-    records: list = field(default_factory=list)
-
-    def add(self, **row) -> None:
-        self.records.append(row)
-
-    def round_costs(self) -> np.ndarray:
-        """Total cost across APs per round, ordered by round."""
-        totals: dict[int, float] = {}
-        for r in self.records:
-            totals[r["round"]] = totals.get(r["round"], 0.0) + r["cost"]
-        return np.array([totals[k] for k in sorted(totals)])
-
-
 def deliver_round(
     messages: dict,
     plan: FailurePlan,
@@ -115,7 +99,6 @@ def deliver_round(
 ) -> dict:
     """Deliver one round of messages keyed by directed edge (src, dst)."""
     delivered = {}
-    scalars = 0
     for (src, dst) in sorted(messages):
         if dst not in neighbors[src]:
             raise UnknownEdge(f"({src}, {dst}) is not a backhaul edge")
@@ -128,12 +111,14 @@ def deliver_round(
         if plan.drop_prob > 0.0 and rng.random() < plan.drop_prob:
             continue
         delivered[(src, dst)] = payload
-        scalars += int(np.size(payload))
-        if ledger is not None:
-            ledger.credit(np.array([src]), np.array([dst]))
     if ledger is not None:
-        ledger.record_round(rnd, attempted=len(messages), delivered=len(delivered),
-                            scalars=scalars)
+        # Edges are numbered by receiver, in each receiver's neighbor order.
+        edge = {(j, i): e for e, (j, i) in enumerate(
+            (j, i) for i, nbrs in enumerate(neighbors) for j in nbrs)}
+        ledger.attempted.append(len(messages))
+        ledger.delivered.append(len(delivered))
+        for key in delivered:
+            ledger.per_edge[edge[key]] += 1
     return delivered
 
 
@@ -267,8 +252,10 @@ def run(
     plan.validate(scenario.neighbors, hyper.num_iters)
 
     states = init_states(scenario, observations, hyper)
-    trace = IterationTrace()
-    ledger = netsim.CommLedger()
+    edges = netsim.Backhaul.from_neighbors(scenario.neighbors)
+    shape = (hyper.num_iters, scenario.num_aps)
+    trace = IterationTrace(np.full(shape, np.nan), *(np.full(shape, -1) for _ in range(3)))
+    ledger = netsim.CommLedger(len(edges.src), scenario.num_devices)
     net_rng = np.random.default_rng(np.random.SeedSequence([_NETSIM_SALT, scenario.seed]))
 
     rounds_completed = 0
@@ -277,7 +264,6 @@ def run(
         for state in states:
             if ap_down(plan, state.ap_id, t):
                 continue
-            t0 = time.perf_counter()
             payload = ap_iteration(
                 state,
                 observations[state.ap_id].sample_cov,
@@ -286,20 +272,11 @@ def run(
                 state.last_received,
                 options,
             )
-            wall = time.perf_counter() - t0
             for nb in state.neighbors:
                 messages[(state.ap_id, nb)] = payload
-            trace.add(
-                round=t,
-                ap=state.ap_id,
-                cost=state.last_cost,
-                selected=state.last_selected,
-                messages_sent=len(state.neighbors),
-                payload_bytes=8 * scenario.num_devices * len(state.neighbors),
-                wall_time_s=wall,
-                clamped=state.clamp_count,
-                degenerate=state.degenerate_count,
-            )
+            row = t - 1, state.ap_id
+            trace.cost[row], trace.selected[row] = state.last_cost, state.last_selected
+            trace.clamped[row], trace.degenerate[row] = state.clamp_count, state.degenerate_count
         delivered = deliver_round(messages, plan, t, net_rng, scenario.neighbors, ledger)
         for (src, dst), payload in delivered.items():
             states[dst].last_received[src] = payload
@@ -312,15 +289,13 @@ def run(
             if live and max(s.last_delta for s in live) < options.early_stop_tol:
                 break
 
-    edges = netsim.Backhaul.from_neighbors(scenario.neighbors)
-
     def per_edge(field: str) -> np.ndarray:
         rows = [getattr(states[dst], field)[src] for src, dst in zip(edges.src, edges.dst)]
         return np.array(rows).reshape(len(rows), scenario.num_devices)
 
     return RunResult(
-        gamma=np.stack([s.gamma for s in states]), trace=trace, ledger=ledger,
-        rounds_completed=rounds_completed, edges=edges,
+        gamma=np.stack([s.gamma for s in states]), trace=trace[:rounds_completed],
+        ledger=ledger, rounds_completed=rounds_completed, edges=edges,
         sigma=np.stack([s.sigma for s in states]), x_agg=np.stack([s.x_agg for s in states]),
         t=np.array([s.t for s in states]), clamped=np.array([s.clamp_count for s in states]),
         degenerate=np.array([s.degenerate_count for s in states]),

@@ -47,6 +47,16 @@ class TestRunVerb:
         out = capsys.readouterr().out
         assert "no_coop" in out
 
+    def test_sweep_overrides_the_config_value_of_its_field(self, config_file, tmp_path,
+                                                            capsys):
+        # Degree 4 cannot be built on 3 APs, but no trial runs it: the sweep
+        # points are degrees 1 and 2.
+        cfg = json.loads(open(config_file).read())
+        path = tmp_path / "degree4.json"
+        path.write_text(json.dumps({**cfg, "degree": 4}))
+        rc = main(["run", "--config", str(path), "--sweep", "coop_degree=1,2"])
+        assert rc == 0, capsys.readouterr().err
+
     def test_bad_sweep_axis_rejected(self, config_file, capsys):
         rc = main(["run", "--config", config_file, "--sweep", "bananas"])
         assert rc == 2

@@ -1,5 +1,6 @@
 """Experiment harness: config validation, dispatch, outputs, determinism."""
 
+import importlib.util
 import json
 import os
 import re
@@ -27,7 +28,7 @@ from coopdetect.harness import (
 )
 from coopdetect.netsim import FailurePlan
 from coopdetect.objective import Hyperparams
-from coopdetect.scenario import TopologyConfig, make_scenario, synthesize
+from coopdetect.scenario import TopologyConfig, build_topology, make_scenario, synthesize
 
 
 def tiny_config(**overrides):
@@ -46,11 +47,29 @@ class TestConfig:
             tiny_config(master_seed=None).validate()
 
     def test_field_level_diagnostics(self):
-        cfg = tiny_config(trials=0, degree=9, modes=("bogus",))
+        # On another axis every sweep point runs the config's degree.
+        cfg = tiny_config(trials=0, degree=9, modes=("bogus",), sweep_axis="M",
+                          sweep_values=(4,))
         with pytest.raises(InvalidConfig) as err:
             cfg.validate()
         msg = str(err.value)
         assert "trials" in msg and "degree" in msg and "bogus" in msg
+
+    def test_swept_field_checked_only_at_sweep_points(self):
+        # Trials run only at the sweep points, so a config degree that no
+        # point uses does not stop the run.
+        cfg = tiny_config(degree=4, sweep_values=(1, 2), trials=1, iota=1.0)
+        cfg.validate()
+        rows = run_experiment(cfg).rows
+        assert [row["axis_value"] for row in rows] == [1, 2]
+        for row in rows:
+            _, neighbors = build_topology(TopologyConfig(num_aps=3, degree=row["axis_value"]))
+            assert row["messages_delivered"] == cfg.num_iters * sum(map(len, neighbors))
+        # Without a valid sweep point the config's own values are checked.
+        for broken in (dict(sweep_axis="bananas"), dict(sweep_values=(float("nan"),))):
+            with pytest.raises(InvalidConfig, match=re.escape(
+                    "config values: degree 4 must be < num_aps 3")):
+                replace(cfg, **broken).validate()
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(InvalidConfig, match="sweep_values"):
@@ -411,3 +430,27 @@ def test_workload_shaped_rows_are_pinned(name):
     cfg = desk_fixture(2008, **overrides)
     fixed = dict(axis_value=cfg.sweep_values[0], trial=0, seed=14256204363764795539)
     assert run_experiment(cfg).rows == [{**fixed, **row} for row in rows]
+
+
+@pytest.fixture(scope="module")
+def bench_workloads():
+    """``bench/workloads.py``, imported without writing bytecode next to it."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    written, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.modules[spec.name] = module         # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = written
+        del sys.modules[spec.name]
+    return module
+
+
+def test_benchmark_workloads_keep_their_pinned_hashes(bench_workloads):
+    # The benchmark refuses a run whose workload config moved; this fails first.
+    pins = bench_workloads.PINNED_HASHES
+    assert set(pins) == set(bench_workloads.WORKLOADS)
+    for name, workload in bench_workloads.WORKLOADS.items():
+        assert workload.config(bench_workloads.PINNED_SEED).config_hash() == pins[name], name

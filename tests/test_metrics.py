@@ -37,7 +37,7 @@ class TestDetect:
 
     def test_tiny_threshold_declares_positive_entries_active(self, scenario):
         gamma = oracle_estimates(scenario)
-        decisions, _ = detect(gamma, scenario, scenario.noise_power, iota=1e-12)
+        decisions, _ = detect(gamma, scenario, iota=1e-12)
         np.testing.assert_array_equal(decisions, scenario.activity)
 
     def test_plant_and_recover_zero_aer(self, scenario):
@@ -54,7 +54,7 @@ class TestDetect:
                        + 0.01 * np.ones_like(scenario.gains))
         previous = None
         for iota in np.logspace(-3, 3, 25):
-            decisions, _ = detect(gamma, scenario, scenario.noise_power, iota)
+            decisions, _ = detect(gamma, scenario, iota)
             if previous is not None:
                 assert np.all(decisions <= previous)  # raising iota never adds actives
             previous = decisions

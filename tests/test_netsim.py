@@ -16,6 +16,10 @@ def all_up():
     return np.ones(EDGES.num_aps, dtype=bool)
 
 
+def ledger(payload_size=1):
+    return CommLedger(len(EDGES.src), payload_size)
+
+
 def pairs(mask):
     return {(int(s), int(d)) for s, d in zip(EDGES.src[mask], EDGES.dst[mask])}
 
@@ -35,18 +39,21 @@ class TestBackhaul:
 class TestDelivery:
     def test_no_failures_is_identity(self):
         rng = np.random.default_rng(0)
-        ledger = CommLedger()
-        out = deliver_round(all_up(), FailurePlan(), 1, rng, EDGES, ledger)
+        led = ledger()
+        out = deliver_round(all_up(), FailurePlan(), 1, rng, EDGES, led)
         np.testing.assert_array_equal(out, np.ones(len(EDGES.src), dtype=bool))
-        assert ledger.sent_by_ap == ledger.received_by_ap == {0: 2, 1: 2, 2: 2}
+        np.testing.assert_array_equal(led.per_edge, np.ones(len(EDGES.src)))
+        for ends in (EDGES.src, EDGES.dst):  # sent and received per AP
+            np.testing.assert_array_equal(np.bincount(ends, led.per_edge, minlength=3),
+                                          [2, 2, 2])
 
     def test_scalar_count_matches_graph_size(self):
         rng = np.random.default_rng(1)
         n = 7
-        ledger = CommLedger()
-        deliver_round(all_up(), FailurePlan(), 1, rng, EDGES, ledger, payload_size=n)
+        led = ledger(payload_size=n)
+        deliver_round(all_up(), FailurePlan(), 1, rng, EDGES, led)
         expected = n * sum(len(nb) for nb in NEIGHBORS)
-        assert ledger.total_scalars == expected
+        assert led.total_scalars == expected
 
     def test_unknown_edge_raises(self):
         with pytest.raises(UnknownEdge):
@@ -80,13 +87,17 @@ class TestDelivery:
 
     def test_ledger_conservation_under_random_drops(self):
         rng = np.random.default_rng(6)
-        ledger = CommLedger()
+        led = ledger()
         plan = FailurePlan(drop_prob=0.4)
+        delivered = 0
         for rnd in range(1, 20):
-            deliver_round(all_up(), plan, rnd, rng, EDGES, ledger)
-        for rec in ledger.rounds:
-            assert rec["delivered"] + rec["dropped"] == rec["attempted"]
-        assert ledger.total_messages + ledger.total_dropped == 19 * 6
+            delivered += deliver_round(all_up(), plan, rnd, rng, EDGES, led)
+        assert led.attempted == [6] * 19
+        assert all(0 <= d <= 6 for d in led.delivered)
+        np.testing.assert_array_equal(led.per_edge, delivered)
+        assert led.total_messages == led.per_edge.sum() == sum(led.delivered)
+        assert 0 < led.total_dropped < 19 * 6
+        assert led.total_messages + led.total_dropped == 19 * 6
 
     def test_zero_drop_consumes_no_randomness(self):
         # A failure-free run must not depend on whether a plan object exists.
@@ -99,11 +110,12 @@ class TestDelivery:
         # A down AP sends nothing; what its neighbors send it is attempted
         # but not delivered.
         rng = np.random.default_rng(8)
-        ledger = CommLedger()
-        out = deliver_round(np.array([True, True, False]), FailurePlan(), 1, rng, EDGES, ledger)
+        led = ledger()
+        out = deliver_round(np.array([True, True, False]), FailurePlan(), 1, rng, EDGES, led)
         np.testing.assert_array_equal(out, (EDGES.src != 2) & (EDGES.dst != 2))
-        assert ledger.rounds[0]["attempted"] == 4
-        assert ledger.rounds[0]["delivered"] == 2
+        assert led.attempted == [4]
+        assert led.delivered == [2]
+        np.testing.assert_array_equal(led.per_edge, out)
 
     def test_drops_match_the_dict_delivery(self):
         # One draw per surviving message in (src, dst) order, as the
@@ -128,15 +140,14 @@ class TestDelivery:
         plan = FailurePlan(ap_failures=((1, 1),), link_failures=(), drop_prob=0.5)
         rng = np.random.default_rng(10)
         state = rng.bit_generator.state
-        ledger = CommLedger()
+        led = CommLedger(0, 7)
         for rnd in (1, 2):
-            out = deliver_round(np.zeros(0, dtype=bool), plan, rnd, rng, edges, ledger, 7)
+            out = deliver_round(np.zeros(0, dtype=bool), plan, rnd, rng, edges, led)
             assert out.dtype == bool and out.shape == (0,)
         assert rng.bit_generator.state == state
-        assert ledger.rounds == [{"round": r, "attempted": 0, "delivered": 0, "dropped": 0,
-                                  "scalars_delivered": 0} for r in (1, 2)]
-        assert ledger.sent.size == ledger.received.size == 0
-        assert ledger.to_dict()["sent_by_ap"] == ledger.to_dict()["received_by_ap"] == {}
+        assert led.attempted == led.delivered == [0, 0]
+        assert led.per_edge.shape == (0,)
+        assert led.total_messages == led.total_dropped == led.total_scalars == 0
 
 
 class TestFailurePlan:

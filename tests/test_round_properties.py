@@ -57,6 +57,16 @@ def problems(draw, sizes=st.integers(4, 16), pilot_lens=st.integers(2, 6),
     return scenario, synthesize(scenario), plan, hyper, options
 
 
+TRACE = ("cost", "selected", "clamped", "degenerate")
+
+
+def assert_same_ledger(got, want):
+    assert got.attempted == want.attempted
+    assert got.delivered == want.delivered
+    np.testing.assert_array_equal(got.per_edge, want.per_edge)
+    assert got.total_scalars == want.total_scalars
+
+
 def kernel_path(table: bool) -> ExitStack:
     """The pilot-table path, or the complex path forced by a zero table budget."""
     stack = ExitStack()
@@ -76,15 +86,19 @@ def test_batched_round_matches_the_loop(problem, table):
         want = reference_loop.run(scenario, observations, hyper, plan=plan, options=options)
     scale = max(float(np.abs(want.gamma).max()), 1e-300)
     np.testing.assert_allclose(got.gamma, want.gamma, rtol=1e-9, atol=1e-9 * scale)
-    assert got.ledger.to_dict() == want.ledger.to_dict()
+    assert_same_ledger(got.ledger, want.ledger)
     assert got.rounds_completed == want.rounds_completed
     for name in ("t", "clamped", "degenerate"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
     np.testing.assert_array_equal(got.edges.src, want.edges.src)
     np.testing.assert_array_equal(got.edges.dst, want.edges.dst)
     np.testing.assert_allclose(got.received, want.received, rtol=1e-9, atol=1e-9 * scale)
-    selected = [int(s) for r in got.trace.records for s in r["selected"]]
-    assert selected == [r["selected"] for r in want.trace.records]
+    for name in ("selected", "clamped", "degenerate"):
+        np.testing.assert_array_equal(getattr(got.trace, name), getattr(want.trace, name))
+    # An AP records a round exactly when it computes, and never after its crash.
+    np.testing.assert_array_equal(np.count_nonzero(got.trace.selected >= 0, axis=0), got.t)
+    for ap, crash in plan.ap_failures:
+        assert np.all(got.trace.selected[crash - 1:, ap] == -1)
     if options.record_cost:
         np.testing.assert_allclose(got.trace.round_costs(), want.trace.round_costs(),
                                    rtol=1e-9)
@@ -111,7 +125,7 @@ def test_batch_matches_each_problem_alone(data):
         with kernel_path(table):
             want = run(scenario, observations, hyper, plan=plan, options=options)
         np.testing.assert_array_equal(g.gamma, want.gamma)
-        assert g.ledger.to_dict() == want.ledger.to_dict()
+        assert_same_ledger(g.ledger, want.ledger)
         assert g.rounds_completed == want.rounds_completed
         assert g.edges.num_aps == want.edges.num_aps
         for name in ("src", "dst", "send_order"):
@@ -119,11 +133,8 @@ def test_batch_matches_each_problem_alone(data):
         for name in ("sigma", "x_agg", "t", "clamped", "degenerate", "delta", "x_local",
                      "received"):
             np.testing.assert_array_equal(getattr(g, name), getattr(want, name))
-        assert len(g.trace.records) == len(want.trace.records)
-        for gr, wr in zip(g.trace.records, want.trace.records):
-            assert gr.keys() == wr.keys()
-            for key in gr:
-                np.testing.assert_array_equal(gr[key], wr[key])
+        for name in TRACE:
+            np.testing.assert_array_equal(getattr(g.trace, name), getattr(want.trace, name))
 
 
 @given(problems())
@@ -141,17 +152,19 @@ def test_delivered_plus_dropped_is_attempted(problem, seed):
     scenario, _, plan, hyper, _ = problem
     edges = Backhaul.from_neighbors(scenario.neighbors)
     rng = np.random.default_rng(seed)
-    ledger = CommLedger()
+    ledger = CommLedger(len(edges.src), 3)
+    masks = np.zeros(len(edges.src), dtype=int)
     for rnd in range(1, hyper.num_iters + 1):
         up = rng.random(scenario.num_aps) < 0.8
-        delivered = deliver_round(up, plan, rnd, rng, edges, ledger, payload_size=3)
+        delivered = deliver_round(up, plan, rnd, rng, edges, ledger)
         assert not np.any(delivered & ~(up[edges.src] & up[edges.dst]))
-        rec = ledger.rounds[-1]
-        assert rec["attempted"] == np.count_nonzero(up[edges.src])
-        assert rec["delivered"] + rec["dropped"] == rec["attempted"]
-        assert rec["scalars_delivered"] == 3 * rec["delivered"]
-    assert sum(ledger.sent_by_ap.values()) == ledger.total_messages
-    assert sum(ledger.received_by_ap.values()) == ledger.total_messages
+        assert ledger.attempted[-1] == np.count_nonzero(up[edges.src])
+        assert ledger.delivered[-1] == np.count_nonzero(delivered)
+        masks += delivered
+    assert len(ledger.attempted) == len(ledger.delivered) == hyper.num_iters
+    np.testing.assert_array_equal(ledger.per_edge, masks)
+    assert ledger.total_messages + ledger.total_dropped == sum(ledger.attempted)
+    assert ledger.total_scalars == 3 * ledger.total_messages
 
 
 @settings(max_examples=100)

@@ -17,7 +17,7 @@ from coopdetect.scenario import (
     make_scenario,
     synthesize,
 )
-from coopdetect.solver import SolverOptions, _Batch, run, run_batch, verify_state
+from coopdetect.solver import SolverOptions, _setup, run, run_batch, verify_state
 
 import reference_loop
 from reference_loop import ap_iteration, init_states
@@ -40,13 +40,16 @@ def setup():
 class TestInit:
     def test_zero_start(self, setup):
         sc, obs = setup
-        st = _Batch.initial(sc, num_iters=1)
+        st, (solve,) = _setup([(sc, obs, FailurePlan())], num_iters=1)
         assert np.all(st.gamma == 0.0)
         for sigma in st.sigma:
             np.testing.assert_array_equal(sigma, sc.noise_power * np.eye(sc.pilot_len))
         assert np.all(st.x_agg == 0.0)
         assert st.x_local.shape == st.received.shape == (len(st.edges.src), sc.num_devices)
         assert np.all(st.x_local == 0.0) and np.all(st.received == 0.0)
+        # A batch of one joins just its problem's own backhaul.
+        for name in ("src", "dst", "send_order"):
+            np.testing.assert_array_equal(getattr(solve.edges, name), getattr(st.edges, name))
 
     def test_initial_cost_closed_form(self, setup):
         sc, obs = setup
@@ -159,8 +162,8 @@ class TestMessaging:
         edges = sum(len(nb) for nb in sc.neighbors)
         assert res.ledger.total_messages == rounds * edges
         assert res.ledger.total_scalars == rounds * edges * sc.num_devices
-        for rec in res.ledger.rounds:
-            assert rec["scalars_delivered"] == edges * sc.num_devices
+        assert res.ledger.attempted == res.ledger.delivered == [edges] * rounds
+        np.testing.assert_array_equal(res.ledger.per_edge, np.full(edges, rounds))
 
     def test_counters_invariant_to_antenna_count(self):
         ledgers = []
@@ -168,8 +171,10 @@ class TestMessaging:
             sc = small_scenario(seed=7, num_antennas=m)
             obs = synthesize(sc)
             res = run(sc, obs, Hyperparams(num_iters=4))
-            ledgers.append(res.ledger.to_dict())
-        assert ledgers[0] == ledgers[1]
+            ledgers.append(res.ledger)
+        assert ledgers[0].attempted == ledgers[1].attempted
+        assert ledgers[0].delivered == ledgers[1].delivered
+        np.testing.assert_array_equal(ledgers[0].per_edge, ledgers[1].per_edge)
 
     def test_lag_transmit_sends_previous_estimate(self, setup):
         sc, obs = setup
