@@ -176,7 +176,8 @@ class ExperimentConfig:
             try:
                 topo = _topology(point)
                 check_sizes(point.num_devices, point.num_active, point.pilot_len,
-                            point.num_antennas, point.snr_db, _resolved_gain_ref(point))
+                            point.num_antennas, point.snr_db, _resolved_gain_ref(point),
+                            point.pathloss_exponent)
                 if plan is not None:
                     plan.validate(neighbors(topo), point.num_iters)
             except InvalidConfig as err:

@@ -26,6 +26,7 @@ _STREAM_PILOTS = 2
 _STREAM_OBSERVATIONS = 3
 
 _SYNTHESIS_BYTES = 1 << 18
+_SLAB_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,8 @@ class TopologyConfig:
             problems.append(f"degree {self.degree} must be < num_aps {self.num_aps}")
         if self.layout not in ("grid", "ring"):
             problems.append(f"layout must be 'grid' or 'ring', got {self.layout!r}")
-        if self.ap_spacing <= 0:
-            problems.append(f"ap_spacing must be positive, got {self.ap_spacing}")
+        if not (is_finite(self.ap_spacing) and self.ap_spacing > 0):
+            problems.append(f"ap_spacing must be positive and finite, got {self.ap_spacing}")
         if problems:
             raise InvalidConfig("; ".join(problems))
 
@@ -184,8 +185,8 @@ def is_finite(x) -> bool:
 
 
 def check_sizes(num_devices: int, num_active: int, pilot_len: int, num_antennas: int,
-                snr_db: float, gain_ref: float | None) -> None:
-    """Raise InvalidConfig unless :func:`make_scenario` can draw these sizes, SNR and gain scale."""
+                snr_db: float, gain_ref: float | None, pathloss_exponent: float) -> None:
+    """Raise InvalidConfig unless :func:`make_scenario` can draw these sizes, SNR and gains."""
     problems = []
     if num_devices <= 0:
         problems.append(f"num_devices must be positive, got {num_devices}")
@@ -199,6 +200,8 @@ def check_sizes(num_devices: int, num_active: int, pilot_len: int, num_antennas:
         problems.append(f"snr_db must be finite, got {snr_db}")
     if gain_ref is not None and not (is_finite(gain_ref) and gain_ref > 0):
         problems.append(f"gain_ref must be positive and finite, got {gain_ref}")
+    if not (is_finite(pathloss_exponent) and pathloss_exponent > 0):
+        problems.append(f"pathloss_exponent must be positive and finite, got {pathloss_exponent}")
     if problems:
         raise InvalidConfig("; ".join(problems))
 
@@ -225,7 +228,8 @@ def make_scenario(
     pins the absolute scale that the solver's step sizes operate on
     without touching relative gains or the SNR definition.
     """
-    check_sizes(num_devices, num_active, pilot_len, num_antennas, snr_db, gain_ref)
+    check_sizes(num_devices, num_active, pilot_len, num_antennas, snr_db, gain_ref,
+                pathloss_exponent)
     pos, neighbors = build_topology(topology)
     streams = np.random.SeedSequence(topology.seed).spawn(4)
 
@@ -271,15 +275,17 @@ def make_scenario(
     )
 
 
-def synthesize(scenario: Scenario, noise_power: float | None = None) -> list[ApObservation]:
+def synthesize(scenario: Scenario) -> list[ApObservation]:
     """Draw the received pilot block at every AP and return its sample covariance.
 
     Y_b = pilots @ diag(chi * sqrt(g_b)) @ H_b + W_b, with H_b and W_b
-    i.i.d. complex Gaussian (unit variance and ``noise_power`` variance per
-    entry).  Deterministic given the scenario seed; channel and noise
-    streams are per-AP children of the observation stream.
+    i.i.d. complex Gaussian (unit variance and ``scenario.noise_power``
+    variance per entry).  Deterministic given the scenario seed: AP b draws
+    from child b of the observation stream, in this order, the real then
+    the imaginary parts of its (N, M) channel, then its noise's (2, L, M)
+    standard normals.  The channel is drawn a slab of rows at a time, which
+    gives the same values as one ``standard_normal((2, N, M))`` draw.
     """
-    sigma2 = scenario.noise_power if noise_power is None else noise_power
     b, n, l, m = scenario.num_aps, scenario.num_devices, scenario.pilot_len, scenario.num_antennas
     obs_stream = np.random.SeedSequence(scenario.seed).spawn(4)[_STREAM_OBSERVATIONS]
     ap_streams = obs_stream.spawn(b)
@@ -288,22 +294,37 @@ def synthesize(scenario: Scenario, noise_power: float | None = None) -> list[ApO
     act = np.flatnonzero(scenario.activity)
     amp = scenario.activity[act] * np.sqrt(scenario.gains[:, act])  # (B, K)
     pilots = scenario.pilots[:, act]
-    # Each AP draws its channel's real and imaginary parts, then its noise's.
+    # The channel stream is 2N rows of M draws, and a slab of them at a time
+    # is filled into one buffer, which bounds the draw by _SLAB_BYTES whatever
+    # N is.  The normal fill keeps no state between calls, so the pieces give
+    # the stream's values.  The kept rows are sorted, so those of a slab land
+    # in one run of the AP's (2K, M) block, and the plan serves every AP.
+    rows = np.concatenate([act, n + act])
+    slab = max(1, min(2 * n, _SLAB_BYTES // (8 * m)))
+    buf = np.empty((slab, m))
+    starts = range(0, 2 * n, slab)
+    cuts = np.searchsorted(rows, [*starts, 2 * n])
+    plan = [(buf[:min(slab, 2 * n - first)], rows[lo:hi] - first, slice(lo, hi))
+            for first, lo, hi in zip(starts, cuts[:-1], cuts[1:])]
     # The products run over groups of APs, which took 8% off a 64-AP
-    # experiment against one product per AP; a group's channel and noise
-    # blocks take about _SYNTHESIS_BYTES, which bounds their temporaries.
+    # experiment against one product per AP; a group's kept channel rows and
+    # noise blocks take about _SYNTHESIS_BYTES, which bounds their temporaries.
     group = max(1, _SYNTHESIS_BYTES // (16 * m * (len(act) + l)))
     sample_cov = np.empty((b, l, l), dtype=complex)
     for first in range(0, b, group):
         aps = slice(first, min(first + group, b))
         h = np.empty((aps.stop - first, 2, len(act), m))
         w = np.empty((aps.stop - first, 2, l, m))
+        kept = h.reshape(aps.stop - first, 2 * len(act), m)
         for k, stream in enumerate(ap_streams[aps]):
             rng = np.random.default_rng(stream)
-            h[k] = rng.standard_normal((2, n, m))[:, act]
+            for fill, take, dest in plan:
+                rng.standard_normal(out=fill)
+                # The indices are in range; mode="clip" writes to out unbuffered.
+                np.take(fill, take, axis=0, out=kept[k, dest], mode="clip")
             rng.standard_normal(out=w[k])
         y = ((pilots * amp[aps, None, :]) @ _complex_gaussian(h.swapaxes(0, 1))
-             + _complex_gaussian(w.swapaxes(0, 1), scale=sigma2))
+             + _complex_gaussian(w.swapaxes(0, 1), scale=scenario.noise_power))
         np.matmul(y, y.conj().swapaxes(-1, -2), out=sample_cov[aps])
     sample_cov /= m
     return [ApObservation(ap_id=i, sample_cov=sample_cov[i]) for i in range(b)]

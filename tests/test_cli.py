@@ -1,6 +1,7 @@
 """Command-line interface smoke tests (in-process)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -51,7 +52,7 @@ class TestRunVerb:
                                                             capsys):
         # Degree 4 cannot be built on 3 APs, but no trial runs it: the sweep
         # points are degrees 1 and 2.
-        cfg = json.loads(open(config_file).read())
+        cfg = json.loads(Path(config_file).read_text())
         path = tmp_path / "degree4.json"
         path.write_text(json.dumps({**cfg, "degree": 4}))
         rc = main(["run", "--config", str(path), "--sweep", "coop_degree=1,2"])
@@ -84,7 +85,7 @@ class TestRunVerb:
 class TestOtherVerbs:
     def test_calibrate_prints_iota(self, config_file, tmp_path, capsys):
         # iota None in overrides forces a calibration pass
-        cfg = json.loads(open(config_file).read())
+        cfg = json.loads(Path(config_file).read_text())
         cfg["iota"] = None
         path = tmp_path / "cal.json"
         path.write_text(json.dumps(cfg))
@@ -127,11 +128,18 @@ class TestBadInput:
                                               ("master_seed", "x"), ("modes", "cmd"),
                                               ("sweep_values", [True])])
     def test_wrongly_typed_field(self, config_file, tmp_path, capsys, field, value):
-        cfg = json.loads(open(config_file).read())
+        cfg = json.loads(Path(config_file).read_text())
         cfg[field] = value
         path = tmp_path / "typed.json"
         path.write_text(json.dumps(cfg))
         self.assert_rejected(["run", "--config", str(path)], capsys, f"{field} must be")
+
+    def test_non_finite_geometry(self, config_file, tmp_path, capsys):
+        cfg = json.loads(Path(config_file).read_text())
+        path = tmp_path / "geometry.json"
+        path.write_text(json.dumps({**cfg, "pathloss_exponent": float("nan")}))
+        self.assert_rejected(["run", "--config", str(path)], capsys,
+                             "pathloss_exponent must be positive and finite, got nan")
 
     @pytest.mark.parametrize("flag", ["--config", "--failure-plan"])
     def test_missing_file(self, tmp_path, capsys, flag):

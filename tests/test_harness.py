@@ -130,9 +130,17 @@ class TestConfig:
         (dict(gain_ref=float("inf")),
          "sweep point coop_degree=4: gain_ref must be positive and finite, got inf"),
         (dict(snr_db=10**400), "sweep point coop_degree=4: snr_db must be finite, got 1000"),
+        (dict(ap_spacing=float("nan")),
+         "sweep point coop_degree=4: ap_spacing must be positive and finite, got nan"),
+        (dict(ap_spacing=float("inf")),
+         "sweep point coop_degree=4: ap_spacing must be positive and finite, got inf"),
+        (dict(pathloss_exponent=float("nan")),
+         "sweep point coop_degree=4: pathloss_exponent must be positive and finite, got nan"),
+        (dict(pathloss_exponent=float("inf")),
+         "sweep point coop_degree=4: pathloss_exponent must be positive and finite, got inf"),
     ], ids=["degree", "ap_spacing", "L", "M", "gain_ref", "plan_ap", "plan_round",
             "plan_link", "repeated_value", "snr_nan", "snr_inf_sweep", "gain_ref_inf",
-            "snr_overflow"])
+            "snr_overflow", "ap_spacing_nan", "ap_spacing_inf", "pathloss_nan", "pathloss_inf"])
     def test_bad_trial_rejected_before_any_solve(self, monkeypatch, overrides, message):
         cfg = tiny_config(**{"num_aps": 5, "degree": 4, "sweep_values": (4,), **overrides})
         with pytest.raises(InvalidConfig, match=re.escape(message)):

@@ -1,8 +1,16 @@
 """Scenario generation: geometry, gains, signals, reproducibility, JSON."""
 
+import math
+import tracemalloc
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from coopdetect import scenario as scenario_module
 from coopdetect.errors import InvalidConfig
 from coopdetect.scenario import (
     TopologyConfig,
@@ -64,6 +72,9 @@ class TestTopology:
             TopologyConfig(num_aps=3, degree=3)
         with pytest.raises(InvalidConfig):
             TopologyConfig(num_aps=3, degree=1, layout="mesh")
+        for spacing in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidConfig, match="ap_spacing must be positive"):
+                TopologyConfig(num_aps=3, degree=1, ap_spacing=spacing)
 
     def test_zero_degree_isolates(self):
         _, neighbors = build_topology(TopologyConfig(num_aps=4, degree=0))
@@ -162,6 +173,11 @@ class TestScenario:
         with pytest.raises(InvalidConfig):
             make_scenario(topo, num_devices=5, num_active=9, pilot_len=4,
                           num_antennas=2, snr_db=0.0)
+        for exponent in (0.0, float("nan"), float("inf")):
+            message = f"pathloss_exponent must be positive and finite, got {exponent}"
+            with pytest.raises(InvalidConfig, match=message):
+                make_scenario(topo, num_devices=5, num_active=2, pilot_len=4, num_antennas=2,
+                              snr_db=0.0, pathloss_exponent=exponent)
 
     @pytest.mark.parametrize("snr_db, gain_ref", [(float("nan"), None), (float("inf"), None),
                                                   (10.0, float("nan")), (10.0, float("inf"))])
@@ -175,7 +191,7 @@ class TestScenario:
 class TestSynthesize:
     def test_no_signal_no_noise_gives_zero(self):
         sc = desk(seed=5, num_active=0)
-        obs = synthesize(sc, noise_power=0.0)
+        obs = synthesize(replace(sc, noise_power=0.0))
         for o in obs:
             assert np.allclose(o.sample_cov, 0.0)
 
@@ -184,7 +200,7 @@ class TestSynthesize:
         traces = []
         for seed in range(25):
             sc = desk(seed=seed, num_active=0)
-            for o in synthesize(sc, noise_power=1.0):
+            for o in synthesize(replace(sc, noise_power=1.0)):
                 traces.append(np.real(np.trace(o.sample_cov)) / sc.pilot_len)
         assert np.mean(traces) == pytest.approx(1.0, rel=0.05)
 
@@ -193,7 +209,7 @@ class TestSynthesize:
         sc = make_scenario(topo, num_devices=4, num_active=1, pilot_len=6,
                            num_antennas=2048, snr_db=10.0, gain_ref=1.0)
         n = int(np.flatnonzero(sc.activity)[0])
-        obs = synthesize(sc, noise_power=0.0)
+        obs = synthesize(replace(sc, noise_power=0.0))
         s_n = sc.pilots[:, n]
         expected = sc.gains[0, n] * np.outer(s_n, s_n.conj())
         err = np.linalg.norm(obs[0].sample_cov - expected) / np.linalg.norm(expected)
@@ -211,6 +227,49 @@ class TestSynthesize:
         y1 = synthesize(sc)[0].sample_cov
         y2 = synthesize(desk(seed=7))[0].sample_cov
         np.testing.assert_array_equal(y1, y2)
+
+    @given(st.integers(1, 12), st.data())
+    def test_matches_one_draw_per_ap_bitwise(self, n, data):
+        # Small slabs and AP groups: many slabs per AP, a partial last slab,
+        # and several groups per call.
+        k, l, m = (data.draw(st.integers(0, n)), data.draw(st.integers(1, 5)),
+                   data.draw(st.integers(1, 6)))
+        b, seed = data.draw(st.integers(1, 7)), data.draw(st.integers(0, 2**32 - 1))
+        slab_rows, group = data.draw(st.integers(1, 2 * n + 1)), data.draw(st.integers(1, 3))
+        sc = make_scenario(TopologyConfig(num_aps=b, degree=0, seed=seed), num_devices=n,
+                           num_active=k, pilot_len=l, num_antennas=m, snr_db=10.0, gain_ref=1.0)
+        with mock.patch.object(scenario_module, "_SLAB_BYTES", 8 * m * slab_rows), \
+                mock.patch.object(scenario_module, "_SYNTHESIS_BYTES", 16 * m * (k + l) * group):
+            got = np.stack([o.sample_cov for o in synthesize(sc)])
+
+        def complex_gaussian(pairs, scale):
+            out = np.empty(pairs.shape[1:], dtype=complex)
+            out.real = math.sqrt(scale / 2.0) * pairs[0]
+            out.imag = math.sqrt(scale / 2.0) * pairs[1]
+            return out
+
+        act = np.flatnonzero(sc.activity)
+        streams = np.random.SeedSequence(seed).spawn(4)[3].spawn(b)
+        for ap, stream in enumerate(streams):
+            rng = np.random.default_rng(stream)
+            h = complex_gaussian(rng.standard_normal((2, n, m)), 1.0)
+            w = complex_gaussian(rng.standard_normal((2, l, m)), sc.noise_power)
+            y = (sc.pilots[:, act] * np.sqrt(sc.gains[ap, act])) @ h[act] + w
+            np.testing.assert_array_equal(got[ap], y @ y.conj().T / m)
+
+    def test_draw_memory_does_not_grow_with_devices(self):
+        peaks = []
+        for n in (500, 4000):
+            sc = make_scenario(TopologyConfig(num_aps=1, degree=0, seed=3), num_devices=n,
+                               num_active=20, pilot_len=16, num_antennas=64, snr_db=10.0,
+                               gain_ref=1.0)
+            tracemalloc.start()
+            try:
+                synthesize(sc)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= scenario_module._SLAB_BYTES
 
 
 class TestSerialization:
