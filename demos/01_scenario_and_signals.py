@@ -40,14 +40,14 @@ print(f"noise power from the SNR convention: {scenario.noise_power:.3f} "
       f"(median active device sits {scenario.snr_db:.0f} dB above it)")
 
 print("\n=== received signals ===")
-observations = synthesize(scenario)
-for obs in observations[:2]:
-    trace = np.real(np.trace(obs.sample_cov))
-    print(f"  AP {obs.ap_id}: signal ({scenario.pilot_len}, {scenario.num_antennas}), "
-          f"sample covariance {obs.sample_cov.shape}, trace {trace:.1f} "
+covs = synthesize(scenario)                   # (B, L, L), row b is AP b's
+for ap, cov in enumerate(covs[:2]):
+    trace = np.real(np.trace(cov))
+    print(f"  AP {ap}: signal ({scenario.pilot_len}, {scenario.num_antennas}), "
+          f"sample covariance {cov.shape}, trace {trace:.1f} "
           f"(noise-only would be ~{scenario.pilot_len * scenario.noise_power:.1f})")
 
-eigs = np.linalg.eigvalsh(observations[0].sample_cov)
+eigs = np.linalg.eigvalsh(covs[0])
 print(f"  sample covariance eigenvalue range at AP 0: "
       f"[{eigs.min():.3f}, {eigs.max():.1f}] (Hermitian PSD)")
 

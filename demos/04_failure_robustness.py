@@ -16,7 +16,7 @@ from coopdetect.scenario import synthesize
 
 cfg = desk_fixture(master_seed=777)
 scenario = build_scenario(cfg, sweep_value=4, seed=777)
-observations = synthesize(scenario)
+covs = synthesize(scenario)
 hyper = cfg.hyper()
 iota = 0.1                                    # detection threshold multiplier
 options = SolverOptions(record_cost=False, check_state_every=50)
@@ -28,13 +28,13 @@ plan = FailurePlan(
 )
 
 print("=== clean run ===")
-clean = run(scenario, observations, hyper, options=options)
+clean = run(scenario, covs, hyper, options=options)
 clean_report = evaluate(clean.gamma, scenario, iota)
 print(f"AER {clean_report.aer:.3f}; "
       f"{clean.ledger.total_messages} messages, 0 dropped")
 
 print("\n=== with failures ===")
-faulty = run(scenario, observations, hyper, plan=plan, options=options)
+faulty = run(scenario, covs, hyper, plan=plan, options=options)
 report = evaluate(faulty.gamma, scenario, iota)
 led = faulty.ledger
 print(f"AER {report.aer:.3f} (degrades by {report.aer - clean_report.aer:+.3f})")

@@ -22,7 +22,6 @@ from .metrics import DetectionReport, aer, calibrate_threshold, detect, evaluate
 from .netsim import CommLedger, FailurePlan, deliver_round
 from .objective import Hyperparams
 from .scenario import (
-    ApObservation,
     Scenario,
     TopologyConfig,
     build_topology,
@@ -38,7 +37,6 @@ from .solver import IterationTrace, RunResult, SolverOptions, run, run_batch
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApObservation",
     "CommLedger",
     "ConfigMismatch",
     "CoopDetectError",

@@ -7,6 +7,7 @@ import sys
 
 from .errors import CoopDetectError, InvalidConfig
 from .harness import (
+    MODES,
     ExperimentConfig,
     calibrate,
     load_config,
@@ -26,7 +27,7 @@ _SWEEP_DEFAULTS = {
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON experiment config file")
     p.add_argument("--seed", type=int, help="master seed (mandatory here or in the config)")
-    p.add_argument("--mode", help="comma-separated modes: cmd,no_coop,centralized_pool")
+    p.add_argument("--mode", help=f"comma-separated modes: {','.join(MODES)}")
     p.add_argument("--sweep", help="sweep axis, optionally axis=v1,v2,...")
     p.add_argument("--out", help="output directory")
     p.add_argument("--trials", type=int, help="Monte-Carlo trials per sweep point")

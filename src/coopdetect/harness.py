@@ -35,7 +35,6 @@ from .errors import InvalidConfig
 from .netsim import FailurePlan
 from .objective import Hyperparams
 from .scenario import (
-    ApObservation,
     Scenario,
     TopologyConfig,
     build_topology,
@@ -150,8 +149,21 @@ class ExperimentConfig:
             problems.append("master_seed is mandatory")
         elif self.master_seed < 0:
             problems.append(f"master_seed must be a nonnegative integer, got {self.master_seed}")
-        if self.iota is not None and self.iota <= 0:
-            problems.append(f"iota must be positive, got {self.iota}")
+        # The step size, the penalty's curvature and the threshold scale must be
+        # positive, the weights nonnegative: rho >= 0 keeps combiner_weights a
+        # probability vector.  An iota of None is calibrated.
+        for name in ("eta", "theta", "iota"):
+            value = getattr(self, name)
+            if value is not None and not (is_finite(value) and value > 0):
+                problems.append(f"{name} must be positive and finite, got {value}")
+        for name in ("beta", "tau", "rho"):
+            value = getattr(self, name)
+            if not (is_finite(value) and value >= 0):
+                problems.append(f"{name} must be nonnegative and finite, got {value}")
+        # The AER needs both classes: active and inactive devices.
+        if self.num_devices > 0 and self.num_active in (0, self.num_devices):
+            problems.append(f"num_active must be in [1, {self.num_devices - 1}] for the AER "
+                            f"to be defined, got {self.num_active}")
         if self.b0_mode not in ("nearest", "max_gamma"):
             problems.append(f"b0_mode must be 'nearest' or 'max_gamma', got {self.b0_mode!r}")
         plan = None
@@ -324,12 +336,6 @@ def trial_seed(master_seed: int, sweep_index: int, trial_index: int,
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def pooled_observation(observations) -> ApObservation:
-    """Single fictitious AP holding the average of all sample covariances."""
-    pooled = np.mean([o.sample_cov for o in observations], axis=0)
-    return ApObservation(ap_id=0, sample_cov=pooled)
-
-
 def _pooled_scenario(scenario: Scenario) -> Scenario:
     topo = replace(scenario.topology, num_aps=1, degree=0)
     return replace(
@@ -341,9 +347,9 @@ def _pooled_scenario(scenario: Scenario) -> Scenario:
     )
 
 
-def mode_dispatch(mode: str, scenario: Scenario, observations,
+def mode_dispatch(mode: str, scenario: Scenario, covs: np.ndarray,
                   plan: FailurePlan | None = None) -> solver.Problem:
-    """The solver problem ``(scenario, observations, plan)`` of one detection mode.
+    """The solver problem ``(scenario, covs, plan)`` of one detection mode.
 
     ``cmd`` is the full cooperative problem.  ``no_coop`` empties every
     neighbor set, so each AP solves alone and no messages flow: with no
@@ -353,11 +359,11 @@ def mode_dispatch(mode: str, scenario: Scenario, observations,
     baselines have no backhaul to fail.
     """
     if mode == "cmd":
-        return scenario, observations, plan
+        return scenario, covs, plan
     if mode == "no_coop":
-        return isolated(scenario), observations, None
+        return isolated(scenario), covs, None
     if mode == "centralized_pool":
-        return _pooled_scenario(scenario), [pooled_observation(observations)], None
+        return _pooled_scenario(scenario), covs.mean(axis=0, keepdims=True), None
     raise InvalidConfig(f"unknown mode {mode!r}")
 
 
@@ -374,9 +380,9 @@ def _solve_batch(cfg: ExperimentConfig, sweep_index: int, sweep_value, keys) -> 
     for trial_index, calibration in keys:
         seed = trial_seed(cfg.master_seed, sweep_index, trial_index, calibration)
         scenario = build_scenario(cfg, sweep_value, seed)
-        observations = synthesize(scenario)
+        covs = synthesize(scenario)
         trials.append((seed, scenario))
-        problems += [mode_dispatch(mode, scenario, observations, plan) for mode in cfg.modes]
+        problems += [mode_dispatch(mode, scenario, covs, plan) for mode in cfg.modes]
     options = solver.SolverOptions(lag_transmit=cfg.lag_transmit, record_cost=False)
     results = iter(solver.run_batch(problems, cfg.hyper(), options))
     return [(seed, scenario, {mode: _outcome(next(results)) for mode in cfg.modes})

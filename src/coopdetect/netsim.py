@@ -178,12 +178,6 @@ def deliver_round(
     masks.
     """
     src, dst = backhaul.src, backhaul.dst
-    if not len(src):
-        # Isolated APs (no_coop): nothing to mask, nothing to draw.
-        delivered = np.zeros(0, dtype=bool)
-        if ledger is not None:
-            ledger.record(delivered, delivered)
-        return delivered
     sent = up[src]
     delivered = sent & up[dst]
     for (i, j), r0, r1 in plan.link_failures:

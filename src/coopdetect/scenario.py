@@ -141,14 +141,6 @@ class Scenario:
         return np.argmin(dists, axis=0)
 
 
-@dataclass
-class ApObservation:
-    """Antenna-averaged covariance of the pilot signal received at one AP."""
-
-    ap_id: int
-    sample_cov: np.ndarray        # (L, L) Hermitian PSD, (1/M) Y Y^H of the (L, M) block Y
-
-
 def _complex_gaussian(pairs: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """Complex entries with variance ``scale`` from standard normal (real, imaginary) pairs.
 
@@ -275,11 +267,12 @@ def make_scenario(
     )
 
 
-def synthesize(scenario: Scenario) -> list[ApObservation]:
-    """Draw the received pilot block at every AP and return its sample covariance.
+def synthesize(scenario: Scenario) -> np.ndarray:
+    """Draw the received pilot block at every AP; return the (B, L, L) sample covariances.
 
-    Y_b = pilots @ diag(chi * sqrt(g_b)) @ H_b + W_b, with H_b and W_b
-    i.i.d. complex Gaussian (unit variance and ``scenario.noise_power``
+    Row b is AP b's antenna-averaged covariance (1/M) Y_b Y_b^H, Hermitian
+    PSD, with Y_b = pilots @ diag(chi * sqrt(g_b)) @ H_b + W_b, and H_b and
+    W_b i.i.d. complex Gaussian (unit variance and ``scenario.noise_power``
     variance per entry).  Deterministic given the scenario seed: AP b draws
     from child b of the observation stream, in this order, the real then
     the imaginary parts of its (N, M) channel, then its noise's (2, L, M)
@@ -327,7 +320,7 @@ def synthesize(scenario: Scenario) -> list[ApObservation]:
              + _complex_gaussian(w.swapaxes(0, 1), scale=scenario.noise_power))
         np.matmul(y, y.conj().swapaxes(-1, -2), out=sample_cov[aps])
     sample_cov /= m
-    return [ApObservation(ap_id=i, sample_cov=sample_cov[i]) for i in range(b)]
+    return sample_cov
 
 
 def _complex_to_pairs(a: np.ndarray) -> list:

@@ -7,10 +7,12 @@ refreshes its subgradient estimators and hands its new estimate to the
 backhaul.  Rounds are bulk-synchronous: all APs compute on previous-round
 neighbor data, then all messages are delivered at once.
 
-``run_batch`` solves several independent problems (scenario, observations,
-failure plan) of one L and N together, such as the trials and modes of a
-sweep point; ``run`` is a batch of one.  The problems' APs and edges are
-stacked in order into one batch, so a round is one step over all of them.
+``run_batch`` solves several independent problems (scenario, covs, failure
+plan) of one L and N together, such as the trials and modes of a sweep
+point; ``run`` is a batch of one.  ``covs`` is the scenario's (num_aps, L, L)
+stack of sample covariances, as ``scenario.synthesize`` returns it.  The
+problems' APs and edges are stacked in order into one batch, so a round is
+one step over all of them.
 
 Layout, for B APs, N devices, L pilot symbols and E directed backhaul edges
 (a ``netsim.Backhaul``, ordered by receiver, block-diagonal over problems):
@@ -93,7 +95,7 @@ from .objective import (
     subgradient_local_update,
     update_covariance,
 )
-from .scenario import ApObservation, Scenario
+from .scenario import Scenario
 
 _SELECTION_SALT = 0x5E1EC7
 _NETSIM_SALT = 0xD80B
@@ -404,24 +406,18 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, solves: list[_Solve], covs: np
     return g_old if options.lag_transmit else g_new
 
 
-# One independent solve: a scenario, its per-AP observations and its failure plan.
-Problem = tuple[Scenario, list[ApObservation], netsim.FailurePlan | None]
+# One independent solve: a scenario, its (num_aps, L, L) sample covariances
+# (row b is AP b's) and its failure plan.
+Problem = tuple[Scenario, np.ndarray, netsim.FailurePlan | None]
 
 
-def _check(scenario: Scenario, observations: list[ApObservation], plan: netsim.FailurePlan,
+def _check(scenario: Scenario, covs: np.ndarray, plan: netsim.FailurePlan,
            num_iters: int) -> None:
-    """Raise unless the plan and the observations fit the scenario."""
+    """Raise unless the plan and the covariance stack fit the scenario."""
     plan.validate(scenario.neighbors, num_iters)
-    b, l = scenario.num_aps, scenario.pilot_len
-    if len(observations) != b:
-        raise ConfigMismatch(f"{len(observations)} observations for {b} APs")
-    for i, obs in enumerate(observations):
-        if obs.ap_id != i:
-            raise ConfigMismatch(f"observation {i} carries ap_id {obs.ap_id}")
-        if obs.sample_cov.shape != (l, l):
-            raise ConfigMismatch(
-                f"sample covariance at AP {i} has shape {obs.sample_cov.shape}, expected {(l, l)}"
-            )
+    want = (scenario.num_aps, scenario.pilot_len, scenario.pilot_len)
+    if np.shape(covs) != want:
+        raise ConfigMismatch(f"sample covariances have shape {np.shape(covs)}, expected {want}")
 
 
 def _setup(problems: list[Problem], num_iters: int) -> tuple[_Batch, list[_Solve]]:
@@ -482,7 +478,7 @@ def batch_aps(num_aps: int, pilot_len: int, num_devices: int) -> int:
 
 def run(
     scenario: Scenario,
-    observations: list[ApObservation],
+    covs: np.ndarray,
     hyper: Hyperparams,
     plan: netsim.FailurePlan | None = None,
     options: SolverOptions | None = None,
@@ -494,12 +490,12 @@ def run(
     missed messages leave the stale copy in place.  Deterministic for a
     fixed scenario seed.  This is :func:`run_batch` of one problem.
     """
-    return run_batch([(scenario, observations, plan)], hyper, options)[0]
+    return run_batch([(scenario, covs, plan)], hyper, options)[0]
 
 
 def run_batch(problems: list[Problem], hyper: Hyperparams,
               options: SolverOptions | None = None) -> list[RunResult]:
-    """Solve independent ``(scenario, observations, plan)`` problems together.
+    """Solve independent ``(scenario, covs, plan)`` problems together.
 
     All problems share L and N; each round advances every live AP of every
     running problem in one step.  Each result equals :func:`run` of its
@@ -509,17 +505,17 @@ def run_batch(problems: list[Problem], hyper: Hyperparams,
     if hyper.num_iters < 1:
         raise ConfigMismatch(f"num_iters must be >= 1, got {hyper.num_iters}")
     options = options or SolverOptions()
-    problems = [(sc, obs, plan or netsim.EMPTY_PLAN) for sc, obs, plan in problems]
+    problems = [(sc, covs, plan or netsim.EMPTY_PLAN) for sc, covs, plan in problems]
     l, n = problems[0][0].pilot_len, problems[0][0].num_devices
-    for scenario, observations, plan in problems:
+    for scenario, covs, plan in problems:
         if (scenario.pilot_len, scenario.num_devices) != (l, n):
             raise ConfigMismatch(f"batched problems need one (L, N), got {(l, n)} and "
                                  f"{(scenario.pilot_len, scenario.num_devices)}")
-        _check(scenario, observations, plan, hyper.num_iters)
+        _check(scenario, covs, plan, hyper.num_iters)
 
     _retain_freed_memory()
     st, solves = _setup(problems, hyper.num_iters)
-    covs = np.stack([o.sample_cov for _, observations, _ in problems for o in observations])
+    covs = np.concatenate([covs for _, covs, _ in problems])
 
     # The live set changes only in a crash round or after an early stop.
     crashes = {r for s in solves for _, r in s.plan.ap_failures}

@@ -41,7 +41,7 @@ from coopdetect.objective import (
     subgradient_local_update,
     update_covariance,
 )
-from coopdetect.scenario import ApObservation, Scenario
+from coopdetect.scenario import Scenario
 from coopdetect.solver import (
     _NETSIM_SALT,
     _SELECTION_SALT,
@@ -122,21 +122,17 @@ def deliver_round(
     return delivered
 
 
-def init_states(scenario: Scenario, observations: list[ApObservation],
-                hyper: Hyperparams) -> list[LoopState]:
-    """Fresh solver states: zero estimates, noise-only covariance, zero estimators."""
-    b = scenario.num_aps
-    if len(observations) != b:
-        raise ConfigMismatch(f"{len(observations)} observations for {b} APs")
-    n, l = scenario.num_devices, scenario.pilot_len
+def init_states(scenario: Scenario, covs: np.ndarray, hyper: Hyperparams) -> list[LoopState]:
+    """Fresh solver states: zero estimates, noise-only covariance, zero estimators.
+
+    ``covs`` is the scenario's (num_aps, L, L) stack of sample covariances.
+    """
+    b, n, l = scenario.num_aps, scenario.num_devices, scenario.pilot_len
+    if np.shape(covs) != (b, l, l):
+        raise ConfigMismatch(f"sample covariances have shape {np.shape(covs)}, "
+                             f"expected {(b, l, l)}")
     states = []
-    for i, obs in enumerate(observations):
-        if obs.ap_id != i:
-            raise ConfigMismatch(f"observation {i} carries ap_id {obs.ap_id}")
-        if obs.sample_cov.shape != (l, l):
-            raise ConfigMismatch(
-                f"sample covariance at AP {i} has shape {obs.sample_cov.shape}, expected {(l, l)}"
-            )
+    for i in range(b):
         nbrs = tuple(scenario.neighbors[i])
         states.append(
             LoopState(
@@ -239,7 +235,7 @@ def ap_iteration(
 
 def run(
     scenario: Scenario,
-    observations: list[ApObservation],
+    covs: np.ndarray,
     hyper: Hyperparams,
     plan: netsim.FailurePlan | None = None,
     options: SolverOptions | None = None,
@@ -251,7 +247,7 @@ def run(
     plan = plan or netsim.EMPTY_PLAN
     plan.validate(scenario.neighbors, hyper.num_iters)
 
-    states = init_states(scenario, observations, hyper)
+    states = init_states(scenario, covs, hyper)
     edges = netsim.Backhaul.from_neighbors(scenario.neighbors)
     shape = (hyper.num_iters, scenario.num_aps)
     trace = IterationTrace(np.full(shape, np.nan), *(np.full(shape, -1) for _ in range(3)))
@@ -266,7 +262,7 @@ def run(
                 continue
             payload = ap_iteration(
                 state,
-                observations[state.ap_id].sample_cov,
+                covs[state.ap_id],
                 scenario.pilots,
                 hyper,
                 state.last_received,

@@ -7,6 +7,7 @@ import pytest
 
 from coopdetect import solver
 from coopdetect.cli import main
+from coopdetect.harness import MODES
 from coopdetect.scenario import load_scenario
 
 
@@ -103,6 +104,11 @@ class TestOtherVerbs:
     def test_fixture_requires_out(self, config_file, capsys):
         assert main(["fixture", "--config", config_file]) == 2
 
+    def test_mode_help_lists_every_mode(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        assert ",".join(MODES) in capsys.readouterr().out
+
     def test_inspect_summary(self, config_file, tmp_path, capsys):
         out = tmp_path / "results"
         main(["run", "--config", config_file, "--out", str(out)])
@@ -140,6 +146,21 @@ class TestBadInput:
         path.write_text(json.dumps({**cfg, "pathloss_exponent": float("nan")}))
         self.assert_rejected(["run", "--config", str(path)], capsys,
                              "pathloss_exponent must be positive and finite, got nan")
+
+    @pytest.mark.parametrize("field, value, expected", [
+        ("eta", -1.0, "eta must be positive and finite, got -1.0"),
+        ("num_active", 0, "num_active must be in [1, 19] for the AER to be defined, got 0"),
+    ], ids=["eta", "num_active"])
+    def test_unscorable_config_rejected_before_any_solve(self, config_file, tmp_path, capsys,
+                                                          monkeypatch, field, value, expected):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver.run_batch called")
+
+        monkeypatch.setattr(solver, "run_batch", no_solve)
+        cfg = json.loads(Path(config_file).read_text())
+        path = tmp_path / "unscorable.json"
+        path.write_text(json.dumps({**cfg, field: value}))
+        self.assert_rejected(["run", "--config", str(path)], capsys, expected)
 
     @pytest.mark.parametrize("flag", ["--config", "--failure-plan"])
     def test_missing_file(self, tmp_path, capsys, flag):

@@ -22,7 +22,6 @@ from coopdetect.harness import (
     emit_plotdata,
     load_config,
     mode_dispatch,
-    pooled_observation,
     run_experiment,
     trial_seed,
 )
@@ -153,6 +152,43 @@ class TestConfig:
         with pytest.raises(InvalidConfig, match=re.escape(message)):
             run_experiment(cfg)
 
+    # Each of these would run every trial to a meaningless AER, or die in
+    # scoring after every solve.
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(iota=float("nan")), "iota must be positive and finite, got nan"),
+        (dict(iota=float("inf")), "iota must be positive and finite, got inf"),
+        (dict(eta=float("nan")), "eta must be positive and finite, got nan"),
+        (dict(eta=-1.0), "eta must be positive and finite, got -1.0"),
+        (dict(eta=0.0), "eta must be positive and finite, got 0.0"),
+        (dict(theta=0.0), "theta must be positive and finite, got 0.0"),
+        (dict(theta=float("inf")), "theta must be positive and finite, got inf"),
+        (dict(beta=float("nan")), "beta must be nonnegative and finite, got nan"),
+        (dict(beta=-0.1), "beta must be nonnegative and finite, got -0.1"),
+        (dict(tau=float("nan")), "tau must be nonnegative and finite, got nan"),
+        (dict(tau=float("inf")), "tau must be nonnegative and finite, got inf"),
+        (dict(rho=float("nan")), "rho must be nonnegative and finite, got nan"),
+        (dict(rho=-1.0), "rho must be nonnegative and finite, got -1.0"),
+        (dict(num_active=0), "num_active must be in [1, 19] for the AER to be defined, got 0"),
+        (dict(num_active=20), "num_active must be in [1, 19] for the AER to be defined, got 20"),
+    ], ids=["iota_nan", "iota_inf", "eta_nan", "eta_negative", "eta_zero", "theta_zero",
+            "theta_inf", "beta_nan", "beta_negative", "tau_nan", "tau_inf", "rho_nan",
+            "rho_negative", "no_active", "all_active"])
+    def test_bad_hyperparameter_or_class_split_rejected(self, monkeypatch, overrides, message):
+        cfg = tiny_config(**{"iota": 1.0, **overrides})
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            cfg.validate()
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver.run_batch called")
+
+        monkeypatch.setattr(solver, "run_batch", no_solve)
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            run_experiment(cfg)
+
+    def test_zero_weights_accepted(self):
+        # beta, tau and rho of 0 switch a term off; a calibrated iota is None.
+        tiny_config(beta=0.0, tau=0.0, rho=0.0, iota=None).validate()
+
     @pytest.mark.parametrize("axis, values", [("coop_degree", (1, 1.5)), ("M", (4, 2.5)),
                                               ("L", (8.5,))])
     def test_fractional_value_on_integer_axis_rejected(self, monkeypatch, axis, values):
@@ -217,10 +253,10 @@ def single_ap():
 
 class TestModeDispatch:
     def test_single_ap_modes_coincide_bitwise(self, single_ap):
-        sc, obs = single_ap
+        sc, covs = single_ap
         hyper = Hyperparams(tau=10.0, num_iters=6)
         cmd, noc, pool = solver.run_batch(
-            [mode_dispatch(mode, sc, obs) for mode in ("cmd", "no_coop", "centralized_pool")],
+            [mode_dispatch(mode, sc, covs) for mode in ("cmd", "no_coop", "centralized_pool")],
             hyper)
         np.testing.assert_array_equal(cmd.gamma, noc.gamma)
         np.testing.assert_array_equal(pool.gamma, noc.gamma)
@@ -228,19 +264,20 @@ class TestModeDispatch:
     def test_no_coop_sends_nothing(self):
         cfg = tiny_config()
         sc = build_scenario(cfg, 2, seed=3)
-        obs = synthesize(sc)
-        (res,) = solver.run_batch([mode_dispatch("no_coop", sc, obs)], cfg.hyper())
+        covs = synthesize(sc)
+        (res,) = solver.run_batch([mode_dispatch("no_coop", sc, covs)], cfg.hyper())
         assert res.ledger.total_messages == 0
         assert res.ledger.total_scalars == 0
 
     def test_pooled_observation_averages(self):
+        # One AP whose sample covariance is the mean of all of the APs'.
         cfg = tiny_config()
         sc = build_scenario(cfg, 2, seed=3)
-        obs = synthesize(sc)
-        pooled = pooled_observation(obs)
-        np.testing.assert_allclose(
-            pooled.sample_cov, np.mean([o.sample_cov for o in obs], axis=0)
-        )
+        covs = synthesize(sc)
+        pooled_sc, pooled, plan = mode_dispatch("centralized_pool", sc, covs)
+        assert pooled_sc.num_aps == 1 and plan is None
+        assert pooled.shape == (1, sc.pilot_len, sc.pilot_len)
+        np.testing.assert_allclose(pooled[0], sum(covs) / len(covs))
 
     def test_unknown_mode(self):
         cfg = tiny_config()
@@ -333,12 +370,12 @@ class TestRunExperiment:
         def solve(si, value, trial, calibration):
             seed = trial_seed(cfg.master_seed, si, trial, calibration)
             sc = build_scenario(cfg, value, seed)
-            obs = synthesize(sc)
+            covs = synthesize(sc)
             results = {}
             for mode in cfg.modes:
-                scenario, observations, mode_plan = mode_dispatch(
-                    mode, sc, obs, FailurePlan.from_dict(plan))
-                results[mode] = solver.run(scenario, observations, cfg.hyper(), plan=mode_plan,
+                scenario, mode_covs, mode_plan = mode_dispatch(
+                    mode, sc, covs, FailurePlan.from_dict(plan))
+                results[mode] = solver.run(scenario, mode_covs, cfg.hyper(), plan=mode_plan,
                                            options=options)
             return seed, sc, results
 

@@ -191,17 +191,15 @@ class TestScenario:
 class TestSynthesize:
     def test_no_signal_no_noise_gives_zero(self):
         sc = desk(seed=5, num_active=0)
-        obs = synthesize(replace(sc, noise_power=0.0))
-        for o in obs:
-            assert np.allclose(o.sample_cov, 0.0)
+        assert np.allclose(synthesize(replace(sc, noise_power=0.0)), 0.0)
 
     def test_noise_only_trace_moment(self):
         # E[tr(sample cov)] == L * sigma^2; averaged over 100 AP draws.
         traces = []
         for seed in range(25):
             sc = desk(seed=seed, num_active=0)
-            for o in synthesize(replace(sc, noise_power=1.0)):
-                traces.append(np.real(np.trace(o.sample_cov)) / sc.pilot_len)
+            covs = synthesize(replace(sc, noise_power=1.0))
+            traces += list(np.real(np.trace(covs, axis1=1, axis2=2)) / sc.pilot_len)
         assert np.mean(traces) == pytest.approx(1.0, rel=0.05)
 
     def test_large_antenna_count_recovers_rank_one(self):
@@ -209,23 +207,25 @@ class TestSynthesize:
         sc = make_scenario(topo, num_devices=4, num_active=1, pilot_len=6,
                            num_antennas=2048, snr_db=10.0, gain_ref=1.0)
         n = int(np.flatnonzero(sc.activity)[0])
-        obs = synthesize(replace(sc, noise_power=0.0))
+        covs = synthesize(replace(sc, noise_power=0.0))
         s_n = sc.pilots[:, n]
         expected = sc.gains[0, n] * np.outer(s_n, s_n.conj())
-        err = np.linalg.norm(obs[0].sample_cov - expected) / np.linalg.norm(expected)
+        err = np.linalg.norm(covs[0] - expected) / np.linalg.norm(expected)
         assert err < 0.05
 
     def test_sample_cov_hermitian_psd(self):
         sc = desk(seed=6)
-        for o in synthesize(sc):
-            np.testing.assert_allclose(o.sample_cov, o.sample_cov.conj().T, atol=1e-12)
-            eigs = np.linalg.eigvalsh(o.sample_cov)
-            assert eigs.min() >= -1e-10 * np.real(np.trace(o.sample_cov))
+        covs = synthesize(sc)
+        assert covs.shape == (sc.num_aps, sc.pilot_len, sc.pilot_len)
+        for cov in covs:
+            np.testing.assert_allclose(cov, cov.conj().T, atol=1e-12)
+            eigs = np.linalg.eigvalsh(cov)
+            assert eigs.min() >= -1e-10 * np.real(np.trace(cov))
 
     def test_reproducible_bitwise(self):
         sc = desk(seed=7)
-        y1 = synthesize(sc)[0].sample_cov
-        y2 = synthesize(desk(seed=7))[0].sample_cov
+        y1 = synthesize(sc)
+        y2 = synthesize(desk(seed=7))
         np.testing.assert_array_equal(y1, y2)
 
     @given(st.integers(1, 12), st.data())
@@ -240,7 +240,7 @@ class TestSynthesize:
                            num_active=k, pilot_len=l, num_antennas=m, snr_db=10.0, gain_ref=1.0)
         with mock.patch.object(scenario_module, "_SLAB_BYTES", 8 * m * slab_rows), \
                 mock.patch.object(scenario_module, "_SYNTHESIS_BYTES", 16 * m * (k + l) * group):
-            got = np.stack([o.sample_cov for o in synthesize(sc)])
+            got = synthesize(sc)
 
         def complex_gaussian(pairs, scale):
             out = np.empty(pairs.shape[1:], dtype=complex)

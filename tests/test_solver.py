@@ -1,5 +1,6 @@
 """Solver state machine: initialization, rounds, consistency, determinism."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -10,13 +11,7 @@ from coopdetect.errors import ConfigMismatch, StateConsistencyError
 from coopdetect.linalg import pilot_gram
 from coopdetect.netsim import FailurePlan
 from coopdetect.objective import Hyperparams, ml_cost
-from coopdetect.scenario import (
-    ApObservation,
-    TopologyConfig,
-    isolated,
-    make_scenario,
-    synthesize,
-)
+from coopdetect.scenario import TopologyConfig, isolated, make_scenario, synthesize
 from coopdetect.solver import SolverOptions, _setup, run, run_batch, verify_state
 
 import reference_loop
@@ -39,8 +34,8 @@ def setup():
 
 class TestInit:
     def test_zero_start(self, setup):
-        sc, obs = setup
-        st, (solve,) = _setup([(sc, obs, FailurePlan())], num_iters=1)
+        sc, covs = setup
+        st, (solve,) = _setup([(sc, covs, FailurePlan())], num_iters=1)
         assert np.all(st.gamma == 0.0)
         for sigma in st.sigma:
             np.testing.assert_array_equal(sigma, sc.noise_power * np.eye(sc.pilot_len))
@@ -52,53 +47,50 @@ class TestInit:
             np.testing.assert_array_equal(getattr(solve.edges, name), getattr(st.edges, name))
 
     def test_initial_cost_closed_form(self, setup):
-        sc, obs = setup
+        sc, covs = setup
         expected = (sc.pilot_len * np.log(sc.noise_power)
-                    + np.real(np.trace(obs[0].sample_cov)) / sc.noise_power)
+                    + np.real(np.trace(covs[0])) / sc.noise_power)
         got = ml_cost(np.zeros(sc.num_devices), sc.pilots, sc.noise_power,
-                      obs[0].sample_cov)
+                      covs[0])
         assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_observation_count_mismatch(self, setup):
-        sc, obs = setup
-        with pytest.raises(ConfigMismatch):
-            run(sc, obs[:-1], Hyperparams())
-
-    def test_ap_id_mismatch(self, setup):
-        sc, obs = setup
-        shuffled = [obs[1], obs[0], obs[2]]
-        with pytest.raises(ConfigMismatch):
-            run(sc, shuffled, Hyperparams())
+    @pytest.mark.parametrize("cut", [np.s_[:-1], np.s_[:, :-1, :-1]], ids=["wrong_B", "wrong_L"])
+    def test_stack_shape_mismatch(self, setup, cut):
+        # The message names the stack's shape and the (num_aps, L, L) expected.
+        sc, covs = setup
+        message = f"shape {covs[cut].shape}, expected {(sc.num_aps, sc.pilot_len, sc.pilot_len)}"
+        with pytest.raises(ConfigMismatch, match=re.escape(message)):
+            run(sc, covs[cut], Hyperparams())
 
     def test_run_requires_at_least_one_round(self, setup):
-        sc, obs = setup
+        sc, covs = setup
         with pytest.raises(ConfigMismatch):
-            run(sc, obs, Hyperparams(num_iters=0))
+            run(sc, covs, Hyperparams(num_iters=0))
 
 
 class TestRounds:
     def test_deterministic_rerun_bitwise(self, setup):
-        sc, obs = setup
+        sc, covs = setup
         hyper = Hyperparams(num_iters=6)
-        g1 = run(sc, obs, hyper).gamma
-        g2 = run(sc, obs, hyper).gamma
+        g1 = run(sc, covs, hyper).gamma
+        g2 = run(sc, covs, hyper).gamma
         np.testing.assert_array_equal(g1, g2)
 
     def test_gamma_stays_nonnegative(self, setup):
-        sc, obs = setup
-        res = run(sc, obs, Hyperparams(num_iters=10))
+        sc, covs = setup
+        res = run(sc, covs, Hyperparams(num_iters=10))
         assert np.all(res.gamma >= 0.0)
 
     def test_covariance_consistency_every_round(self, setup):
-        sc, obs = setup
-        res = run(sc, obs, Hyperparams(num_iters=8),
+        sc, covs = setup
+        res = run(sc, covs, Hyperparams(num_iters=8),
                   options=SolverOptions(check_state_every=1))
         gaps = verify_state(res.sigma, res.gamma, sc)
         assert gaps.shape == (sc.num_aps,) and np.all(gaps <= 1e-8)
 
     def test_verify_state_raises_on_corruption(self, setup):
-        sc, obs = setup
-        res = run(sc, obs, Hyperparams(num_iters=2))
+        sc, covs = setup
+        res = run(sc, covs, Hyperparams(num_iters=2))
         sigma = res.sigma.copy()
         sigma[0] += 0.5 * np.eye(sc.pilot_len)
         with pytest.raises(StateConsistencyError):
@@ -122,9 +114,9 @@ class TestRounds:
             verify_state(sigma, res.gamma, sc)
 
     def test_frozen_combiners_aggregate_identity(self, setup):
-        sc, obs = setup
+        sc, covs = setup
         # rho = 0 holds every weight constant: 1/k per neighbor, 0 for self.
-        res = run(sc, obs, Hyperparams(num_iters=12, rho=0.0))
+        res = run(sc, covs, Hyperparams(num_iters=12, rho=0.0))
         dst = res.edges.dst
         k = np.bincount(dst, minlength=sc.num_aps)
         recomputed = np.zeros_like(res.x_agg)
@@ -132,8 +124,8 @@ class TestRounds:
         np.testing.assert_allclose(res.x_agg, recomputed, atol=1e-10)
 
     def test_cost_trajectory_improves(self, setup):
-        sc, obs = setup
-        res = run(sc, obs, Hyperparams(num_iters=25),
+        sc, covs = setup
+        res = run(sc, covs, Hyperparams(num_iters=25),
                   options=SolverOptions(record_cost=True))
         costs = res.trace.round_costs()
         assert costs[-1] < costs[0]
@@ -141,24 +133,24 @@ class TestRounds:
     def test_projected_gradient_monotone_single_ap(self):
         # One AP, no regularizers: rounds reduce to projected gradient descent.
         sc = small_scenario(seed=5, num_aps=1, degree=0)
-        obs = synthesize(sc)
+        covs = synthesize(sc)
         hyper = Hyperparams(tau=0.0, beta=0.0, num_iters=40)
-        res = run(sc, obs, hyper, options=SolverOptions(record_cost=True))
+        res = run(sc, covs, hyper, options=SolverOptions(record_cost=True))
         costs = res.trace.round_costs()
         assert np.all(np.diff(costs) <= 1e-6)
 
     def test_early_stop(self, setup):
-        sc, obs = setup
-        res = run(sc, obs, Hyperparams(num_iters=500),
+        sc, covs = setup
+        res = run(sc, covs, Hyperparams(num_iters=500),
                   options=SolverOptions(early_stop_tol=1e3))
         assert res.rounds_completed == 1  # absurdly loose tolerance stops at once
 
 
 class TestMessaging:
     def test_payload_counters_match_graph(self, setup):
-        sc, obs = setup
+        sc, covs = setup
         rounds = 5
-        res = run(sc, obs, Hyperparams(num_iters=rounds))
+        res = run(sc, covs, Hyperparams(num_iters=rounds))
         edges = sum(len(nb) for nb in sc.neighbors)
         assert res.ledger.total_messages == rounds * edges
         assert res.ledger.total_scalars == rounds * edges * sc.num_devices
@@ -169,25 +161,25 @@ class TestMessaging:
         ledgers = []
         for m in (4, 16):
             sc = small_scenario(seed=7, num_antennas=m)
-            obs = synthesize(sc)
-            res = run(sc, obs, Hyperparams(num_iters=4))
+            covs = synthesize(sc)
+            res = run(sc, covs, Hyperparams(num_iters=4))
             ledgers.append(res.ledger)
         assert ledgers[0].attempted == ledgers[1].attempted
         assert ledgers[0].delivered == ledgers[1].delivered
         np.testing.assert_array_equal(ledgers[0].per_edge, ledgers[1].per_edge)
 
     def test_lag_transmit_sends_previous_estimate(self, setup):
-        sc, obs = setup
-        res = run(sc, obs, Hyperparams(num_iters=1),
+        sc, covs = setup
+        res = run(sc, covs, Hyperparams(num_iters=1),
                   options=SolverOptions(lag_transmit=True))
         # Round 1 transmits the pre-update (all-zero) estimates.
         assert res.received.size and np.all(res.received == 0.0)
-        res2 = run(sc, obs, Hyperparams(num_iters=1))
+        res2 = run(sc, covs, Hyperparams(num_iters=1))
         assert np.any(res2.received != 0.0)
 
     def test_messages_are_copies(self, setup):
-        sc, obs = setup
-        res = run(sc, obs, Hyperparams(num_iters=3))
+        sc, covs = setup
+        res = run(sc, covs, Hyperparams(num_iters=3))
         # Without failures each edge holds its sender's final estimate, in
         # its own buffer.
         np.testing.assert_array_equal(res.received, res.gamma[res.edges.src])
@@ -196,63 +188,63 @@ class TestMessaging:
 
 class TestFailures:
     def test_crashed_ap_freezes(self, setup):
-        sc, obs = setup
+        sc, covs = setup
         plan = FailurePlan(ap_failures=((1, 3),))
         hyper = Hyperparams(num_iters=6)
-        res = run(sc, obs, hyper, plan=plan)
-        baseline = run(sc, obs, Hyperparams(num_iters=2)).gamma[1]
+        res = run(sc, covs, hyper, plan=plan)
+        baseline = run(sc, covs, Hyperparams(num_iters=2)).gamma[1]
         np.testing.assert_array_equal(res.gamma[1], baseline)
         assert list(res.t) == [6, 2, 6]
 
     def test_crashed_ap_estimate_stays_usable(self, setup):
-        sc, obs = setup
+        sc, covs = setup
         plan = FailurePlan(ap_failures=((1, 3),))
-        res = run(sc, obs, Hyperparams(num_iters=6), plan=plan)
+        res = run(sc, covs, Hyperparams(num_iters=6), plan=plan)
         from_1 = res.edges.src == 1
         assert from_1.any()
         for copy in res.received[from_1]:
             np.testing.assert_array_equal(copy, res.gamma[1])
 
     def test_full_drop_equals_all_links_failed(self, setup):
-        sc, obs = setup
+        sc, covs = setup
         hyper = Hyperparams(num_iters=5)
-        full_drop = run(sc, obs, hyper, plan=FailurePlan(drop_prob=1.0))
+        full_drop = run(sc, covs, hyper, plan=FailurePlan(drop_prob=1.0))
         edges = tuple(
             ((i, j), 1, hyper.num_iters)
             for i, nb in enumerate(sc.neighbors) for j in nb if i < j
         )
-        all_links = run(sc, obs, hyper, plan=FailurePlan(link_failures=edges))
+        all_links = run(sc, covs, hyper, plan=FailurePlan(link_failures=edges))
         np.testing.assert_array_equal(full_drop.gamma, all_links.gamma)
 
     def test_plan_validated_against_rounds(self, setup):
-        sc, obs = setup
+        sc, covs = setup
         plan = FailurePlan(ap_failures=((0, 99),))
         with pytest.raises(Exception):
-            run(sc, obs, Hyperparams(num_iters=5), plan=plan)
+            run(sc, covs, Hyperparams(num_iters=5), plan=plan)
 
 
 class TestIsolationEquivalences:
     def test_isolated_run_equals_independent_single_ap_iterations(self, setup):
-        sc, obs = setup
+        sc, covs = setup
         iso = isolated(sc)
         hyper = Hyperparams(tau=0.0, num_iters=5)
-        full = run(iso, obs, hyper)
+        full = run(iso, covs, hyper)
         # Drive each AP by hand with no message exchange at all.
-        states = init_states(iso, obs, hyper)
+        states = init_states(iso, covs, hyper)
         for _ in range(5):
             for st in states:
-                ap_iteration(st, obs[st.ap_id].sample_cov, iso.pilots, hyper,
+                ap_iteration(st, covs[st.ap_id], iso.pilots, hyper,
                              st.last_received, SolverOptions())
         for st in states:
             np.testing.assert_array_equal(st.gamma, full.gamma[st.ap_id])
 
     def test_self_selection_is_clamped_z_step(self, setup):
-        sc, obs = setup
+        sc, covs = setup
         iso = isolated(sc)
         hyper = Hyperparams(num_iters=1)
-        states = init_states(iso, obs, hyper)
+        states = init_states(iso, covs, hyper)
         st = states[0]
-        ap_iteration(st, obs[0].sample_cov, iso.pilots, hyper, st.last_received,
+        ap_iteration(st, covs[0], iso.pilots, hyper, st.last_received,
                      SolverOptions())
         np.testing.assert_array_equal(st.gamma, np.maximum(st.z, 0.0))
         assert np.all(st.x_local[0] == 0.0)  # self estimator never moves
@@ -264,11 +256,11 @@ class TestKernelPath:
         # solve must be bitwise the loop on the complex path.
         sc = small_scenario(seed=3, num_aps=1, degree=0, num_devices=1000, num_active=100,
                             pilot_len=64, num_antennas=8)
-        obs = synthesize(sc)
+        covs = synthesize(sc)
         assert pilot_gram(sc.pilots) is None
         hyper = Hyperparams(num_iters=3)
-        got = run(sc, obs, hyper)
-        want = reference_loop.run(sc, obs, hyper)
+        got = run(sc, covs, hyper)
+        want = reference_loop.run(sc, covs, hyper)
         np.testing.assert_array_equal(got.gamma, want.gamma)
         np.testing.assert_array_equal(got.sigma, want.sigma)
 
@@ -279,27 +271,27 @@ class TestSetupOnce:
         batch = []
         for seed in (1, 2):
             sc = small_scenario(seed=seed)
-            obs = synthesize(sc)
-            batch += [(sc, obs, None), (isolated(sc), obs, None)]
+            covs = synthesize(sc)
+            batch += [(sc, covs, None), (isolated(sc), covs, None)]
         with mock.patch.object(linalg, "pilot_gram", wraps=linalg.pilot_gram) as gram:
             run_batch(batch, Hyperparams(num_iters=2))
         assert gram.call_count == 2
 
     @pytest.mark.parametrize("plan, builds", [(None, 1), (FailurePlan(ap_failures=((1, 5),)), 2)])
     def test_round_plan_built_once_per_live_set(self, setup, plan, builds):
-        sc, obs = setup
+        sc, covs = setup
         with mock.patch.object(solver, "_round_plan", wraps=solver._round_plan) as build:
-            res = run(sc, obs, Hyperparams(num_iters=12), plan=plan)
+            res = run(sc, covs, Hyperparams(num_iters=12), plan=plan)
         assert res.rounds_completed == 12
         assert build.call_count == builds
 
     def test_round_plan_rebuilt_after_an_early_stop(self, setup):
-        # Observations that equal the initial covariance leave every estimate at
+        # Sample covariances that equal the initial covariance leave every estimate at
         # zero, so that problem stops after round 1 while the other one runs on.
-        sc, obs = setup
-        still = [ApObservation(o.ap_id, sc.noise_power * np.eye(sc.pilot_len)) for o in obs]
+        sc, covs = setup
+        still = np.broadcast_to(sc.noise_power * np.eye(sc.pilot_len), covs.shape)
         with mock.patch.object(solver, "_round_plan", wraps=solver._round_plan) as build:
-            res = run_batch([(sc, obs, None), (sc, still, None)], Hyperparams(num_iters=12),
+            res = run_batch([(sc, covs, None), (sc, still, None)], Hyperparams(num_iters=12),
                             SolverOptions(early_stop_tol=1e-9))
         assert [r.rounds_completed for r in res] == [12, 1]
         assert build.call_count == 2
