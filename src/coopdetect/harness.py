@@ -115,7 +115,7 @@ class ExperimentConfig:
         if wrong:
             raise InvalidConfig("; ".join(wrong))
         problems = []
-        for name in ("num_iters", "trials", "calibration_trials", "workers"):
+        for name in ("trials", "calibration_trials", "workers"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
         # Only finite numbers reach _at_point, which would raise on anything
@@ -149,17 +149,10 @@ class ExperimentConfig:
             problems.append("master_seed is mandatory")
         elif self.master_seed < 0:
             problems.append(f"master_seed must be a nonnegative integer, got {self.master_seed}")
-        # The step size, the penalty's curvature and the threshold scale must be
-        # positive, the weights nonnegative: rho >= 0 keeps combiner_weights a
-        # probability vector.  An iota of None is calibrated.
-        for name in ("eta", "theta", "iota"):
-            value = getattr(self, name)
-            if value is not None and not (is_finite(value) and value > 0):
-                problems.append(f"{name} must be positive and finite, got {value}")
-        for name in ("beta", "tau", "rho"):
-            value = getattr(self, name)
-            if not (is_finite(value) and value >= 0):
-                problems.append(f"{name} must be nonnegative and finite, got {value}")
+        problems += self.hyper().problems()
+        # The threshold scale must be positive; an iota of None is calibrated.
+        if self.iota is not None and not (is_finite(self.iota) and self.iota > 0):
+            problems.append(f"iota must be positive and finite, got {self.iota}")
         # The AER needs both classes: active and inactive devices.
         if self.num_devices > 0 and self.num_active in (0, self.num_devices):
             problems.append(f"num_active must be in [1, {self.num_devices - 1}] for the AER "

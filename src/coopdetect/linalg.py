@@ -2,11 +2,11 @@
 
 Everything here works on plain complex128 ndarrays, one matrix or a stack
 of them along leading axes (one per AP), with numpy alone.  Matrices passed
-in are expected to be Hermitian; the positive-definiteness check is a
-Cholesky pivot test relative to the trace.  The likelihood's gradient is
-one quadratic form per device, Re a_n^H X a_n of one Hermitian X per AP
-(:func:`quadforms`), taken along one of two paths, which
-:func:`pilot_kernel` picks once per pilot matrix:
+in are expected to be Hermitian; the positive-definiteness check rejects
+non-finite entries and is otherwise a Cholesky pivot test relative to the
+trace.  The likelihood's gradient is one quadratic form per device,
+Re a_n^H X a_n of one Hermitian X per AP (:func:`quadforms`), taken along
+one of two paths, which :func:`pilot_kernel` picks once per pilot matrix:
 
 - the pilot table (:func:`pilot_gram`): every AP sees the same (L, N)
   pilot matrix A, so its outer products a_n a_n^H are tabulated once, in
@@ -17,10 +17,12 @@ one quadratic form per device, Re a_n^H X a_n of one Hermitian X per AP
   so Re a_n^H X a_n = coords(X) . G[:, n] for every n in one real product.
   A sum of outer products sum_n d_n a_n a_n^H is d @ G^T read back from
   coordinates, which is exactly Hermitian.  This is a quarter of the flops
-  of the complex products.  Every product is per AP (a (1, L^2) by (L^2, N)
-  product for the forms, an N-vector by (N, L^2) one for the sum), so an
-  AP's bits do not depend on how many APs share a call: one product over
-  all APs would be faster, but BLAS results change with the row count.
+  of the complex products.  A stack of matrices (or of weight rows) takes
+  one GEMM against the table: (k, L^2) by (L^2, N) for the forms, (k, N)
+  by (N, L^2) for the sums.  A row's bits do not depend on the other rows'
+  values, but they do depend on k and on the row's position, since BLAS
+  picks its kernels and blocking by the row count: a one-row call is a
+  GEMV and need not match row i of a stack to the last bit.
 - the complex path, where the table would exceed ``GRAM_BYTES`` (it would
   take 32.8 MB at L=64, N=1000), since past the cache the table path
   measured slower: U = X A as one GEMM over the stack, then column-wise
@@ -38,12 +40,13 @@ from .errors import DimensionMismatch, NotPositiveDefinite
 
 # Cholesky pivots below this fraction of the trace count as non-positive.
 PIVOT_RTOL = 1e-12
-# Largest pilot table pilot_gram builds, in bytes.  Per AP, gradient plus
-# covariance update, on one core with a 2 MB L2 cache: the table path took
-# 0.88x the complex path's time at L=24, N=100 (0.46 MB), 0.74x at N=200
-# (0.92 MB) and 0.94x at L=32, N=256 (2.1 MB), but 1.29x at L=48, N=200
-# (3.7 MB) and 1.42x at L=64, N=1000 (32.8 MB), measured when the gradient
-# still took two quadratic forms per device.
+# Largest pilot table pilot_gram builds, in bytes.  Gradient plus covariance
+# update of one problem's APs as the solver calls them, on one core with a
+# 2 MB L2 cache per core, table path time over complex path time with 1 / 5
+# APs per problem: 0.91 / 0.79 at L=24, N=100 (0.46 MB), 0.91 / 0.80 at
+# N=200 (0.92 MB), 1.20 / 0.88 at L=32, N=256 (2.1 MB), 1.49 / 1.00 at L=48,
+# N=200 (3.7 MB) and 1.41 / 0.82 at L=64, N=1000 (32.8 MB).  Between 0.92 MB
+# and 32.8 MB neither path wins at both counts, so the budget stays here.
 GRAM_BYTES = 2 << 20
 
 
@@ -60,20 +63,25 @@ def cholesky_factor(a: np.ndarray) -> np.ndarray:
     Raises
     ------
     NotPositiveDefinite
-        If the factorization hits a non-positive pivot, or any pivot falls
-        at or below ``PIVOT_RTOL * trace(a)``.
+        If a matrix has a non-finite entry, or the factorization hits a
+        non-positive pivot, or any pivot falls at or below
+        ``PIVOT_RTOL * trace(a)``.
     """
     a = _as_square(a)
+    finite = np.isfinite(a).all(axis=(-2, -1))
     trace = np.real(np.trace(a, axis1=-2, axis2=-1))
     try:
         low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as err:
         raise NotPositiveDefinite(str(err)) from err
     pivots = np.min(np.real(np.diagonal(low, axis1=-2, axis2=-1)) ** 2, axis=-1)
-    bad = (trace <= 0.0) | (pivots <= PIVOT_RTOL * trace)
+    # Written as negated passes, so that a NaN pivot or trace fails too.
+    bad = ~finite | ~(trace > 0.0) | ~(pivots > PIVOT_RTOL * trace)
     if np.any(bad):
         k = np.unravel_index(int(np.argmax(bad)), bad.shape)
         at = f"at {tuple(int(i) for i in k)}: " if k else ""
+        if not finite[k]:
+            raise NotPositiveDefinite(f"{at}non-finite entry")
         raise NotPositiveDefinite(
             f"{at}pivot {pivots[k]:.3e} below tolerance {PIVOT_RTOL * trace[k]:.3e}"
         )
@@ -172,12 +180,12 @@ def is_table(kernel: np.ndarray | None) -> bool:
 def outer_sum(weights: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """sum_n w_n a_n a_n^H for each row of ``weights`` (..., N), from the columns' table.
 
-    One (N,) by (N, L^2) product per row, read back from coordinates, so
-    the result is exactly Hermitian and each row's bits are its own.
+    One (k, N) by (N, L^2) product over the rows, read back from
+    coordinates, so each result is exactly Hermitian.
     """
     l = isqrt(gram.shape[0])
     _, src, scale = _coordinates(l)
-    doubled = (np.asarray(weights)[..., None, :] @ gram.T)[..., 0, :]
+    doubled = np.asarray(weights) @ gram.T
     floats = np.take(doubled, src, axis=-1)
     floats *= scale
     return floats.view(complex).reshape(floats.shape[:-1] + (l, l))
@@ -188,12 +196,12 @@ def quadforms(x: np.ndarray, cols: np.ndarray, kernel: np.ndarray | None = None)
 
     ``x`` is one (L, L) matrix or a stack; the result is (..., N).  Where
     the columns' ``kernel`` (:func:`pilot_kernel`) is their table, the forms
-    are the coordinates of X times the table, one (1, L^2) by (L^2, N)
-    product per matrix.  Otherwise one GEMM over the stack gives U = X V,
+    are the coordinates of X times the table, one (k, L^2) by (L^2, N)
+    product over the stack.  Otherwise one GEMM over the stack gives U = X V,
     then Re v^H u column by column.
     """
     if is_table(kernel):
-        return (hermitian_coords(x)[..., None, :] @ kernel)[..., 0, :]
+        return hermitian_coords(x) @ kernel
     l, n = cols.shape
     u = (x.reshape(-1, l) @ cols).reshape(x.shape[:-1] + (n,))
     return np.real(np.vecdot(cols, u, axis=-2))

@@ -29,6 +29,7 @@ from .linalg import (
     quadforms,
     solve_from_factor,
 )
+from .scenario import is_finite
 
 ROWNORM_FLOOR = 1e-12  # below this a panel row counts as zero (no shrink term)
 
@@ -44,6 +45,26 @@ class Hyperparams:
     rho: float = 500.0           # combiner sharpness
     num_iters: int = 40          # synchronized rounds
 
+    def problems(self) -> list[str]:
+        """One message per value out of range; empty when all are usable.
+
+        The step size and the penalty's curvature must be positive, the
+        weights nonnegative (rho >= 0 keeps :func:`combiner_weights` a
+        probability vector), all of them finite, and a solve needs a round.
+        """
+        problems = []
+        for name in ("eta", "theta"):
+            value = getattr(self, name)
+            if not (is_finite(value) and value > 0):
+                problems.append(f"{name} must be positive and finite, got {value}")
+        for name in ("beta", "tau", "rho"):
+            value = getattr(self, name)
+            if not (is_finite(value) and value >= 0):
+                problems.append(f"{name} must be nonnegative and finite, got {value}")
+        if self.num_iters < 1:
+            problems.append(f"num_iters must be >= 1, got {self.num_iters}")
+        return problems
+
 
 def assemble_covariance(pilots: np.ndarray, gamma: np.ndarray, noise_power: float) -> np.ndarray:
     """Model covariance ``pilots @ diag(gamma) @ pilots^H + noise_power * I``."""
@@ -55,8 +76,8 @@ def update_covariance(sigma, pilots, delta, kernel) -> np.ndarray:
     """``sigma + pilots @ diag(delta) @ pilots^H`` for a covariance or a stack of them.
 
     ``kernel`` is the pilots' ``linalg.pilot_kernel``.  Where it is their
-    table, the increment is one real product per row of ``delta`` and
-    exactly Hermitian, so the sum stays Hermitian.  Otherwise it is the
+    table, the increments are one real GEMM over the rows of ``delta`` and
+    exactly Hermitian, so the sums stay Hermitian.  Otherwise it is the
     pilots' conjugate transpose: the increment is one complex GEMM over the
     stack and the sum is re-symmetrized.
     """
@@ -81,20 +102,28 @@ def ml_cost_given_factor(low, sample_cov):
     return logdet_from_factor(low) + fit
 
 
+def gradient_matrix(sigma, sample_cov) -> np.ndarray:
+    """D = Sigma^-1 - Sigma^-1 S Sigma^-1, whose quadratic forms are :func:`ml_gradient`.
+
+    One inverse of the covariance and two (L, L) products, after a Cholesky
+    factorization has checked that the covariance is positive definite.
+    Each matrix of a stack is its own: its bits do not depend on the stack.
+    """
+    cholesky_factor(sigma)  # raises NotPositiveDefinite
+    inv = np.linalg.inv(sigma)
+    return inv - inv @ sample_cov @ inv
+
+
 def ml_gradient(sigma, sample_cov, pilots, kernel=None) -> np.ndarray:
     """Coordinate gradient of :func:`ml_cost` at the model covariance ``sigma``.
 
     Entry n is  alpha_n - beta_n = Re a_n^H D a_n  with alpha_n = a_n^H Sigma^-1 a_n,
-    beta_n = a_n^H Sigma^-1 S Sigma^-1 a_n and D = Sigma^-1 - Sigma^-1 S Sigma^-1.
+    beta_n = a_n^H Sigma^-1 S Sigma^-1 a_n and D from :func:`gradient_matrix`.
     The downdate cancels: coordinate descent's q1/(1 + gamma_n q1) - q2/(1 + gamma_n q1)^2,
-    with q1, q2 the forms without device n, is the same alpha_n - beta_n.  One
-    inverse of the covariance and two (L, L) products give D, after a
-    Cholesky factorization has checked that the covariance is positive
-    definite.  ``kernel`` is the pilots' ``linalg.pilot_kernel``.
+    with q1, q2 the forms without device n, is the same alpha_n - beta_n.
+    ``kernel`` is the pilots' ``linalg.pilot_kernel``.
     """
-    cholesky_factor(sigma)  # raises NotPositiveDefinite
-    inv = np.linalg.inv(sigma)
-    return quadforms(inv - inv @ sample_cov @ inv, pilots, kernel)
+    return quadforms(gradient_matrix(sigma, sample_cov), pilots, kernel)
 
 
 def row_norms(panel: np.ndarray) -> np.ndarray:

@@ -30,7 +30,8 @@ A round reads what depends only on which APs are live from a round plan
 into live APs with their receivers' positions and panel slots, each live
 AP's own column (its in-degree), the live rows of the selection CDFs, each
 problem's mask of live APs, which is also what ``netsim.deliver_round``
-delivers from, and the gradient and covariance-update calls.  So only the round plan reads the crash schedule.
+delivers from, and the chunks and products of the gradient and the
+covariance update.  So only the round plan reads the crash schedule.
 The live set changes only when a failure plan crashes an AP, in a round
 known before the solve, or when a problem stops early, so the plan is built
 in round 1 and again only in a crash round and in the round after an early
@@ -55,20 +56,26 @@ gets solved alone.
 The gradient and the covariance update read a problem's pilots through a
 kernel built once per solve for each distinct pilot matrix
 (``linalg.pilot_kernel``): its table or, past the table's byte budget, its
-conjugate transpose for the complex path.  Each call covers consecutive
-live APs, so their covariances are slices of the batch's stacks.  With a
-table, every product in a call is per AP, so an AP's bits do not depend on
-which APs share its call, and the problems that share the table (the modes
-of a trial) share calls.  Products stay per AP rather than one product
-over a call's APs because BLAS results change with the row count: a batched
-product would be faster, but a problem's bits would then depend on what it
-is batched with.  The complex path multiplies a call's stack at once, so
-its calls stay within one problem.  Calls are cut so that their
-temporaries stay near ``CHUNK_BYTES``: all B APs at once would grow peak
-memory with B (3 MB of temporaries for 64 APs at L=24 with a table, 5 MB
-per (L, N) temporary at N=200 without) for little speed: at that shape one
-gradient call over 64 APs took 0.95x the time of four calls over 16.  Each
-problem's table counts against a batch's size in APs (:func:`batch_aps`).
+conjugate transpose for the complex path.  Their work splits in two.  The
+per-matrix work (the Cholesky check, the inverse and D = Sigma^-1 -
+Sigma^-1 S Sigma^-1, and the recorded cost) acts matrix by matrix, so its
+bits do not depend on how it is cut: it runs in chunks of consecutive live
+APs, whose covariances are slices of the batch's stacks and views of each
+problem's own sample covariances.  The pilot products are not: BLAS picks
+its kernels and blocking by the row count, so a row's bits depend on how
+many rows share its product and where it sits among them.  So products are
+per problem, over its live APs in order, cut only at positions counted from
+its own first live AP; a problem's bits are then what it gets alone, but
+not what a per-AP loop gets to the last bit.  With a table, chunks span problems, and a product
+takes one GEMM against the table for its APs' forms and one for their
+covariance increments.  The complex path multiplies a chunk's stack at once,
+so its chunks stay within one problem and each is also its product.  Chunks
+and products are cut so that their temporaries stay near ``CHUNK_BYTES``:
+all B APs at once would grow peak memory with B (3 MB of temporaries for 64
+APs at L=24 with a table, 5 MB per (L, N) temporary at N=200 without) for
+little speed: at that shape one gradient call over 64 APs took 0.95x the
+time of four calls over 16.  Each problem's table counts against a batch's
+size in APs (:func:`batch_aps`).
 """
 
 from __future__ import annotations
@@ -79,12 +86,13 @@ from functools import cache
 import numpy as np
 
 from . import netsim
-from .errors import ConfigMismatch, StateConsistencyError
-from .linalg import cholesky_factor, gram_bytes, is_table, pilot_kernel
+from .errors import ConfigMismatch, NotPositiveDefinite, StateConsistencyError
+from .linalg import cholesky_factor, gram_bytes, hermitian_coords, is_table, pilot_kernel
 from .objective import (
     Hyperparams,
     assemble_covariance,
     combiner_weights,
+    gradient_matrix,
     ml_cost_given_factor,
     ml_gradient,
     similarity_prox,
@@ -191,6 +199,7 @@ class _Solve:
 
     scenario: Scenario
     plan: netsim.FailurePlan
+    covs: np.ndarray                  # its (num_aps, L, L) sample covariances
     edges: netsim.Backhaul            # its own edges, local AP ids
     aps: slice                        # its rows of the batch's AP arrays
     links: slice                      # its rows of the batch's edge arrays
@@ -213,7 +222,8 @@ class _RoundPlan:
     own_col: np.ndarray               # (c,) each live AP's own slot: its in-degree
     cdfs: np.ndarray                  # (c, max degree + 1) the live APs' selection CDFs
     mine: list                        # per problem, the mask of its live APs
-    calls: list                       # (problem, live positions, rows) per kernel call
+    chunks: list                      # (live positions, rows, covariances) of per-matrix work
+    products: list                    # (problem, live positions, rows) of pilot products
 
 
 def _selection_cdfs(degree: np.ndarray) -> np.ndarray:
@@ -275,32 +285,53 @@ def verify_state(sigma: np.ndarray, gamma: np.ndarray, scenario: Scenario,
     return gaps
 
 
-def _kernel_calls(live: np.ndarray, solves: list[_Solve], bounds: np.ndarray, l: int,
-                  n: int) -> list[tuple[_Solve, slice, slice]]:
-    """The gradient and covariance-update calls of a round: (problem, live positions, rows).
+def _spans(starts, stops, step: int) -> list[tuple[int, int]]:
+    """Each range [start, stop) cut into pieces of ``step`` positions counted from its start."""
+    return [(k, min(k + step, stop)) for start, stop in zip(starts, stops)
+            for k in range(start, stop, step)]
 
-    A call covers consecutive live APs, so its rows of the batch's arrays are
-    a slice and their stacks are views.  Problems that share a pilot table
-    (the modes of a trial) share calls; on the complex path a call stays
-    within one problem.  Calls are cut to keep their temporaries near
-    ``CHUNK_BYTES``: about four (L, L) complex arrays per AP with a table,
-    two (L, N) without.  ``bounds`` are the problems' first positions in
-    ``live``, and its length.
+
+def _kernel_calls(live: np.ndarray, solves: list[_Solve], bounds: np.ndarray, l: int,
+                  n: int) -> tuple[list, list]:
+    """The chunks of per-matrix work and the pilot products of a round (module docstring).
+
+    A chunk is (live positions, rows, covariances): consecutive live APs, so
+    its rows are a slice, and views of its problems' sample covariances.  A
+    product is (problem, live positions, rows), its rows a slice where they
+    are consecutive.  The steps keep temporaries near ``CHUNK_BYTES``: about
+    four (L, L) complex arrays per AP in a table chunk, three (L, L) real
+    ones in a table product, and two (L, N) complex ones in a complex-path
+    chunk, which is also its product.  ``bounds`` are the problems' first
+    positions in ``live``, and its length.
     """
-    # Problems with the same pilot table share a key; each other problem has its own.
-    keys: dict[int, int] = {}
-    key = [keys.setdefault(id(s.kernel) if is_table(s.kernel) else id(s), len(keys))
-           for s in solves]
-    owner = np.repeat(np.arange(len(solves)), np.diff(bounds))     # problem per live AP
-    first = np.flatnonzero((np.diff(live, prepend=-2) != 1)
-                           | (np.diff(np.take(key, owner), prepend=-1) != 0))
-    calls = []
-    for r0, r1 in zip(first, np.append(first[1:], len(live))):
-        s = solves[owner[r0]]
-        step = max(1, CHUNK_BYTES // (64 * l * l if is_table(s.kernel) else 32 * l * n))
-        calls += [(s, slice(k, min(k + step, r1)), slice(live[k], live[min(k + step, r1) - 1] + 1))
-                  for k in range(r0, r1, step)]
-    return calls
+    c = len(live)
+    gaps = np.flatnonzero(np.diff(live) != 1) + 1
+    if is_table(solves[0].kernel):
+        chunk_spans = _spans([0, *gaps], [*gaps, c], max(1, CHUNK_BYTES // (64 * l * l)))
+        product_spans = _spans(bounds[:-1], bounds[1:], max(1, CHUNK_BYTES // (24 * l * l)))
+    else:
+        cuts = np.union1d(gaps, bounds[(bounds > 0) & (bounds < c)])
+        chunk_spans = product_spans = _spans([0, *cuts], [*cuts, c],
+                                             max(1, CHUNK_BYTES // (32 * l * n)))
+    chunks = []
+    for k0, k1 in chunk_spans:
+        r0, r1 = live[k0], live[k1 - 1] + 1
+        covs = [s.covs[max(r0, s.aps.start) - s.aps.start:min(r1, s.aps.stop) - s.aps.start]
+                for s in solves if s.aps.start < r1 and r0 < s.aps.stop]
+        chunks.append((slice(k0, k1), slice(r0, r1), covs))
+    products = []
+    for k0, k1 in product_spans:
+        rows = live[k0:k1]
+        if rows[-1] - rows[0] == k1 - k0 - 1:
+            rows = slice(rows[0], rows[-1] + 1)
+        owner = solves[np.searchsorted(bounds, k0, side="right") - 1]
+        products.append((owner, slice(k0, k1), rows))
+    return chunks, products
+
+
+def _joined(covs: list) -> np.ndarray:
+    """A chunk's covariances as one stack: the view itself unless it spans problems."""
+    return covs[0] if len(covs) == 1 else np.concatenate(covs)
 
 
 def _round_plan(st: _Batch, solves: list[_Solve], t: int) -> _RoundPlan:
@@ -319,11 +350,11 @@ def _round_plan(st: _Batch, solves: list[_Solve], t: int) -> _RoundPlan:
     bounds = np.searchsorted(live, [s.aps.start for s in solves] + [b])
     return _RoundPlan(live, row, ein, row[dst[ein]], slot[ein], st.degree[live], st.cdfs[live],
                       [is_live[s.aps] for s in solves],
-                      _kernel_calls(live, solves, bounds, st.sigma.shape[-1], st.gamma.shape[1]))
+                      *_kernel_calls(live, solves, bounds, st.sigma.shape[-1], st.gamma.shape[1]))
 
 
-def _round(st: _Batch, rplan: _RoundPlan, t: int, solves: list[_Solve], covs: np.ndarray,
-           hyper: Hyperparams, options: SolverOptions) -> np.ndarray:
+def _round(st: _Batch, rplan: _RoundPlan, t: int, solves: list[_Solve], hyper: Hyperparams,
+           options: SolverOptions) -> np.ndarray:
     """Advance the (nonempty) live APs of ``rplan`` by round ``t``; returns what they send.
 
     Selecting the own AP (or drawing a zero combiner weight) degenerates the
@@ -331,15 +362,24 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, solves: list[_Solve], covs: np
     is identically zero, so the new estimate is the clamped z step and the
     estimators stay untouched.
     """
-    n = st.gamma.shape[1]
+    n, l = st.gamma.shape[1], st.sigma.shape[-1]
     src, live, ein, erow = st.edges.src, rplan.live, rplan.ein, rplan.erow
     own_col = rplan.own_col
     b, e, c = len(st.gamma), len(src), len(live)
 
     g_old = st.gamma[live]
     grad = np.empty_like(g_old)
-    for s, sl, rows in rplan.calls:
-        grad[sl] = ml_gradient(st.sigma[rows], covs[rows], s.scenario.pilots, s.kernel)
+    if is_table(solves[0].kernel):
+        # D per matrix in chunks, then each problem's forms as its coordinates
+        # times the table (linalg.quadforms), one GEMM per product.
+        coords = np.empty((c, l * l))
+        for sl, rows, covs in rplan.chunks:
+            coords[sl] = hermitian_coords(gradient_matrix(st.sigma[rows], _joined(covs)))
+        for s, sl, _ in rplan.products:
+            grad[sl] = coords[sl] @ s.kernel
+    else:
+        for (sl, rows, (covs,)), (s, _, _) in zip(rplan.chunks, rplan.products):
+            grad[sl] = ml_gradient(st.sigma[rows], covs, s.scenario.pilots, s.kernel)
     # The weights come before the panel, so that their temporaries and the
     # panel are never held at once.
     w = combiner_weights(g_old, st.received[ein], hyper.rho, receivers=erow)
@@ -381,7 +421,7 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, solves: list[_Solve], covs: np
         st.x_local[ep] = x_new
 
     delta = g_new - g_old
-    for s, sl, rows in rplan.calls:
+    for s, sl, rows in rplan.products:
         st.sigma[rows] = update_covariance(st.sigma[rows], s.scenario.pilots, delta[sl],
                                            s.kernel)
     st.gamma[live] = g_new
@@ -390,8 +430,8 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, solves: list[_Solve], covs: np
 
     cost = np.full(c, np.nan)
     if options.record_cost:
-        for _, sl, rows in rplan.calls:
-            cost[sl] = ml_cost_given_factor(cholesky_factor(st.sigma[rows]), covs[rows])
+        for sl, rows, covs in rplan.chunks:
+            cost[sl] = ml_cost_given_factor(cholesky_factor(st.sigma[rows]), _joined(covs))
         panel[np.arange(c), own_col] = g_new
         cost += hyper.beta * sparsity_penalty(panel.swapaxes(1, 2), hyper.theta)
         sim = np.abs(g_new[erow] - st.received[ein]).sum(axis=1)
@@ -418,6 +458,8 @@ def _check(scenario: Scenario, covs: np.ndarray, plan: netsim.FailurePlan,
     want = (scenario.num_aps, scenario.pilot_len, scenario.pilot_len)
     if np.shape(covs) != want:
         raise ConfigMismatch(f"sample covariances have shape {np.shape(covs)}, expected {want}")
+    if not np.isfinite(covs).all():
+        raise NotPositiveDefinite("sample covariances have non-finite entries")
 
 
 def _setup(problems: list[Problem], num_iters: int) -> tuple[_Batch, list[_Solve]]:
@@ -456,10 +498,10 @@ def _setup(problems: list[Problem], num_iters: int) -> tuple[_Batch, list[_Solve
     # Modes of one trial share their scenario's pilots, and so the kernel.
     pilots = {id(sc.pilots): sc.pilots for sc in scenarios}
     kernels = {key: pilot_kernel(cols) for key, cols in pilots.items()}
-    solves = [_Solve(sc, plan, net, slice(a0, a1), slice(e0, e1), kernels[id(sc.pilots)],
+    solves = [_Solve(sc, plan, covs, net, slice(a0, a1), slice(e0, e1), kernels[id(sc.pilots)],
                      np.random.default_rng(np.random.SeedSequence([_NETSIM_SALT, sc.seed])),
                      netsim.CommLedger(len(net.src), n))
-              for (sc, _, plan), net, a0, a1, e0, e1
+              for (sc, covs, plan), net, a0, a1, e0, e1
               in zip(problems, nets, aps, aps[1:], links, links[1:])]
     return st, solves
 
@@ -502,10 +544,11 @@ def run_batch(problems: list[Problem], hyper: Hyperparams,
     problem alone, bit for bit: a problem keeps its own streams, plan,
     ledger, trace, early stop and round count.
     """
-    if hyper.num_iters < 1:
-        raise ConfigMismatch(f"num_iters must be >= 1, got {hyper.num_iters}")
+    bad = hyper.problems()
+    if bad:
+        raise ConfigMismatch("; ".join(bad))
     options = options or SolverOptions()
-    problems = [(sc, covs, plan or netsim.EMPTY_PLAN) for sc, covs, plan in problems]
+    problems = [(sc, np.asarray(covs), plan or netsim.EMPTY_PLAN) for sc, covs, plan in problems]
     l, n = problems[0][0].pilot_len, problems[0][0].num_devices
     for scenario, covs, plan in problems:
         if (scenario.pilot_len, scenario.num_devices) != (l, n):
@@ -515,7 +558,6 @@ def run_batch(problems: list[Problem], hyper: Hyperparams,
 
     _retain_freed_memory()
     st, solves = _setup(problems, hyper.num_iters)
-    covs = np.concatenate([covs for _, covs, _ in problems])
 
     # The live set changes only in a crash round or after an early stop.
     crashes = {r for s in solves for _, r in s.plan.ap_failures}
@@ -524,7 +566,7 @@ def run_batch(problems: list[Problem], hyper: Hyperparams,
         if rplan is None or t in crashes:
             rplan = _round_plan(st, solves, t)
         if rplan.live.size:
-            outgoing = _round(st, rplan, t, solves, covs, hyper, options)
+            outgoing = _round(st, rplan, t, solves, hyper, options)
         stopped = False
         for s, mine in zip(solves, rplan.mine):
             if not s.running:

@@ -12,8 +12,9 @@ cost) live on ``LoopState``.  ``run`` stacks the states into the batched
 solver's ``RunResult`` arrays and fills the same trace arrays and ledger
 counts, so results compare array by array.  Where the scenario's pilots
 have a table (``pilot_gram``), the gradient and the covariance update are
-the package's own functions called per AP with it, so that a solve is
-bitwise the loop.  Past the table's byte budget the loop runs the complex
+the package's own functions called per AP with it; the solver multiplies
+the table once per problem, so a solve matches the loop to rounding, not
+bit for bit.  Past the table's byte budget the loop runs the complex
 path, with its own covariance update, so the table path can also be
 checked against it.
 """

@@ -99,6 +99,18 @@ class TestLogdet:
         with pytest.raises(DimensionMismatch):
             cholesky_factor(np.ones((3, 4), dtype=complex))
 
+    # NaN fails every comparison and does not stop the factorization, and a
+    # NaN above the diagonal is not even read by it.
+    @pytest.mark.parametrize("at, value", [((1, 1), np.nan), ((2, 0), np.nan), ((0, 2), np.nan),
+                                           ((2, 0), np.inf), ((1, 1), np.inf)],
+                             ids=["nan_diagonal", "nan_lower", "nan_upper", "inf_lower",
+                                  "inf_diagonal"])
+    def test_rejects_non_finite(self, at, value):
+        stack = np.stack([np.eye(3, dtype=complex)] * 2)
+        stack[(1, *at)] = value
+        with pytest.raises(NotPositiveDefinite, match=r"at \(1,\): non-finite entry"):
+            cholesky_factor(stack)
+
 
 class TestSolve:
     def test_identity(self):
@@ -284,16 +296,36 @@ class TestPilotGram:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
     @given(cases)
-    def test_each_row_is_its_one_matrix_call_bitwise(self, case):
+    def test_each_row_ignores_the_other_rows_bitwise(self, case):
+        # At a fixed stack size, new inputs in the other rows leave a row's bits alone.
+        a, b, cols, _, delta = gram_case(*case)
+        other_a, other_b, _, _, other_delta = gram_case(case[0] + 1, *case[1:])
+        gram = pilot_gram(cols)
+        forms = quadforms(gradient_matrix(a, b), cols, gram)
+        sigma = update_covariance(a, cols, delta, gram)
+        for i in range(len(a)):
+            mixed_a, mixed_b, mixed_delta = other_a.copy(), other_b.copy(), other_delta.copy()
+            mixed_a[i], mixed_b[i], mixed_delta[i] = a[i], b[i], delta[i]
+            np.testing.assert_array_equal(
+                quadforms(gradient_matrix(mixed_a, mixed_b), cols, gram)[i], forms[i])
+            np.testing.assert_array_equal(
+                update_covariance(mixed_a, cols, mixed_delta, gram)[i], sigma[i])
+
+    @given(cases)
+    def test_each_row_matches_its_one_matrix_call(self, case):
         a, b, cols, _, delta = gram_case(*case)
         gram = pilot_gram(cols)
         x = gradient_matrix(a, b)
         forms = quadforms(x, cols, gram)
         sigma = update_covariance(a, cols, delta, gram)
         for i in range(len(a)):
-            np.testing.assert_array_equal(quadforms(x[i], cols, gram), forms[i])
-            np.testing.assert_array_equal(update_covariance(a[i], cols, delta[i], gram),
-                                          sigma[i])
+            # The forms are differences alpha - beta, so they are compared
+            # against the size of the row's terms.
+            scale = np.abs(x[i]).sum() * np.abs(cols).max() ** 2
+            np.testing.assert_allclose(quadforms(x[i], cols, gram), forms[i], rtol=1e-12,
+                                       atol=1e-12 * scale)
+            np.testing.assert_allclose(update_covariance(a[i], cols, delta[i], gram), sigma[i],
+                                       rtol=1e-12, atol=1e-12 * np.abs(sigma[i]).max())
 
     @given(cases)
     def test_outer_sum_is_exactly_hermitian(self, case):

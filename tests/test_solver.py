@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from coopdetect import linalg, solver
-from coopdetect.errors import ConfigMismatch, StateConsistencyError
+from coopdetect.errors import ConfigMismatch, NotPositiveDefinite, StateConsistencyError
 from coopdetect.linalg import pilot_gram
 from coopdetect.netsim import FailurePlan
 from coopdetect.objective import Hyperparams, ml_cost
@@ -216,6 +216,29 @@ class TestFailures:
         all_links = run(sc, covs, hyper, plan=FailurePlan(link_failures=edges))
         np.testing.assert_array_equal(full_drop.gamma, all_links.gamma)
 
+    @pytest.mark.parametrize("record_cost", [False, True])
+    @pytest.mark.parametrize("num_iters", [1, 5])
+    def test_non_finite_sample_covariance_raises(self, setup, record_cost, num_iters):
+        sc, covs = setup
+        broken = covs.copy()
+        broken[1, 2, 0] = np.nan
+        with pytest.raises(NotPositiveDefinite, match="non-finite"):
+            run(sc, broken, Hyperparams(num_iters=num_iters), options=SolverOptions(
+                record_cost=record_cost))
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("eta", float("nan"), "eta must be positive and finite, got nan"),
+        ("theta", 0.0, "theta must be positive and finite, got 0.0"),
+        ("tau", float("nan"), "tau must be nonnegative and finite, got nan"),
+        ("rho", float("inf"), "rho must be nonnegative and finite, got inf"),
+        ("beta", -1.0, "beta must be nonnegative and finite, got -1.0"),
+    ], ids=["eta_nan", "theta_zero", "tau_nan", "rho_inf", "beta_negative"])
+    def test_bad_hyperparameter_rejected_before_any_round(self, setup, name, value, message):
+        sc, covs = setup
+        with mock.patch.object(solver, "_round", side_effect=AssertionError("round ran")):
+            with pytest.raises(ConfigMismatch, match=re.escape(message)):
+                run(sc, covs, Hyperparams(**{name: value}, num_iters=5))
+
     def test_plan_validated_against_rounds(self, setup):
         sc, covs = setup
         plan = FailurePlan(ap_failures=((0, 99),))
@@ -224,19 +247,35 @@ class TestFailures:
 
 
 class TestIsolationEquivalences:
-    def test_isolated_run_equals_independent_single_ap_iterations(self, setup):
+    def test_isolated_run_matches_single_ap_iterations(self, setup):
         sc, covs = setup
         iso = isolated(sc)
         hyper = Hyperparams(tau=0.0, num_iters=5)
         full = run(iso, covs, hyper)
-        # Drive each AP by hand with no message exchange at all.
+        # Drive each AP by hand with no message exchange at all.  The loop's
+        # pilot products are per AP, the solver's one per problem, so the
+        # last bits may differ.
         states = init_states(iso, covs, hyper)
         for _ in range(5):
             for st in states:
                 ap_iteration(st, covs[st.ap_id], iso.pilots, hyper,
                              st.last_received, SolverOptions())
         for st in states:
-            np.testing.assert_array_equal(st.gamma, full.gamma[st.ap_id])
+            np.testing.assert_allclose(st.gamma, full.gamma[st.ap_id], rtol=1e-12)
+
+    def test_isolated_ap_ignores_other_aps_covariances_bitwise(self, setup):
+        sc, covs = setup
+        iso = isolated(sc)
+        hyper = Hyperparams(tau=0.0, num_iters=5)
+        full = run(iso, covs, hyper)
+        for j in range(iso.num_aps):
+            changed = covs.copy()
+            changed[j] = 2.0 * covs[j]
+            other = run(iso, changed, hyper)
+            assert not np.array_equal(other.gamma[j], full.gamma[j])
+            for i in set(range(iso.num_aps)) - {j}:
+                np.testing.assert_array_equal(other.gamma[i], full.gamma[i])
+                np.testing.assert_array_equal(other.sigma[i], full.sigma[i])
 
     def test_self_selection_is_clamped_z_step(self, setup):
         sc, covs = setup
@@ -263,6 +302,26 @@ class TestKernelPath:
         want = reference_loop.run(sc, covs, hyper)
         np.testing.assert_array_equal(got.gamma, want.gamma)
         np.testing.assert_array_equal(got.sigma, want.sigma)
+
+    @pytest.mark.parametrize("table", [True, False])
+    def test_cut_calls_keep_each_problem_its_own_bits(self, table):
+        # A budget of a few APs cuts the per-matrix chunks across problems and
+        # each problem's products at its own positions, around a crashed AP.
+        first, second = small_scenario(seed=4, num_aps=5), small_scenario(seed=5, num_aps=5)
+        plan = FailurePlan(ap_failures=((1, 3),))
+        covs = synthesize(first)
+        batch = [(second, synthesize(second), None), (first, covs, plan),
+                 (isolated(first), covs, None)]
+        l, n = first.pilot_len, first.num_devices
+        budget = 72 * l * l if table else 64 * l * n
+        hyper = Hyperparams(num_iters=6)
+        with mock.patch.object(solver, "CHUNK_BYTES", budget), \
+                mock.patch.object(linalg, "GRAM_BYTES", linalg.GRAM_BYTES if table else 0):
+            got = run_batch(batch, hyper)
+            for (sc, sample_covs, p), g in zip(batch, got):
+                want = run(sc, sample_covs, hyper, plan=p)
+                np.testing.assert_array_equal(g.gamma, want.gamma)
+                np.testing.assert_array_equal(g.sigma, want.sigma)
 
 
 class TestSetupOnce:
