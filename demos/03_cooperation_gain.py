@@ -1,10 +1,12 @@
-"""Cooperation versus isolation versus full pooling.
+"""Cooperation versus isolation versus a pooled ablation.
 
 Runs the desk-scale experiment three ways on identical scenarios: the
 decentralized cooperative detector (one-hop estimate exchange), isolated
 per-AP detection, and a centralized ablation that averages all sample
-covariances.  Cooperation should close part of the gap to the pooled
-reference at a fraction of its backhaul cost.
+covariances at one AP.  The pooled ablation is not an upper reference: the
+average mixes covariances seen under different path losses, and it
+measures a higher AER than isolated APs (ROADMAP item 1 plans the
+references that should bound the others).
 
 Run: python3 demos/03_cooperation_gain.py      (a few minutes)
 """
@@ -33,5 +35,6 @@ for agg in artifact.aggregates:
 by_mode = {a["mode"]: a for a in artifact.aggregates}
 gap = by_mode["no_coop"]["mean_aer"] - by_mode["cmd"]["mean_aer"]
 print(f"\ncooperation gain (no_coop - cmd): {gap:+.3f} AER")
-print("the pooled ablation shows what unlimited backhaul would buy;")
+print("centralized_pool averages every AP's sample covariance at one AP; that")
+print("average mixes path losses, so it is no upper reference (ROADMAP item 1).")
 print("cmd pays only N scalars per AP per round to its one-hop neighbors.")

@@ -347,9 +347,12 @@ def mode_dispatch(mode: str, scenario: Scenario, covs: np.ndarray,
     ``cmd`` is the full cooperative problem.  ``no_coop`` empties every
     neighbor set, so each AP solves alone and no messages flow: with no
     neighbors the similarity weight never enters.  ``centralized_pool`` is
-    one AP holding the average of all sample covariances (an
-    upper-reference ablation).  Failure plans only apply to ``cmd``; the
-    baselines have no backhaul to fail.
+    one AP holding the average of all sample covariances.  It is not an
+    upper reference: the average mixes covariances seen under different
+    path losses, and it measured a higher AER than isolated APs
+    (``no_coop``); ROADMAP item 1 plans the references meant to replace it.
+    Failure plans only apply to ``cmd``; the baselines have no backhaul to
+    fail.
     """
     if mode == "cmd":
         return scenario, covs, plan

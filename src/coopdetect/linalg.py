@@ -10,19 +10,21 @@ one of two paths, which :func:`pilot_kernel` picks once per pilot matrix:
 
 - the pilot table (:func:`pilot_gram`): every AP sees the same (L, N)
   pilot matrix A, so its outer products a_n a_n^H are tabulated once, in
-  Hermitian coordinates, as a real (L^2, N) table G.  The coordinates of a
-  Hermitian X are its diagonal, then the real and then the imaginary parts
-  of its strict upper triangle in row order; G holds the diagonal of
-  a_n a_n^H and twice the real and imaginary parts of its upper triangle,
-  so Re a_n^H X a_n = coords(X) . G[:, n] for every n in one real product.
-  A sum of outer products sum_n d_n a_n a_n^H is d @ G^T read back from
-  coordinates, which is exactly Hermitian.  This is a quarter of the flops
-  of the complex products.  A stack of matrices (or of weight rows) takes
-  one GEMM against the table: (k, L^2) by (L^2, N) for the forms, (k, N)
-  by (N, L^2) for the sums.  A row's bits do not depend on the other rows'
-  values, but they do depend on k and on the row's position, since BLAS
-  picks its kernels and blocking by the row count: a one-row call is a
-  GEMV and need not match row i of a stack to the last bit.
+  Hermitian coordinates, as a real (N, L^2) table G, one row per device.
+  The coordinates of a Hermitian X are its diagonal, then the real and
+  then the imaginary parts of its strict upper triangle in row order; row
+  n of G holds the diagonal of a_n a_n^H and twice the real and imaginary
+  parts of its upper triangle, so Re a_n^H X a_n = coords(X) . G[n] for
+  every n in one real product.  A sum of outer products
+  sum_n d_n a_n a_n^H is d @ G, doubled coordinates that
+  :func:`hermitian_from_doubled` reads back exactly Hermitian.  This is a
+  quarter of the flops of the complex products.  A stack of matrices (or
+  of weight rows) takes one GEMM against the table: coords @ G^T, (k, L^2)
+  by (L^2, N), for the forms and d @ G, (k, N) by (N, L^2), for the sums,
+  neither with a copy of the table.  A row's bits do not depend on the
+  other rows' values, but they do depend on k and on the row's position,
+  since BLAS picks its kernels and blocking by the row count: a one-row
+  call is a GEMV and need not match row i of a stack to the last bit.
 - the complex path, where the table would exceed ``GRAM_BYTES`` (it would
   take 32.8 MB at L=64, N=1000), since past the cache the table path
   measured slower: U = X A as one GEMM over the stack, then column-wise
@@ -41,12 +43,17 @@ from .errors import DimensionMismatch, NotPositiveDefinite
 # Cholesky pivots below this fraction of the trace count as non-positive.
 PIVOT_RTOL = 1e-12
 # Largest pilot table pilot_gram builds, in bytes.  Gradient plus covariance
-# update of one problem's APs as the solver calls them, on one core with a
-# 2 MB L2 cache per core, table path time over complex path time with 1 / 5
-# APs per problem: 0.91 / 0.79 at L=24, N=100 (0.46 MB), 0.91 / 0.80 at
-# N=200 (0.92 MB), 1.20 / 0.88 at L=32, N=256 (2.1 MB), 1.49 / 1.00 at L=48,
-# N=200 (3.7 MB) and 1.41 / 0.82 at L=64, N=1000 (32.8 MB).  Between 0.92 MB
-# and 32.8 MB neither path wins at both counts, so the budget stays here.
+# update of one problem's APs as the solver calls them (the (N, L^2) table,
+# the inverse from the Cholesky factor and one readback), on one core with a
+# 2 MB L2 cache per core, table path time over complex path time with
+# 1 / 5 / 16 APs per problem, two runs: 0.86-0.87 / 0.69-0.75 / 0.72-0.76
+# at L=24, N=100 (0.46 MB), 0.84-0.89 / 0.67-0.71 / 0.58-0.61 at N=200
+# (0.92 MB), 1.21-1.23 / 0.87-0.99 / 0.61 at L=32, N=256 (2.1 MB),
+# 1.24-1.62 / 0.92-0.93 / 0.70-0.71 at L=48, N=200 (3.7 MB) and
+# 1.38-1.44 / 0.92-1.01 / 0.49-0.53 at L=64, N=1000 (32.8 MB).  Between
+# 0.92 MB and 32.8 MB one AP per problem runs faster on the complex path and
+# five or more on the table, so no budget there wins at every count, and
+# the budget stays here.
 GRAM_BYTES = 2 << 20
 
 
@@ -93,9 +100,23 @@ def logdet_from_factor(low: np.ndarray) -> np.ndarray:
     return 2.0 * np.sum(np.log(np.real(np.diagonal(low, axis1=-2, axis2=-1))), axis=-1)
 
 
-def solve_from_factor(low: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Solve A x = v given the lower Cholesky factor of A; v may be a matrix."""
-    return np.linalg.solve(np.conj(np.swapaxes(low, -1, -2)), np.linalg.solve(low, v))
+def inverse_from_factor(low: np.ndarray) -> np.ndarray:
+    """A^-1 given a lower Cholesky factor of A (or a stack of them).
+
+    W = low^-1 is lower triangular, and is inverted by blocks with one
+    split: W11 = L11^-1 and W22 = L22^-1 on the diagonal and
+    W21 = -W22 L21 W11 below it.  Then A^-1 = W^H W.  Each matrix of a
+    stack is its own: its bits do not depend on the stack.
+    """
+    h = low.shape[-1] // 2
+    w = np.zeros_like(low)
+    w22 = np.linalg.inv(low[..., h:, h:])
+    w[..., h:, h:] = w22
+    if h:  # L = 1 has no split
+        w11 = np.linalg.inv(low[..., :h, :h])
+        w[..., :h, :h] = w11
+        w[..., h:, :h] = -(w22 @ low[..., h:, :h] @ w11)
+    return np.conj(np.swapaxes(w, -1, -2)) @ w
 
 
 @cache
@@ -139,25 +160,25 @@ def gram_bytes(l: int, n: int) -> int:
 
 
 def pilot_gram(cols: np.ndarray) -> np.ndarray | None:
-    """The real (L^2, N) table of the columns' outer products, or None past ``GRAM_BYTES``.
+    """The real (N, L^2) table of the columns' outer products, or None past ``GRAM_BYTES``.
 
-    Column n holds the coordinates of a_n a_n^H with the off-diagonal ones
+    Row n holds the coordinates of a_n a_n^H with the off-diagonal ones
     doubled (see the module docstring), so that for Hermitian X
-    ``hermitian_coords(X) @ table`` is Re a_n^H X a_n for every n.  Built
+    ``hermitian_coords(X) @ table.T`` is Re a_n^H X a_n for every n.  Built
     one pilot row at a time, so no temporary outgrows a few pilot rows.
     """
     l, n = cols.shape
     if not gram_bytes(l, n):
         return None
-    table = np.empty((l * l, n))
-    table[:l] = cols.real**2 + cols.imag**2
+    table = np.empty((n, l * l))
+    table[:, :l] = (cols.real**2 + cols.imag**2).T
     first, k = l, l * (l - 1) // 2
     for i in range(l - 1):
         upper = cols[i] * cols[i + 1:].conj()       # a_i conj(a_j) for j > i
-        rows = slice(first, first + l - 1 - i)
-        table[rows] = 2.0 * upper.real
-        table[rows.start + k:rows.stop + k] = 2.0 * upper.imag
-        first = rows.stop
+        stop = first + l - 1 - i
+        table[:, first:stop] = 2.0 * upper.real.T
+        table[:, first + k:stop + k] = 2.0 * upper.imag.T
+        first = stop
     return table
 
 
@@ -177,15 +198,16 @@ def is_table(kernel: np.ndarray | None) -> bool:
     return kernel is not None and not np.iscomplexobj(kernel)
 
 
-def outer_sum(weights: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """sum_n w_n a_n a_n^H for each row of ``weights`` (..., N), from the columns' table.
+def hermitian_from_doubled(doubled: np.ndarray) -> np.ndarray:
+    """The Hermitian (..., L, L) matrices whose doubled coordinates are ``doubled`` (..., L^2).
 
-    One (k, N) by (N, L^2) product over the rows, read back from
-    coordinates, so each result is exactly Hermitian.
+    Doubled coordinates are coordinates with the off-diagonal ones doubled,
+    as ``weights @ table`` gives them for sum_n w_n a_n a_n^H.  Read back element by element, so
+    each result is exactly Hermitian and its bits do not depend on the
+    other rows.
     """
-    l = isqrt(gram.shape[0])
+    l = isqrt(doubled.shape[-1])
     _, src, scale = _coordinates(l)
-    doubled = np.asarray(weights) @ gram.T
     floats = np.take(doubled, src, axis=-1)
     floats *= scale
     return floats.view(complex).reshape(floats.shape[:-1] + (l, l))
@@ -196,12 +218,12 @@ def quadforms(x: np.ndarray, cols: np.ndarray, kernel: np.ndarray | None = None)
 
     ``x`` is one (L, L) matrix or a stack; the result is (..., N).  Where
     the columns' ``kernel`` (:func:`pilot_kernel`) is their table, the forms
-    are the coordinates of X times the table, one (k, L^2) by (L^2, N)
-    product over the stack.  Otherwise one GEMM over the stack gives U = X V,
-    then Re v^H u column by column.
+    are the coordinates of X times the table's transpose, one (k, L^2) by
+    (L^2, N) product over the stack.  Otherwise one GEMM over the stack
+    gives U = X V, then Re v^H u column by column.
     """
     if is_table(kernel):
-        return hermitian_coords(x) @ kernel
+        return hermitian_coords(x) @ kernel.T
     l, n = cols.shape
     u = (x.reshape(-1, l) @ cols).reshape(x.shape[:-1] + (n,))
     return np.real(np.vecdot(cols, u, axis=-2))

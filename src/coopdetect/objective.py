@@ -23,11 +23,11 @@ import numpy as np
 
 from .linalg import (
     cholesky_factor,
+    hermitian_from_doubled,
+    inverse_from_factor,
     is_table,
     logdet_from_factor,
-    outer_sum,
     quadforms,
-    solve_from_factor,
 )
 from .scenario import is_finite
 
@@ -82,7 +82,7 @@ def update_covariance(sigma, pilots, delta, kernel) -> np.ndarray:
     stack and the sum is re-symmetrized.
     """
     if is_table(kernel):
-        total = outer_sum(delta, kernel)
+        total = hermitian_from_doubled(np.asarray(delta) @ kernel)
         total += sigma
         return total
     n = pilots.shape[1]
@@ -98,19 +98,21 @@ def ml_cost(gamma, pilots, noise_power, sample_cov) -> float:
 
 def ml_cost_given_factor(low, sample_cov):
     """Same as :func:`ml_cost` given the Cholesky factor of the model covariance."""
-    fit = np.real(np.trace(solve_from_factor(low, sample_cov), axis1=-2, axis2=-1))
+    # tr(Sigma^-1 S) as the sum of the elementwise product with S transposed.
+    inv = inverse_from_factor(low)
+    fit = np.real(np.sum(inv * np.swapaxes(sample_cov, -1, -2), axis=(-2, -1)))
     return logdet_from_factor(low) + fit
 
 
 def gradient_matrix(sigma, sample_cov) -> np.ndarray:
     """D = Sigma^-1 - Sigma^-1 S Sigma^-1, whose quadratic forms are :func:`ml_gradient`.
 
-    One inverse of the covariance and two (L, L) products, after a Cholesky
-    factorization has checked that the covariance is positive definite.
-    Each matrix of a stack is its own: its bits do not depend on the stack.
+    The Cholesky factorization that checks that the covariance is positive
+    definite also gives its inverse (``linalg.inverse_from_factor``), then
+    two (L, L) products.  Each matrix of a stack is its own: its bits do not
+    depend on the stack.
     """
-    cholesky_factor(sigma)  # raises NotPositiveDefinite
-    inv = np.linalg.inv(sigma)
+    inv = inverse_from_factor(cholesky_factor(sigma))  # raises NotPositiveDefinite
     return inv - inv @ sample_cov @ inv
 
 

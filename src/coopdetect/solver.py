@@ -55,22 +55,27 @@ gets solved alone.
 
 The gradient and the covariance update read a problem's pilots through a
 kernel built once per solve for each distinct pilot matrix
-(``linalg.pilot_kernel``): its table or, past the table's byte budget, its
-conjugate transpose for the complex path.  Their work splits in two.  The
-per-matrix work (the Cholesky check, the inverse and D = Sigma^-1 -
-Sigma^-1 S Sigma^-1, and the recorded cost) acts matrix by matrix, so its
-bits do not depend on how it is cut: it runs in chunks of consecutive live
-APs, whose covariances are slices of the batch's stacks and views of each
-problem's own sample covariances.  The pilot products are not: BLAS picks
-its kernels and blocking by the row count, so a row's bits depend on how
-many rows share its product and where it sits among them.  So products are
-per problem, over its live APs in order, cut only at positions counted from
-its own first live AP; a problem's bits are then what it gets alone, but
-not what a per-AP loop gets to the last bit.  With a table, chunks span problems, and a product
-takes one GEMM against the table for its APs' forms and one for their
-covariance increments.  The complex path multiplies a chunk's stack at once,
-so its chunks stay within one problem and each is also its product.  Chunks
-and products are cut so that their temporaries stay near ``CHUNK_BYTES``:
+(``linalg.pilot_kernel``): its (N, L^2) table or, past the table's byte
+budget, its conjugate transpose for the complex path.  Their work splits in
+two.  The per-matrix work (the Cholesky check, the inverse from its factor
+and D = Sigma^-1 - Sigma^-1 S Sigma^-1, and the recorded cost) acts matrix
+by matrix, so its bits do not depend on how it is cut: it runs in chunks of
+consecutive live APs, whose covariances are slices of the batch's stacks
+and views of each problem's own sample covariances.  The pilot products are
+not: BLAS picks its kernels and blocking by the row count, so a row's bits
+depend on how many rows share its product and where it sits among them.  So
+products are per problem, over its live APs in order, cut only at positions
+counted from its own first live AP; a problem's bits are then what it gets
+alone, but not what a per-AP loop gets to the last bit.  With a table,
+chunks span problems, and a product takes one GEMM against the table's
+transpose for its APs' forms and one against the table for the doubled
+coordinates of their covariance increments, written into one (c, L^2)
+array of the round; one readback then adds every live AP's increment to its
+covariance.  The readback works element by element, so each covariance
+gets the bits of its product's own ``objective.update_covariance``.  The
+complex path multiplies a chunk's stack at once, so its chunks stay within
+one problem and each is also its product.  Chunks and products are cut so
+that their temporaries stay near ``CHUNK_BYTES``:
 all B APs at once would grow peak memory with B (3 MB of temporaries for 64
 APs at L=24 with a table, 5 MB per (L, N) temporary at N=200 without) for
 little speed: at that shape one gradient call over 64 APs took 0.95x the
@@ -87,7 +92,14 @@ import numpy as np
 
 from . import netsim
 from .errors import ConfigMismatch, NotPositiveDefinite, StateConsistencyError
-from .linalg import cholesky_factor, gram_bytes, hermitian_coords, is_table, pilot_kernel
+from .linalg import (
+    cholesky_factor,
+    gram_bytes,
+    hermitian_coords,
+    hermitian_from_doubled,
+    is_table,
+    pilot_kernel,
+)
 from .objective import (
     Hyperparams,
     assemble_covariance,
@@ -125,20 +137,22 @@ class IterationTrace:
     """Per-round records: entry (t - 1, i) is what AP i recorded in round t.
 
     An AP records its cost (NaN unless ``record_cost``), the AP it selected
-    (itself included) and its clamp and degenerate-step counts so far.  An
-    AP that did not compute in a round, as it had crashed, records -1 there
-    (NaN for ``cost``).
+    (itself included), its clamp and degenerate-step counts so far and the
+    largest change of its estimate in the round, max |gamma_new - gamma_old|.
+    An AP that did not compute in a round, as it had crashed, records -1
+    there (NaN for ``cost`` and ``delta``).
     """
 
     cost: np.ndarray                  # (rounds, B)
     selected: np.ndarray              # (rounds, B)
     clamped: np.ndarray               # (rounds, B)
     degenerate: np.ndarray            # (rounds, B)
+    delta: np.ndarray                 # (rounds, B)
 
     def __getitem__(self, key) -> "IterationTrace":
         """The records at ``key`` of each array, such as ``trace[:rounds, aps]``."""
         return IterationTrace(self.cost[key], self.selected[key], self.clamped[key],
-                              self.degenerate[key])
+                              self.degenerate[key], self.delta[key])
 
     def round_costs(self) -> np.ndarray:
         """Total cost across the APs that computed, per round in which any did."""
@@ -299,10 +313,13 @@ def _kernel_calls(live: np.ndarray, solves: list[_Solve], bounds: np.ndarray, l:
     its rows are a slice, and views of its problems' sample covariances.  A
     product is (problem, live positions, rows), its rows a slice where they
     are consecutive.  The steps keep temporaries near ``CHUNK_BYTES``: about
-    four (L, L) complex arrays per AP in a table chunk, three (L, L) real
-    ones in a table product, and two (L, N) complex ones in a complex-path
-    chunk, which is also its product.  ``bounds`` are the problems' first
-    positions in ``live``, and its length.
+    four (L, L) complex arrays per AP in a table chunk and two (L, N)
+    complex ones in a complex-path chunk, which is also its product.  A
+    table product writes into the round's (c, L^2) coordinates and makes no
+    temporary of its own; its step of three (L, L) real arrays per AP is
+    kept, since it sets the GEMMs' row counts and so the bits.  The round's
+    one readback holds two more (L, L) real arrays per live AP.  ``bounds``
+    are the problems' first positions in ``live``, and its length.
     """
     c = len(live)
     gaps = np.flatnonzero(np.diff(live) != 1) + 1
@@ -369,14 +386,15 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, solves: list[_Solve], hyper: H
 
     g_old = st.gamma[live]
     grad = np.empty_like(g_old)
-    if is_table(solves[0].kernel):
+    table = is_table(solves[0].kernel)
+    if table:
         # D per matrix in chunks, then each problem's forms as its coordinates
-        # times the table (linalg.quadforms), one GEMM per product.
+        # times the table's transpose (linalg.quadforms), one GEMM per product.
         coords = np.empty((c, l * l))
         for sl, rows, covs in rplan.chunks:
             coords[sl] = hermitian_coords(gradient_matrix(st.sigma[rows], _joined(covs)))
         for s, sl, _ in rplan.products:
-            grad[sl] = coords[sl] @ s.kernel
+            np.matmul(coords[sl], s.kernel.T, out=grad[sl])
     else:
         for (sl, rows, (covs,)), (s, _, _) in zip(rplan.chunks, rplan.products):
             grad[sl] = ml_gradient(st.sigma[rows], covs, s.scenario.pilots, s.kernel)
@@ -421,9 +439,18 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, solves: list[_Solve], hyper: H
         st.x_local[ep] = x_new
 
     delta = g_new - g_old
-    for s, sl, rows in rplan.products:
-        st.sigma[rows] = update_covariance(st.sigma[rows], s.scenario.pilots, delta[sl],
-                                           s.kernel)
+    if table:
+        # Each product's doubled coordinates of its increments go into the
+        # spent coordinates, then one readback for all live APs: element by
+        # element, so each AP's sum is what update_covariance gives it.
+        for s, sl, _ in rplan.products:
+            np.matmul(delta[sl], s.kernel, out=coords[sl])
+        rows = slice(live[0], live[-1] + 1) if live[-1] - live[0] == c - 1 else live
+        st.sigma[rows] += hermitian_from_doubled(coords)
+    else:
+        for s, sl, rows in rplan.products:
+            st.sigma[rows] = update_covariance(st.sigma[rows], s.scenario.pilots, delta[sl],
+                                               s.kernel)
     st.gamma[live] = g_new
     st.t[live] += 1
     st.delta[live] = np.max(np.abs(delta), axis=1, initial=0.0)
@@ -443,6 +470,7 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, solves: list[_Solve], hyper: H
     trace.selected[t - 1, live] = selected - st.base[live]
     trace.clamped[t - 1, live] = st.clamped[live]
     trace.degenerate[t - 1, live] = st.degenerate[live]
+    trace.delta[t - 1, live] = st.delta[live]
     return g_old if options.lag_transmit else g_new
 
 
@@ -490,7 +518,8 @@ def _setup(problems: list[Problem], num_iters: int) -> tuple[_Batch, list[_Solve
     noise = np.repeat([sc.noise_power for sc in scenarios], np.diff(aps))
     sigma = noise[:, None, None] * np.eye(l, dtype=complex)
     unset = np.full((num_iters, b), -1)
-    trace = IterationTrace(np.full((num_iters, b), np.nan), unset, unset.copy(), unset.copy())
+    trace = IterationTrace(np.full((num_iters, b), np.nan), unset, unset.copy(), unset.copy(),
+                           np.full((num_iters, b), np.nan))
     st = _Batch(edges, degree, np.cumsum(degree) - degree, draws, _selection_cdfs(degree),
                 np.zeros((b, n)), sigma, np.zeros((b, n)), np.zeros((e, n)), np.zeros((e, n)),
                 np.zeros(b, dtype=int), np.zeros(b, dtype=int), np.zeros(b, dtype=int),

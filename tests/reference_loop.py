@@ -251,7 +251,8 @@ def run(
     states = init_states(scenario, covs, hyper)
     edges = netsim.Backhaul.from_neighbors(scenario.neighbors)
     shape = (hyper.num_iters, scenario.num_aps)
-    trace = IterationTrace(np.full(shape, np.nan), *(np.full(shape, -1) for _ in range(3)))
+    trace = IterationTrace(np.full(shape, np.nan), *(np.full(shape, -1) for _ in range(3)),
+                           np.full(shape, np.nan))
     ledger = netsim.CommLedger(len(edges.src), scenario.num_devices)
     net_rng = np.random.default_rng(np.random.SeedSequence([_NETSIM_SALT, scenario.seed]))
 
@@ -274,6 +275,7 @@ def run(
             row = t - 1, state.ap_id
             trace.cost[row], trace.selected[row] = state.last_cost, state.last_selected
             trace.clamped[row], trace.degenerate[row] = state.clamp_count, state.degenerate_count
+            trace.delta[row] = state.last_delta
         delivered = deliver_round(messages, plan, t, net_rng, scenario.neighbors, ledger)
         for (src, dst), payload in delivered.items():
             states[dst].last_received[src] = payload

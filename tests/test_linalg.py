@@ -9,23 +9,24 @@ from coopdetect.errors import DimensionMismatch, NotPositiveDefinite
 from coopdetect.linalg import (
     GRAM_BYTES,
     cholesky_factor,
+    hermitian_from_doubled,
+    inverse_from_factor,
     is_table,
     logdet_from_factor,
-    outer_sum,
     pilot_gram,
     pilot_kernel,
     quadforms,
-    solve_from_factor,
 )
 from coopdetect.objective import assemble_covariance, ml_gradient, update_covariance
+from coopdetect.objective import gradient_matrix as package_gradient_matrix
 
 
 def logdet(a):
     return logdet_from_factor(cholesky_factor(a))
 
 
-def solve(a, v):
-    return solve_from_factor(cholesky_factor(a), v)
+def inverse(a):
+    return inverse_from_factor(cholesky_factor(a))
 
 
 def dense_quadforms(a, gamma, v, b):
@@ -113,30 +114,78 @@ class TestLogdet:
 
 
 class TestSolve:
+    """Solving A X = I from the factor: the inverse ``inverse_from_factor`` forms."""
+
     def test_identity(self):
-        rng = np.random.default_rng(0)
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        np.testing.assert_allclose(solve(np.eye(4, dtype=complex), v), v)
+        for dim in (1, 2, 4, 5):
+            np.testing.assert_array_equal(inverse(np.eye(dim, dtype=complex)), np.eye(dim))
 
     def test_scaled_identity(self):
-        rng = np.random.default_rng(1)
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        np.testing.assert_allclose(solve(2 * np.eye(4, dtype=complex), v), v / 2)
+        np.testing.assert_allclose(inverse(2 * np.eye(4, dtype=complex)), np.eye(4) / 2,
+                                   rtol=1e-15)
 
     def test_matches_explicit_inverse_oracle(self):
         rng = np.random.default_rng(2)
-        for _ in range(10):
-            a = random_hpd(rng, 6)
-            v = rng.normal(size=6) + 1j * rng.normal(size=6)
-            np.testing.assert_allclose(solve(a, v), np.linalg.inv(a) @ v,
+        for dim in (1, 2, 3, 6, 7):
+            stack = np.stack([random_hpd(rng, dim) for _ in range(3)])
+            np.testing.assert_allclose(inverse(stack), np.linalg.inv(stack),
                                        rtol=1e-9, atol=1e-9)
 
     def test_residual_bound(self):
         rng = np.random.default_rng(3)
-        a = random_hpd(rng, 8)
-        v = rng.normal(size=8) + 1j * rng.normal(size=8)
-        x = solve(a, v)
-        assert np.linalg.norm(a @ x - v) <= 1e-10 * np.linalg.norm(v)
+        for dim in (1, 8, 9):
+            a = random_hpd(rng, dim)
+            assert np.linalg.norm(a @ inverse(a) - np.eye(dim)) <= 1e-10 * np.sqrt(dim)
+
+
+hpd_stacks = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 4),
+                       st.sampled_from([1, 2, 3, 7, 24, 64]))
+
+
+class TestGradientMatrix:
+    @given(hpd_stacks)
+    def test_matches_the_explicit_inverse(self, case):
+        # D through the factor's inverse against D through np.linalg.inv.
+        seed, count, dim = case
+        rng = np.random.default_rng(seed)
+        a = np.stack([random_hpd(rng, dim) for _ in range(count)])
+        b = np.stack([random_psd(rng, dim) for _ in range(count)])
+        want = gradient_matrix(a, b)
+        np.testing.assert_allclose(package_gradient_matrix(a, b), want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(0, 3),
+           st.sampled_from(["hermitian", "negative", "tiny", "nan", "inf", "rank_deficient"]))
+    def test_rejects_what_the_factorization_rejects(self, seed, dim, where, kind):
+        # The same matrices raise the same error, and the broken ones do raise.
+        rng = np.random.default_rng(seed)
+        a = random_hpd(rng, dim)
+        k = where % dim
+        if kind == "hermitian":  # indefinite or not, as the draw falls
+            x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            a = x + x.conj().T
+        elif kind == "negative":
+            a[k, k] = -abs(a[k, k])
+        elif kind == "tiny":
+            a = np.diag(np.r_[np.ones(dim - 1), 1e-17]).astype(complex)
+        elif kind == "rank_deficient":
+            v = rng.normal(size=(dim, 1)) + 1j * rng.normal(size=(dim, 1))
+            a = v @ v.conj().T
+        else:
+            a[k, (k + where) % dim] = np.nan if kind == "nan" else np.inf
+        stack = np.stack([np.eye(dim, dtype=complex), a])
+        b = np.stack([np.eye(dim, dtype=complex)] * 2)
+        rejected = []
+        for call in (lambda: cholesky_factor(stack), lambda: package_gradient_matrix(stack, b)):
+            try:
+                call()
+            except NotPositiveDefinite as err:
+                rejected.append(str(err))
+            else:
+                rejected.append(None)
+        assert rejected[0] == rejected[1]
+        if kind in ("negative", "nan", "inf") or kind == "tiny" and dim > 1:
+            assert rejected[0] is not None
 
 
 class TestRank1Update:
@@ -331,13 +380,30 @@ class TestPilotGram:
     def test_outer_sum_is_exactly_hermitian(self, case):
         a, _, cols, _, delta = gram_case(*case)
         gram = pilot_gram(cols)
-        step = outer_sum(delta, gram)
+        step = hermitian_from_doubled(delta @ gram)
         np.testing.assert_array_equal(step, np.conj(np.swapaxes(step, -1, -2)))
         want = (cols * delta[:, None, :]) @ cols.conj().T
         np.testing.assert_allclose(step, want, rtol=0, atol=1e-12 * np.abs(want).max())
         hermitian = 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
         sigma = update_covariance(hermitian, cols, delta, gram)
         np.testing.assert_array_equal(sigma, np.conj(np.swapaxes(sigma, -1, -2)))
+
+    @given(cases, st.data())
+    def test_one_readback_is_each_products_update_bitwise(self, case, data):
+        # The products' doubled coordinates read back at once equal each
+        # product's own covariance update, bit for bit.
+        a, _, cols, _, delta = gram_case(*case)
+        gram = pilot_gram(cols)
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(a) - 1))) if len(a) > 1 else set())
+        products = list(zip([0, *cuts], [*cuts, len(a)]))
+        doubled = np.empty((len(a), gram.shape[1]))
+        for k0, k1 in products:
+            np.matmul(delta[k0:k1], gram, out=doubled[k0:k1])
+        sigma = a.copy()
+        sigma[np.arange(len(a))] += hermitian_from_doubled(doubled)
+        for k0, k1 in products:
+            np.testing.assert_array_equal(sigma[k0:k1],
+                                          update_covariance(a[k0:k1], cols, delta[k0:k1], gram))
 
     @pytest.mark.parametrize("l, n, built", [(24, 100, True), (24, 200, True),
                                              (64, 1000, False)])
@@ -346,7 +412,8 @@ class TestPilotGram:
         table, kernel = pilot_gram(cols), pilot_kernel(cols)
         assert (table is not None) == built == (8 * l * l * n <= GRAM_BYTES) == is_table(kernel)
         if built:
-            assert table.shape == (l * l, n)
+            # Row-major: one row of doubled coordinates per device.
+            assert table.shape == (n, l * l) and table.flags.c_contiguous
             np.testing.assert_array_equal(kernel, table)
         else:
             np.testing.assert_array_equal(kernel, cols.conj().T)

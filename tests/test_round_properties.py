@@ -95,6 +95,9 @@ def test_batched_round_matches_the_loop(problem, table):
     np.testing.assert_allclose(got.received, want.received, rtol=1e-9, atol=1e-9 * scale)
     for name in ("selected", "clamped", "degenerate"):
         np.testing.assert_array_equal(getattr(got.trace, name), getattr(want.trace, name))
+    # Each AP's max |delta gamma| per round, NaN exactly where it did not compute.
+    np.testing.assert_array_equal(np.isnan(got.trace.delta), got.trace.selected < 0)
+    np.testing.assert_allclose(got.trace.delta, want.trace.delta, rtol=1e-9, atol=1e-9 * scale)
     # An AP records a round exactly when it computes, and never after its crash.
     np.testing.assert_array_equal(np.count_nonzero(got.trace.selected >= 0, axis=0), got.t)
     for ap, crash in plan.ap_failures:

@@ -10,7 +10,7 @@ from coopdetect import linalg, solver
 from coopdetect.errors import ConfigMismatch, NotPositiveDefinite, StateConsistencyError
 from coopdetect.linalg import pilot_gram
 from coopdetect.netsim import FailurePlan
-from coopdetect.objective import Hyperparams, ml_cost
+from coopdetect.objective import Hyperparams, ml_cost, update_covariance
 from coopdetect.scenario import TopologyConfig, isolated, make_scenario, synthesize
 from coopdetect.solver import SolverOptions, _setup, run, run_batch, verify_state
 
@@ -322,6 +322,22 @@ class TestKernelPath:
                 want = run(sc, sample_covs, hyper, plan=p)
                 np.testing.assert_array_equal(g.gamma, want.gamma)
                 np.testing.assert_array_equal(g.sigma, want.sigma)
+
+    @pytest.mark.parametrize("per_product", [5, 2])
+    def test_round_readback_is_each_products_update_bitwise(self, per_product):
+        # Round 1 starts from zero estimates, so its increments are the new
+        # estimates; read back at once, each product's covariances are what
+        # update_covariance gives that product.
+        sc = small_scenario(seed=6, num_aps=5)
+        l = sc.pilot_len
+        with mock.patch.object(solver, "CHUNK_BYTES", 24 * l * l * per_product):
+            res = run(sc, synthesize(sc), Hyperparams(num_iters=1))
+        start = np.broadcast_to(sc.noise_power * np.eye(l, dtype=complex), (per_product, l, l))
+        kernel = linalg.pilot_kernel(sc.pilots)
+        for k0 in range(0, sc.num_aps, per_product):
+            k1 = min(k0 + per_product, sc.num_aps)
+            want = update_covariance(start[:k1 - k0], sc.pilots, res.gamma[k0:k1], kernel)
+            np.testing.assert_array_equal(res.sigma[k0:k1], want)
 
 
 class TestSetupOnce:
