@@ -4,9 +4,15 @@ Everything here works on plain complex128 ndarrays, one matrix or a stack
 of them along leading axes (one per AP), with numpy alone.  Matrices passed
 in are expected to be Hermitian; the positive-definiteness check rejects
 non-finite entries and is otherwise a Cholesky pivot test relative to the
-trace.  The likelihood's gradient is one quadratic form per device,
-Re a_n^H X a_n of one Hermitian X per AP (:func:`quadforms`), taken along
-one of two paths, which :func:`pilot_kernel` picks once per pilot matrix:
+trace.
+
+The solver reads the pilots through :func:`forms`, Re a_n^H X a_n of one
+Hermitian X per AP for every device (the likelihood's gradient, and the
+alpha and beta of coordinate descent), and :func:`outer_sums`,
+sum_n d_n a_n a_n^H per weight row, which :func:`add_outer_sums` adds to
+covariances.  They, :func:`operands` (what the forms read of a matrix) and
+:func:`row_bytes` take the pilots' kernel (:func:`pilot_kernel`), and only
+this module tells its two kinds apart:
 
 - the pilot table (:func:`pilot_gram`): every AP sees the same (L, N)
   pilot matrix A, so its outer products a_n a_n^H are tabulated once, in
@@ -17,18 +23,20 @@ one of two paths, which :func:`pilot_kernel` picks once per pilot matrix:
   parts of its upper triangle, so Re a_n^H X a_n = coords(X) . G[n] for
   every n in one real product.  A sum of outer products
   sum_n d_n a_n a_n^H is d @ G, doubled coordinates that
-  :func:`hermitian_from_doubled` reads back exactly Hermitian.  This is a
-  quarter of the flops of the complex products.  A stack of matrices (or
-  of weight rows) takes one GEMM against the table: coords @ G^T, (k, L^2)
-  by (L^2, N), for the forms and d @ G, (k, N) by (N, L^2), for the sums,
-  neither with a copy of the table.  A row's bits do not depend on the
-  other rows' values, but they do depend on k and on the row's position,
-  since BLAS picks its kernels and blocking by the row count: a one-row
-  call is a GEMV and need not match row i of a stack to the last bit.
+  :func:`add_outer_sums` reads back exactly Hermitian.  This is a quarter
+  of the flops of the complex products.  A stack of matrices (or of weight
+  rows) takes one GEMM against the table: coords @ G^T, (k, L^2) by
+  (L^2, N), for the forms and d @ G, (k, N) by (N, L^2), for the sums,
+  neither with a copy of the table.
 - the complex path, where the table would exceed ``GRAM_BYTES`` (it would
   take 32.8 MB at L=64, N=1000), since past the cache the table path
   measured slower: U = X A as one GEMM over the stack, then column-wise
-  inner products.
+  inner products, and one GEMM by A^H for the sums, re-symmetrized when added.
+
+On both, a row's bits do not depend on the other rows' values, but they do
+depend on k and on the row's position, since BLAS picks its kernels and
+blocking by the row count: a one-row call need not match row i of a stack
+to the last bit.
 """
 
 from __future__ import annotations
@@ -142,17 +150,6 @@ def _coordinates(l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return take, src, scale
 
 
-def hermitian_coords(x: np.ndarray) -> np.ndarray:
-    """The L^2 real coordinates of each Hermitian matrix of ``x`` (..., L, L).
-
-    The diagonal, then the real and the imaginary parts of the strict upper
-    triangle in row order; the lower triangle is not read.
-    """
-    l = x.shape[-1]
-    floats = np.ascontiguousarray(x).view(np.float64).reshape(x.shape[:-2] + (2 * l * l,))
-    return np.take(floats, _coordinates(l)[0], axis=-1)
-
-
 def gram_bytes(l: int, n: int) -> int:
     """Bytes of the table :func:`pilot_gram` builds for (L, N) pilots, 0 if it builds none."""
     size = 8 * l * l * n
@@ -164,7 +161,7 @@ def pilot_gram(cols: np.ndarray) -> np.ndarray | None:
 
     Row n holds the coordinates of a_n a_n^H with the off-diagonal ones
     doubled (see the module docstring), so that for Hermitian X
-    ``hermitian_coords(X) @ table.T`` is Re a_n^H X a_n for every n.  Built
+    ``operands(X, table) @ table.T`` is Re a_n^H X a_n for every n.  Built
     one pilot row at a time, so no temporary outgrows a few pilot rows.
     """
     l, n = cols.shape
@@ -183,7 +180,7 @@ def pilot_gram(cols: np.ndarray) -> np.ndarray | None:
 
 
 def pilot_kernel(cols: np.ndarray) -> np.ndarray:
-    """What the gradient and the covariance update read the (L, N) columns through.
+    """What :func:`forms` and :func:`outer_sums` read the (L, N) columns through.
 
     Their table (:func:`pilot_gram`) or, past ``GRAM_BYTES``, their (N, L)
     conjugate transpose, which the complex path multiplies by.  Built once
@@ -198,32 +195,78 @@ def is_table(kernel: np.ndarray | None) -> bool:
     return kernel is not None and not np.iscomplexobj(kernel)
 
 
-def hermitian_from_doubled(doubled: np.ndarray) -> np.ndarray:
-    """The Hermitian (..., L, L) matrices whose doubled coordinates are ``doubled`` (..., L^2).
+def row_bytes(kernel: np.ndarray) -> int:
+    """Bytes of temporaries per row of a :func:`forms` or :func:`outer_sums` product.
 
-    Doubled coordinates are coordinates with the off-diagonal ones doubled,
-    as ``weights @ table`` gives them for sum_n w_n a_n a_n^H.  Read back element by element, so
-    each result is exactly Hermitian and its bits do not depend on the
-    other rows.
+    Two (L, N) complex arrays, or three (L, L) real arrays with a table.
     """
-    l = isqrt(doubled.shape[-1])
-    _, src, scale = _coordinates(l)
-    floats = np.take(doubled, src, axis=-1)
-    floats *= scale
-    return floats.view(complex).reshape(floats.shape[:-1] + (l, l))
+    n, k = kernel.shape
+    return 24 * k if is_table(kernel) else 32 * k * n
 
 
-def quadforms(x: np.ndarray, cols: np.ndarray, kernel: np.ndarray | None = None) -> np.ndarray:
-    """Re v_n^H X v_n for every column v_n of the (L, N) ``cols``, per Hermitian X of ``x``.
+def operands(x: np.ndarray, kernel: np.ndarray | None) -> np.ndarray:
+    """What :func:`forms` reads of each Hermitian matrix of ``x`` (..., L, L).
 
-    ``x`` is one (L, L) matrix or a stack; the result is (..., N).  Where
-    the columns' ``kernel`` (:func:`pilot_kernel`) is their table, the forms
-    are the coordinates of X times the table's transpose, one (k, L^2) by
-    (L^2, N) product over the stack.  Otherwise one GEMM over the stack
-    gives U = X V, then Re v^H u column by column.
+    With a table, the matrix's L^2 real coordinates: the diagonal, then the
+    real and the imaginary parts of the strict upper triangle in row order
+    (the lower triangle is not read).  Otherwise the matrix itself.
+    """
+    if not is_table(kernel):
+        return x
+    l = x.shape[-1]
+    floats = np.ascontiguousarray(x).view(np.float64).reshape(x.shape[:-2] + (2 * l * l,))
+    return np.take(floats, _coordinates(l)[0], axis=-1)
+
+
+def forms(ops: np.ndarray, cols: np.ndarray, kernel: np.ndarray | None = None) -> np.ndarray:
+    """Re a_n^H X a_n for every column a_n of the (L, N) ``cols``, per Hermitian X.
+
+    ``ops`` is :func:`operands` of one matrix or a stack, through the
+    columns' ``kernel`` (:func:`pilot_kernel`; None for the complex path);
+    the result is (..., N).  With a table the forms are the coordinates
+    times the table's transpose, one (k, L^2) by (L^2, N) product over the
+    stack.  Otherwise one GEMM over the stack gives U = X A, then Re a^H u
+    column by column.
     """
     if is_table(kernel):
-        return hermitian_coords(x) @ kernel.T
+        return ops @ kernel.T
     l, n = cols.shape
-    u = (x.reshape(-1, l) @ cols).reshape(x.shape[:-1] + (n,))
+    u = (ops.reshape(-1, l) @ cols).reshape(ops.shape[:-1] + (n,))
     return np.real(np.vecdot(cols, u, axis=-2))
+
+
+def outer_sums(d: np.ndarray, cols: np.ndarray, kernel: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """sum_n d_n a_n a_n^H per weight row of ``d`` (..., N), as :func:`add_outer_sums` reads them.
+
+    With a table these are doubled coordinates, d @ G, one (k, N) by
+    (N, L^2) product over the rows; otherwise the (..., L, L) matrices, one
+    complex GEMM over the rows.  ``out``, if given, is a C-contiguous array
+    of their shape that takes them.
+    """
+    if is_table(kernel):
+        return np.matmul(d, kernel, out=out)
+    l, n = cols.shape
+    sums = np.empty(d.shape[:-1] + (l, l), dtype=complex) if out is None else out
+    np.matmul((cols * d[..., None, :]).reshape(-1, n), kernel, out=sums.reshape(-1, l))
+    return sums
+
+
+def add_outer_sums(sigma: np.ndarray, sums: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """The Hermitian (..., L, L) ``sigma`` plus their :func:`outer_sums`, exactly Hermitian.
+
+    With a table the doubled coordinates are read back into matrices and
+    added; otherwise the matrices are added and the totals re-symmetrized.
+    Either way the work is element by element, so each row's total is what
+    adding its own product's sums alone gives, whatever the other rows hold.
+    """
+    if not is_table(kernel):
+        total = sigma + sums
+        return 0.5 * (total + np.conj(np.swapaxes(total, -1, -2)))
+    l = isqrt(sums.shape[-1])
+    _, src, scale = _coordinates(l)
+    floats = np.take(sums, src, axis=-1)
+    floats *= scale
+    total = floats.view(complex).reshape(floats.shape[:-1] + (l, l))
+    total += sigma
+    return total

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateClasses
+from .errors import DegenerateClasses, InvalidConfig
 from .scenario import Scenario
 
 
@@ -46,7 +46,7 @@ def assign_aps(gamma_est: np.ndarray, scenario: Scenario, b0_mode: str = "neares
         return scenario.nearest_ap()
     if b0_mode == "max_gamma":
         return np.argmax(gamma_est, axis=0)
-    raise ValueError(f"unknown b0_mode {b0_mode!r}")
+    raise InvalidConfig(f"unknown b0_mode {b0_mode!r}")
 
 
 def detect(gamma_est: np.ndarray, scenario: Scenario, iota: float,

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    cholesky_factor,
-    hermitian_from_doubled,
-    inverse_from_factor,
-    is_table,
-    logdet_from_factor,
-    quadforms,
-)
+from .linalg import cholesky_factor, inverse_from_factor, logdet_from_factor
 from .scenario import is_finite
 
 ROWNORM_FLOOR = 1e-12  # below this a panel row counts as zero (no shrink term)
@@ -50,7 +43,8 @@ class Hyperparams:
 
         The step size and the penalty's curvature must be positive, the
         weights nonnegative (rho >= 0 keeps :func:`combiner_weights` a
-        probability vector), all of them finite, and a solve needs a round.
+        probability vector), all of them finite, and a solve needs a whole
+        number of rounds, at least one (a bool is not a count).
         """
         problems = []
         for name in ("eta", "theta"):
@@ -61,7 +55,9 @@ class Hyperparams:
             value = getattr(self, name)
             if not (is_finite(value) and value >= 0):
                 problems.append(f"{name} must be nonnegative and finite, got {value}")
-        if self.num_iters < 1:
+        if isinstance(self.num_iters, bool) or not isinstance(self.num_iters, (int, np.integer)):
+            problems.append(f"num_iters must be an integer, got {self.num_iters!r}")
+        elif self.num_iters < 1:
             problems.append(f"num_iters must be >= 1, got {self.num_iters}")
         return problems
 
@@ -70,24 +66,6 @@ def assemble_covariance(pilots: np.ndarray, gamma: np.ndarray, noise_power: floa
     """Model covariance ``pilots @ diag(gamma) @ pilots^H + noise_power * I``."""
     l = pilots.shape[0]
     return (pilots * np.asarray(gamma)[..., None, :]) @ pilots.conj().T + noise_power * np.eye(l)
-
-
-def update_covariance(sigma, pilots, delta, kernel) -> np.ndarray:
-    """``sigma + pilots @ diag(delta) @ pilots^H`` for a covariance or a stack of them.
-
-    ``kernel`` is the pilots' ``linalg.pilot_kernel``.  Where it is their
-    table, the increments are one real GEMM over the rows of ``delta`` and
-    exactly Hermitian, so the sums stay Hermitian.  Otherwise it is the
-    pilots' conjugate transpose: the increment is one complex GEMM over the
-    stack and the sum is re-symmetrized.
-    """
-    if is_table(kernel):
-        total = hermitian_from_doubled(np.asarray(delta) @ kernel)
-        total += sigma
-        return total
-    n = pilots.shape[1]
-    total = sigma + ((pilots * delta[..., None, :]).reshape(-1, n) @ kernel).reshape(sigma.shape)
-    return 0.5 * (total + np.conj(np.swapaxes(total, -1, -2)))
 
 
 def ml_cost(gamma, pilots, noise_power, sample_cov) -> float:
@@ -105,7 +83,13 @@ def ml_cost_given_factor(low, sample_cov):
 
 
 def gradient_matrix(sigma, sample_cov) -> np.ndarray:
-    """D = Sigma^-1 - Sigma^-1 S Sigma^-1, whose quadratic forms are :func:`ml_gradient`.
+    """D = Sigma^-1 - Sigma^-1 S Sigma^-1, whose quadratic forms are :func:`ml_cost`'s gradient.
+
+    Entry n of the coordinate gradient at the model covariance ``sigma`` is
+    alpha_n - beta_n = Re a_n^H D a_n, with alpha_n = a_n^H Sigma^-1 a_n and
+    beta_n = a_n^H Sigma^-1 S Sigma^-1 a_n (``linalg.forms``).  The downdate
+    cancels: coordinate descent's q1/(1 + gamma_n q1) - q2/(1 + gamma_n q1)^2,
+    with q1, q2 the forms without device n, is the same alpha_n - beta_n.
 
     The Cholesky factorization that checks that the covariance is positive
     definite also gives its inverse (``linalg.inverse_from_factor``), then
@@ -114,18 +98,6 @@ def gradient_matrix(sigma, sample_cov) -> np.ndarray:
     """
     inv = inverse_from_factor(cholesky_factor(sigma))  # raises NotPositiveDefinite
     return inv - inv @ sample_cov @ inv
-
-
-def ml_gradient(sigma, sample_cov, pilots, kernel=None) -> np.ndarray:
-    """Coordinate gradient of :func:`ml_cost` at the model covariance ``sigma``.
-
-    Entry n is  alpha_n - beta_n = Re a_n^H D a_n  with alpha_n = a_n^H Sigma^-1 a_n,
-    beta_n = a_n^H Sigma^-1 S Sigma^-1 a_n and D from :func:`gradient_matrix`.
-    The downdate cancels: coordinate descent's q1/(1 + gamma_n q1) - q2/(1 + gamma_n q1)^2,
-    with q1, q2 the forms without device n, is the same alpha_n - beta_n.
-    ``kernel`` is the pilots' ``linalg.pilot_kernel``.
-    """
-    return quadforms(gradient_matrix(sigma, sample_cov), pilots, kernel)
 
 
 def row_norms(panel: np.ndarray) -> np.ndarray:

@@ -55,29 +55,27 @@ gets solved alone.
 
 The gradient and the covariance update read a problem's pilots through a
 kernel built once per solve for each distinct pilot matrix
-(``linalg.pilot_kernel``): its (N, L^2) table or, past the table's byte
-budget, its conjugate transpose for the complex path.  Their work splits in
-two.  The per-matrix work (the Cholesky check, the inverse from its factor
-and D = Sigma^-1 - Sigma^-1 S Sigma^-1, and the recorded cost) acts matrix
-by matrix, so its bits do not depend on how it is cut: it runs in chunks of
-consecutive live APs, whose covariances are slices of the batch's stacks
-and views of each problem's own sample covariances.  The pilot products are
-not: BLAS picks its kernels and blocking by the row count, so a row's bits
-depend on how many rows share its product and where it sits among them.  So
-products are per problem, over its live APs in order, cut only at positions
-counted from its own first live AP; a problem's bits are then what it gets
-alone, but not what a per-AP loop gets to the last bit.  With a table,
-chunks span problems, and a product takes one GEMM against the table's
-transpose for its APs' forms and one against the table for the doubled
-coordinates of their covariance increments, written into one (c, L^2)
-array of the round; one readback then adds every live AP's increment to its
-covariance.  The readback works element by element, so each covariance
-gets the bits of its product's own ``objective.update_covariance``.  The
-complex path multiplies a chunk's stack at once, so its chunks stay within
-one problem and each is also its product.  Chunks and products are cut so
-that their temporaries stay near ``CHUNK_BYTES``:
-all B APs at once would grow peak memory with B (3 MB of temporaries for 64
-APs at L=24 with a table, 5 MB per (L, N) temporary at N=200 without) for
+(``linalg.pilot_kernel``), and through ``linalg``'s operations alone, so the
+round runs one sequence whatever the kernel's kind.  Its work splits in two.
+The per-matrix work (the Cholesky check, the inverse from its factor and
+D = Sigma^-1 - Sigma^-1 S Sigma^-1, the operands the forms read of D, and
+the recorded cost) acts matrix by matrix, so its bits do not depend on how
+it is cut: it runs in chunks of consecutive live APs, which may span
+problems, and whose covariances are slices of the batch's stacks and views
+of each problem's own sample covariances.  The pilot products are not: BLAS
+picks its kernels and blocking by the row count, so a row's bits depend on
+how many rows share its product and where it sits among them.  So products
+are per problem, over its live APs in order, cut only at positions counted
+from its own first live AP; a problem's bits are then what it gets alone,
+but not what a per-AP loop gets to the last bit.  A product makes one
+``linalg.forms`` call for its APs' gradients and one ``linalg.outer_sums``
+call for their covariance increments, written into one buffer of the round
+that first held D's operands; one ``linalg.add_outer_sums`` then adds every
+live AP's increment to its covariance.  That works element by element, so
+each covariance gets the bits of its product's own call.  Chunks and
+products are cut so that their temporaries stay near ``CHUNK_BYTES``: all B
+APs at once would grow peak memory with B (3 MB of temporaries for 64 APs
+at L=24 with a table, 5 MB per (L, N) temporary at N=200 without) for
 little speed: at that shape one gradient call over 64 APs took 0.95x the
 time of four calls over 16.  Each problem's table counts against a batch's
 size in APs (:func:`batch_aps`).
@@ -93,12 +91,14 @@ import numpy as np
 from . import netsim
 from .errors import ConfigMismatch, NotPositiveDefinite, StateConsistencyError
 from .linalg import (
+    add_outer_sums,
     cholesky_factor,
+    forms,
     gram_bytes,
-    hermitian_coords,
-    hermitian_from_doubled,
-    is_table,
+    operands,
+    outer_sums,
     pilot_kernel,
+    row_bytes,
 )
 from .objective import (
     Hyperparams,
@@ -106,14 +106,12 @@ from .objective import (
     combiner_weights,
     gradient_matrix,
     ml_cost_given_factor,
-    ml_gradient,
     similarity_prox,
     sparsity_penalty,
     sparsity_step,
     stochastic_step_size,
     subgradient_aggregate_update,
     subgradient_local_update,
-    update_covariance,
 )
 from .scenario import Scenario
 
@@ -237,7 +235,7 @@ class _RoundPlan:
     cdfs: np.ndarray                  # (c, max degree + 1) the live APs' selection CDFs
     mine: list                        # per problem, the mask of its live APs
     chunks: list                      # (live positions, rows, covariances) of per-matrix work
-    products: list                    # (problem, live positions, rows) of pilot products
+    products: list                    # (problem, live positions) of pilot products
 
 
 def _selection_cdfs(degree: np.ndarray) -> np.ndarray:
@@ -305,44 +303,31 @@ def _spans(starts, stops, step: int) -> list[tuple[int, int]]:
             for k in range(start, stop, step)]
 
 
-def _kernel_calls(live: np.ndarray, solves: list[_Solve], bounds: np.ndarray, l: int,
-                  n: int) -> tuple[list, list]:
+def _kernel_calls(live: np.ndarray, solves: list[_Solve], bounds: np.ndarray,
+                  l: int) -> tuple[list, list]:
     """The chunks of per-matrix work and the pilot products of a round (module docstring).
 
     A chunk is (live positions, rows, covariances): consecutive live APs, so
     its rows are a slice, and views of its problems' sample covariances.  A
-    product is (problem, live positions, rows), its rows a slice where they
-    are consecutive.  The steps keep temporaries near ``CHUNK_BYTES``: about
-    four (L, L) complex arrays per AP in a table chunk and two (L, N)
-    complex ones in a complex-path chunk, which is also its product.  A
-    table product writes into the round's (c, L^2) coordinates and makes no
-    temporary of its own; its step of three (L, L) real arrays per AP is
-    kept, since it sets the GEMMs' row counts and so the bits.  The round's
-    one readback holds two more (L, L) real arrays per live AP.  ``bounds``
-    are the problems' first positions in ``live``, and its length.
+    product is (problem, live positions), cut at positions counted from the
+    problem's first live AP.  The steps keep temporaries near
+    ``CHUNK_BYTES``: about four (L, L) complex arrays per AP in a chunk, and
+    a kernel's ``linalg.row_bytes`` per AP in a product, which sets the
+    GEMMs' row counts and so the bits.  The round's buffer and readback hold
+    a few more (L, L) arrays per live AP.  ``bounds`` are the problems'
+    first positions in ``live``, and its length.
     """
     c = len(live)
     gaps = np.flatnonzero(np.diff(live) != 1) + 1
-    if is_table(solves[0].kernel):
-        chunk_spans = _spans([0, *gaps], [*gaps, c], max(1, CHUNK_BYTES // (64 * l * l)))
-        product_spans = _spans(bounds[:-1], bounds[1:], max(1, CHUNK_BYTES // (24 * l * l)))
-    else:
-        cuts = np.union1d(gaps, bounds[(bounds > 0) & (bounds < c)])
-        chunk_spans = product_spans = _spans([0, *cuts], [*cuts, c],
-                                             max(1, CHUNK_BYTES // (32 * l * n)))
     chunks = []
-    for k0, k1 in chunk_spans:
+    for k0, k1 in _spans([0, *gaps], [*gaps, c], max(1, CHUNK_BYTES // (64 * l * l))):
         r0, r1 = live[k0], live[k1 - 1] + 1
         covs = [s.covs[max(r0, s.aps.start) - s.aps.start:min(r1, s.aps.stop) - s.aps.start]
                 for s in solves if s.aps.start < r1 and r0 < s.aps.stop]
         chunks.append((slice(k0, k1), slice(r0, r1), covs))
-    products = []
-    for k0, k1 in product_spans:
-        rows = live[k0:k1]
-        if rows[-1] - rows[0] == k1 - k0 - 1:
-            rows = slice(rows[0], rows[-1] + 1)
-        owner = solves[np.searchsorted(bounds, k0, side="right") - 1]
-        products.append((owner, slice(k0, k1), rows))
+    step = max(1, CHUNK_BYTES // row_bytes(solves[0].kernel))
+    products = [(solves[np.searchsorted(bounds, k0, side="right") - 1], slice(k0, k1))
+                for k0, k1 in _spans(bounds[:-1], bounds[1:], step)]
     return chunks, products
 
 
@@ -367,7 +352,7 @@ def _round_plan(st: _Batch, solves: list[_Solve], t: int) -> _RoundPlan:
     bounds = np.searchsorted(live, [s.aps.start for s in solves] + [b])
     return _RoundPlan(live, row, ein, row[dst[ein]], slot[ein], st.degree[live], st.cdfs[live],
                       [is_live[s.aps] for s in solves],
-                      *_kernel_calls(live, solves, bounds, st.sigma.shape[-1], st.gamma.shape[1]))
+                      *_kernel_calls(live, solves, bounds, st.sigma.shape[-1]))
 
 
 def _round(st: _Batch, rplan: _RoundPlan, t: int, solves: list[_Solve], hyper: Hyperparams,
@@ -379,25 +364,20 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, solves: list[_Solve], hyper: H
     is identically zero, so the new estimate is the clamped z step and the
     estimators stay untouched.
     """
-    n, l = st.gamma.shape[1], st.sigma.shape[-1]
+    n = st.gamma.shape[1]
     src, live, ein, erow = st.edges.src, rplan.live, rplan.ein, rplan.erow
     own_col = rplan.own_col
     b, e, c = len(st.gamma), len(src), len(live)
 
     g_old = st.gamma[live]
     grad = np.empty_like(g_old)
-    table = is_table(solves[0].kernel)
-    if table:
-        # D per matrix in chunks, then each problem's forms as its coordinates
-        # times the table's transpose (linalg.quadforms), one GEMM per product.
-        coords = np.empty((c, l * l))
-        for sl, rows, covs in rplan.chunks:
-            coords[sl] = hermitian_coords(gradient_matrix(st.sigma[rows], _joined(covs)))
-        for s, sl, _ in rplan.products:
-            np.matmul(coords[sl], s.kernel.T, out=grad[sl])
-    else:
-        for (sl, rows, (covs,)), (s, _, _) in zip(rplan.chunks, rplan.products):
-            grad[sl] = ml_gradient(st.sigma[rows], covs, s.scenario.pilots, s.kernel)
+    # D per matrix in chunks, then each problem's forms, one call per product.
+    # The problems share (L, N), so their kernels are of one kind.
+    kind = solves[0].kernel
+    buf = np.concatenate([operands(gradient_matrix(st.sigma[rows], _joined(covs)), kind)
+                          for _, rows, covs in rplan.chunks])
+    for s, sl in rplan.products:
+        grad[sl] = forms(buf[sl], s.scenario.pilots, s.kernel)
     # The weights come before the panel, so that their temporaries and the
     # panel are never held at once.
     w = combiner_weights(g_old, st.received[ein], hyper.rho, receivers=erow)
@@ -439,18 +419,13 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, solves: list[_Solve], hyper: H
         st.x_local[ep] = x_new
 
     delta = g_new - g_old
-    if table:
-        # Each product's doubled coordinates of its increments go into the
-        # spent coordinates, then one readback for all live APs: element by
-        # element, so each AP's sum is what update_covariance gives it.
-        for s, sl, _ in rplan.products:
-            np.matmul(delta[sl], s.kernel, out=coords[sl])
-        rows = slice(live[0], live[-1] + 1) if live[-1] - live[0] == c - 1 else live
-        st.sigma[rows] += hermitian_from_doubled(coords)
-    else:
-        for s, sl, rows in rplan.products:
-            st.sigma[rows] = update_covariance(st.sigma[rows], s.scenario.pilots, delta[sl],
-                                               s.kernel)
+    # Each product's increments go into the spent operands, then one readback
+    # for all live APs: element by element, so each AP's covariance is what
+    # its product's own linalg.add_outer_sums gives it.
+    for s, sl in rplan.products:
+        outer_sums(delta[sl], s.scenario.pilots, s.kernel, out=buf[sl])
+    rows = slice(live[0], live[-1] + 1) if live[-1] - live[0] == c - 1 else live
+    st.sigma[rows] = add_outer_sums(st.sigma[rows], buf, kind)
     st.gamma[live] = g_new
     st.t[live] += 1
     st.delta[live] = np.max(np.abs(delta), axis=1, initial=0.0)
@@ -576,6 +551,8 @@ def run_batch(problems: list[Problem], hyper: Hyperparams,
     bad = hyper.problems()
     if bad:
         raise ConfigMismatch("; ".join(bad))
+    if not problems:
+        return []
     options = options or SolverOptions()
     problems = [(sc, np.asarray(covs), plan or netsim.EMPTY_PLAN) for sc, covs, plan in problems]
     l, n = problems[0][0].pilot_len, problems[0][0].num_devices

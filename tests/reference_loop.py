@@ -12,11 +12,11 @@ cost) live on ``LoopState``.  ``run`` stacks the states into the batched
 solver's ``RunResult`` arrays and fills the same trace arrays and ledger
 counts, so results compare array by array.  Where the scenario's pilots
 have a table (``pilot_gram``), the gradient and the covariance update are
-the package's own functions called per AP with it; the solver multiplies
-the table once per problem, so a solve matches the loop to rounding, not
-bit for bit.  Past the table's byte budget the loop runs the complex
-path, with its own covariance update, so the table path can also be
-checked against it.
+the package's own ``linalg`` operations called per AP with it; the solver
+multiplies the table once per problem, so a solve matches the loop to
+rounding, not bit for bit.  Past the table's byte budget the loop runs the
+complex path, with its own covariance update, so the table path can also
+be checked against it.
 """
 
 from __future__ import annotations
@@ -27,20 +27,26 @@ import numpy as np
 
 from coopdetect import netsim
 from coopdetect.errors import ConfigMismatch, UnknownEdge
-from coopdetect.linalg import cholesky_factor, pilot_gram
+from coopdetect.linalg import (
+    add_outer_sums,
+    cholesky_factor,
+    forms,
+    operands,
+    outer_sums,
+    pilot_gram,
+)
 from coopdetect.netsim import CommLedger, FailurePlan
 from coopdetect.objective import (
     Hyperparams,
     combiner_weights,
+    gradient_matrix,
     ml_cost_given_factor,
-    ml_gradient,
     similarity_prox,
     sparsity_penalty,
     sparsity_step,
     stochastic_step_size,
     subgradient_aggregate_update,
     subgradient_local_update,
-    update_covariance,
 )
 from coopdetect.scenario import Scenario
 from coopdetect.solver import (
@@ -169,7 +175,7 @@ def ap_iteration(
     options = options or SolverOptions()
     gram = pilot_gram(pilots)
     gamma_old = state.gamma
-    grad = ml_gradient(state.sigma, sample_cov, pilots, gram)
+    grad = forms(operands(gradient_matrix(state.sigma, sample_cov), gram), pilots, gram)
 
     order = state.inclusive_order
     nbr_mat = (
@@ -212,7 +218,7 @@ def ap_iteration(
         sigma = state.sigma + (pilots * delta) @ pilots.conj().T
         state.sigma = 0.5 * (sigma + sigma.conj().T)
     else:
-        state.sigma = update_covariance(state.sigma, pilots, delta, gram)
+        state.sigma = add_outer_sums(state.sigma, outer_sums(delta, pilots, gram), gram)
     state.gamma = gamma_new
     state.z = z
     state.t += 1

@@ -1,23 +1,28 @@
 """Kernel tests against independent dense-algebra oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from coopdetect import linalg
 from coopdetect.errors import DimensionMismatch, NotPositiveDefinite
 from coopdetect.linalg import (
     GRAM_BYTES,
+    add_outer_sums,
     cholesky_factor,
-    hermitian_from_doubled,
+    forms,
     inverse_from_factor,
     is_table,
     logdet_from_factor,
+    operands,
+    outer_sums,
     pilot_gram,
     pilot_kernel,
-    quadforms,
 )
-from coopdetect.objective import assemble_covariance, ml_gradient, update_covariance
+from coopdetect.objective import assemble_covariance
 from coopdetect.objective import gradient_matrix as package_gradient_matrix
 
 
@@ -45,6 +50,17 @@ def gradient_matrix(a, b):
     """A^-1 - A^-1 B A^-1, whose quadratic forms are the gradient."""
     inv = np.linalg.inv(a)
     return inv - inv @ b @ inv
+
+
+def gradient_forms(a, b, cols, kernel=None):
+    """The package's gradient at covariances ``a``: the forms of its D through ``kernel``."""
+    return forms(operands(package_gradient_matrix(a, b), kernel), cols, kernel)
+
+
+def kernel_of(cols, table):
+    """The columns' pilot kernel: their table, or the complex path's unless ``table``."""
+    with mock.patch.object(linalg, "GRAM_BYTES", GRAM_BYTES if table else 0):
+        return pilot_kernel(cols)
 
 
 def random_hpd(rng, dim, extra=3):
@@ -220,9 +236,9 @@ class TestDowndateQuadforms:
         ainv = np.linalg.inv(a)
         alpha = np.real(v.conj() @ ainv @ v)
         beta = np.real(v.conj() @ ainv @ b @ ainv @ v)
-        assert quadforms(ainv, v[:, None])[0] == pytest.approx(alpha, rel=1e-10)
-        assert quadforms(ainv @ b @ ainv, v[:, None])[0] == pytest.approx(beta, rel=1e-10)
-        grad = ml_gradient(a, b, v[:, None])[0]
+        assert forms(ainv, v[:, None])[0] == pytest.approx(alpha, rel=1e-10)
+        assert forms(ainv @ b @ ainv, v[:, None])[0] == pytest.approx(beta, rel=1e-10)
+        grad = gradient_forms(a, b, v[:, None])[0]
         assert grad == pytest.approx(downdated_gradient(a, 0.0, v, b), rel=1e-10)
         assert grad == pytest.approx(alpha - beta, rel=1e-10)
 
@@ -230,8 +246,8 @@ class TestDowndateQuadforms:
         v = np.zeros((4, 1), dtype=complex)
         v[1] = 1.0
         eye = np.eye(4, dtype=complex)
-        assert quadforms(eye, v)[0] == pytest.approx(1.0)
-        assert ml_gradient(eye, eye, v)[0] == pytest.approx(0.0)
+        assert forms(eye, v)[0] == pytest.approx(1.0)
+        assert gradient_forms(eye, eye, v)[0] == pytest.approx(0.0)
 
     def test_matches_explicit_downdate_oracle(self):
         # gamma and v scaled so the downdate stays PD, as the caller guarantees.
@@ -242,7 +258,7 @@ class TestDowndateQuadforms:
             v = rng.normal(size=6) + 1j * rng.normal(size=6)
             gamma = 0.3
             v *= np.sqrt(0.5 / (gamma * np.real(v.conj() @ np.linalg.solve(a, v))))
-            grad = ml_gradient(a, b, v[:, None])[0]
+            grad = gradient_forms(a, b, v[:, None])[0]
             assert grad == pytest.approx(downdated_gradient(a, gamma, v, b), rel=1e-9)
 
     def test_nonnegative_outputs(self):
@@ -252,7 +268,7 @@ class TestDowndateQuadforms:
         cols = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
         for x in (np.linalg.inv(a), b):
             for kernel in (None, pilot_gram(cols)):
-                assert np.all(quadforms(x, cols, kernel) >= 0.0)
+                assert np.all(forms(operands(x, kernel), cols, kernel) >= 0.0)
 
     def test_batch_matches_scalar(self):
         # Every column of every stacked matrix, on both paths, against the
@@ -260,7 +276,7 @@ class TestDowndateQuadforms:
         aps, l, n = 3, 6, 8
         a, b, cols, gammas, _ = gram_case(9, aps, l, n)
         for kernel in (None, pilot_gram(cols)):
-            grads = ml_gradient(a, b, cols, kernel)
+            grads = gradient_forms(a, b, cols, kernel)
             assert grads.shape == (aps, n)
             for i in range(aps):
                 for k in range(n):
@@ -305,7 +321,7 @@ class TestIdentities:
         ainv = np.linalg.inv(a)
         q1 = np.real(v.conj() @ ainv @ v)
         q2 = np.real(v.conj() @ ainv @ b @ ainv @ v)
-        grad = ml_gradient(updated, b, v[:, None])[0]
+        grad = gradient_forms(updated, b, v[:, None])[0]
         assert grad == pytest.approx(q1 / (1 + gamma * q1) - q2 / (1 + gamma * q1) ** 2,
                                      rel=1e-9)
 
@@ -330,7 +346,8 @@ class TestPilotGram:
     def test_matches_complex_path_and_dense_oracle(self, case):
         a, b, cols, _, _ = gram_case(*case)
         x = gradient_matrix(a, b)
-        got, want = quadforms(x, cols, pilot_gram(cols)), quadforms(x, cols)
+        gram = pilot_gram(cols)
+        got, want = forms(operands(x, gram), cols, gram), forms(x, cols)
         scale = 0.0
         for i in range(len(a)):
             inv = np.linalg.inv(a[i])
@@ -344,66 +361,70 @@ class TestPilotGram:
                                                        abs=1e-12 * (alpha + beta))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
-    @given(cases)
-    def test_each_row_ignores_the_other_rows_bitwise(self, case):
+    @given(cases, st.booleans())
+    def test_each_row_ignores_the_other_rows_bitwise(self, case, table):
         # At a fixed stack size, new inputs in the other rows leave a row's bits alone.
         a, b, cols, _, delta = gram_case(*case)
         other_a, other_b, _, _, other_delta = gram_case(case[0] + 1, *case[1:])
-        gram = pilot_gram(cols)
-        forms = quadforms(gradient_matrix(a, b), cols, gram)
-        sigma = update_covariance(a, cols, delta, gram)
+        kernel = kernel_of(cols, table)
+        got = forms(operands(gradient_matrix(a, b), kernel), cols, kernel)
+        sigma = add_outer_sums(a, outer_sums(delta, cols, kernel), kernel)
         for i in range(len(a)):
             mixed_a, mixed_b, mixed_delta = other_a.copy(), other_b.copy(), other_delta.copy()
             mixed_a[i], mixed_b[i], mixed_delta[i] = a[i], b[i], delta[i]
             np.testing.assert_array_equal(
-                quadforms(gradient_matrix(mixed_a, mixed_b), cols, gram)[i], forms[i])
+                forms(operands(gradient_matrix(mixed_a, mixed_b), kernel), cols, kernel)[i],
+                got[i])
             np.testing.assert_array_equal(
-                update_covariance(mixed_a, cols, mixed_delta, gram)[i], sigma[i])
+                add_outer_sums(mixed_a, outer_sums(mixed_delta, cols, kernel), kernel)[i],
+                sigma[i])
 
-    @given(cases)
-    def test_each_row_matches_its_one_matrix_call(self, case):
+    @given(cases, st.booleans())
+    def test_each_row_matches_its_one_matrix_call(self, case, table):
         a, b, cols, _, delta = gram_case(*case)
-        gram = pilot_gram(cols)
+        kernel = kernel_of(cols, table)
         x = gradient_matrix(a, b)
-        forms = quadforms(x, cols, gram)
-        sigma = update_covariance(a, cols, delta, gram)
+        got = forms(operands(x, kernel), cols, kernel)
+        sigma = add_outer_sums(a, outer_sums(delta, cols, kernel), kernel)
         for i in range(len(a)):
             # The forms are differences alpha - beta, so they are compared
             # against the size of the row's terms.
             scale = np.abs(x[i]).sum() * np.abs(cols).max() ** 2
-            np.testing.assert_allclose(quadforms(x[i], cols, gram), forms[i], rtol=1e-12,
-                                       atol=1e-12 * scale)
-            np.testing.assert_allclose(update_covariance(a[i], cols, delta[i], gram), sigma[i],
-                                       rtol=1e-12, atol=1e-12 * np.abs(sigma[i]).max())
+            np.testing.assert_allclose(forms(operands(x[i], kernel), cols, kernel), got[i],
+                                       rtol=1e-12, atol=1e-12 * scale)
+            np.testing.assert_allclose(
+                add_outer_sums(a[i], outer_sums(delta[i], cols, kernel), kernel), sigma[i],
+                rtol=1e-12, atol=1e-12 * np.abs(sigma[i]).max())
 
-    @given(cases)
-    def test_outer_sum_is_exactly_hermitian(self, case):
+    @given(cases, st.booleans())
+    def test_outer_sum_is_exactly_hermitian(self, case, table):
         a, _, cols, _, delta = gram_case(*case)
-        gram = pilot_gram(cols)
-        step = hermitian_from_doubled(delta @ gram)
+        kernel = kernel_of(cols, table)
+        step = add_outer_sums(np.zeros_like(a), outer_sums(delta, cols, kernel), kernel)
         np.testing.assert_array_equal(step, np.conj(np.swapaxes(step, -1, -2)))
         want = (cols * delta[:, None, :]) @ cols.conj().T
         np.testing.assert_allclose(step, want, rtol=0, atol=1e-12 * np.abs(want).max())
         hermitian = 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
-        sigma = update_covariance(hermitian, cols, delta, gram)
+        sigma = add_outer_sums(hermitian, outer_sums(delta, cols, kernel), kernel)
         np.testing.assert_array_equal(sigma, np.conj(np.swapaxes(sigma, -1, -2)))
 
-    @given(cases, st.data())
-    def test_one_readback_is_each_products_update_bitwise(self, case, data):
-        # The products' doubled coordinates read back at once equal each
-        # product's own covariance update, bit for bit.
+    @given(cases, st.booleans(), st.data())
+    def test_one_readback_is_each_products_update_bitwise(self, case, table, data):
+        # The products' outer sums, written into one buffer and added at
+        # once, equal each product's own sums added, bit for bit.
         a, _, cols, _, delta = gram_case(*case)
-        gram = pilot_gram(cols)
+        kernel = kernel_of(cols, table)
         cuts = sorted(data.draw(st.sets(st.integers(1, len(a) - 1))) if len(a) > 1 else set())
         products = list(zip([0, *cuts], [*cuts, len(a)]))
-        doubled = np.empty((len(a), gram.shape[1]))
+        buf = np.empty_like(outer_sums(delta, cols, kernel))
         for k0, k1 in products:
-            np.matmul(delta[k0:k1], gram, out=doubled[k0:k1])
+            outer_sums(delta[k0:k1], cols, kernel, out=buf[k0:k1])
         sigma = a.copy()
-        sigma[np.arange(len(a))] += hermitian_from_doubled(doubled)
+        rows = np.arange(len(a))
+        sigma[rows] = add_outer_sums(sigma[rows], buf, kernel)
         for k0, k1 in products:
-            np.testing.assert_array_equal(sigma[k0:k1],
-                                          update_covariance(a[k0:k1], cols, delta[k0:k1], gram))
+            own = add_outer_sums(a[k0:k1], outer_sums(delta[k0:k1], cols, kernel), kernel)
+            np.testing.assert_array_equal(sigma[k0:k1], own)
 
     @pytest.mark.parametrize("l, n, built", [(24, 100, True), (24, 200, True),
                                              (64, 1000, False)])

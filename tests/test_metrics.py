@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from coopdetect.errors import DegenerateClasses
+from coopdetect.errors import DegenerateClasses, InvalidConfig
 from coopdetect.metrics import (
     DEFAULT_IOTA_GRID,
     aer,
@@ -69,6 +69,14 @@ class TestDetect:
         gamma[2, 5] = 3.0
         assigned = assign_aps(gamma, scenario, b0_mode="max_gamma")
         assert assigned[5] == 2
+
+    @pytest.mark.parametrize("score", [
+        lambda gamma, sc: evaluate(gamma, sc, 1.0, b0_mode="farthest"),
+        lambda gamma, sc: calibrate_threshold([(gamma, sc)], b0_mode="farthest"),
+    ], ids=["evaluate", "calibrate_threshold"])
+    def test_unknown_b0_mode_is_a_package_error(self, scenario, score):
+        with pytest.raises(InvalidConfig, match="unknown b0_mode 'farthest'"):
+            score(oracle_estimates(scenario), scenario)
 
 
 class TestAer:

@@ -6,12 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
+from coopdetect.linalg import forms
 from coopdetect.objective import (
     Hyperparams,
     assemble_covariance,
     combiner_weights,
+    gradient_matrix,
     ml_cost,
-    ml_gradient,
     row_norms,
     similarity_prox,
     sparsity_penalty,
@@ -32,8 +33,9 @@ def random_instance(rng, num_devices=8, pilot_len=6, noise_power=0.8):
 
 
 def gradient_at(gamma, pilots, noise_power, sample_cov):
-    """:func:`ml_gradient` at the model covariance of ``gamma``."""
-    return ml_gradient(assemble_covariance(pilots, gamma, noise_power), sample_cov, pilots)
+    """The likelihood's gradient at the model covariance of ``gamma``: the forms of D."""
+    return forms(gradient_matrix(assemble_covariance(pilots, gamma, noise_power), sample_cov),
+                 pilots)
 
 
 def direct_cost(gamma, pilots, noise_power, sample_cov):

@@ -1,5 +1,6 @@
 """The package's public names and what importing it loads."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -28,3 +29,25 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=120, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_import_is_used():
+    # A name bound by an import and never read is left over from deleted
+    # code.  Names that __init__ exports in __all__ count as read.
+    unused = []
+    for path in sorted(Path(coopdetect.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            read |= set(coopdetect.__all__)
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
+                   if name not in read]
+    assert not unused

@@ -8,9 +8,9 @@ import pytest
 
 from coopdetect import linalg, solver
 from coopdetect.errors import ConfigMismatch, NotPositiveDefinite, StateConsistencyError
-from coopdetect.linalg import pilot_gram
+from coopdetect.linalg import add_outer_sums, outer_sums, pilot_gram
 from coopdetect.netsim import FailurePlan
-from coopdetect.objective import Hyperparams, ml_cost, update_covariance
+from coopdetect.objective import Hyperparams, ml_cost
 from coopdetect.scenario import TopologyConfig, isolated, make_scenario, synthesize
 from coopdetect.solver import SolverOptions, _setup, run, run_batch, verify_state
 
@@ -66,6 +66,9 @@ class TestInit:
         sc, covs = setup
         with pytest.raises(ConfigMismatch):
             run(sc, covs, Hyperparams(num_iters=0))
+
+    def test_empty_batch_has_no_results(self):
+        assert run_batch([], Hyperparams()) == []
 
 
 class TestRounds:
@@ -232,12 +235,16 @@ class TestFailures:
         ("tau", float("nan"), "tau must be nonnegative and finite, got nan"),
         ("rho", float("inf"), "rho must be nonnegative and finite, got inf"),
         ("beta", -1.0, "beta must be nonnegative and finite, got -1.0"),
-    ], ids=["eta_nan", "theta_zero", "tau_nan", "rho_inf", "beta_negative"])
+        ("num_iters", 2.5, "num_iters must be an integer, got 2.5"),
+        ("num_iters", float("nan"), "num_iters must be an integer, got nan"),
+        ("num_iters", True, "num_iters must be an integer, got True"),
+    ], ids=["eta_nan", "theta_zero", "tau_nan", "rho_inf", "beta_negative", "iters_fractional",
+            "iters_nan", "iters_bool"])
     def test_bad_hyperparameter_rejected_before_any_round(self, setup, name, value, message):
         sc, covs = setup
         with mock.patch.object(solver, "_round", side_effect=AssertionError("round ran")):
             with pytest.raises(ConfigMismatch, match=re.escape(message)):
-                run(sc, covs, Hyperparams(**{name: value}, num_iters=5))
+                run(sc, covs, Hyperparams(**{"num_iters": 5, name: value}))
 
     def test_plan_validated_against_rounds(self, setup):
         sc, covs = setup
@@ -327,7 +334,7 @@ class TestKernelPath:
     def test_round_readback_is_each_products_update_bitwise(self, per_product):
         # Round 1 starts from zero estimates, so its increments are the new
         # estimates; read back at once, each product's covariances are what
-        # update_covariance gives that product.
+        # its own outer sums, added to the start, give.
         sc = small_scenario(seed=6, num_aps=5)
         l = sc.pilot_len
         with mock.patch.object(solver, "CHUNK_BYTES", 24 * l * l * per_product):
@@ -336,7 +343,8 @@ class TestKernelPath:
         kernel = linalg.pilot_kernel(sc.pilots)
         for k0 in range(0, sc.num_aps, per_product):
             k1 = min(k0 + per_product, sc.num_aps)
-            want = update_covariance(start[:k1 - k0], sc.pilots, res.gamma[k0:k1], kernel)
+            sums = outer_sums(res.gamma[k0:k1], sc.pilots, kernel)
+            want = add_outer_sums(start[:k1 - k0], sums, kernel)
             np.testing.assert_array_equal(res.sigma[k0:k1], want)
 
 
