@@ -11,7 +11,9 @@ byte-for-byte and modes are compared on identical scenarios.
 every sweep point, before any solve.  One trial path, ``_solve_batch``, draws
 the scenarios of a batch of trials of one sweep point and solves every trial
 in every mode in one ``solver.run_batch``: the problems are stacked trial by
-trial, modes in config order within a trial.  Evaluation rows and
+trial, modes in config order within a trial.  Every mode (``MODES``) solves
+on the trial's own APs, so each returns a (num_aps, N) estimate that
+``metrics`` scores against the trial's scenario.  Evaluation rows and
 ``calibrate`` both go through it; ``BATCH_APS`` caps a batch's size.
 """
 
@@ -49,7 +51,7 @@ from .scenario import (
 _AXIS_FIELDS = {"coop_degree": ("degree", int), "M": ("num_antennas", int),
                 "L": ("pilot_len", int), "snr_db": ("snr_db", float)}
 SWEEP_AXES = tuple(_AXIS_FIELDS)
-MODES = ("cmd", "no_coop", "centralized_pool")
+MODES = ("cmd", "no_coop")
 
 # Most APs, over all trials and modes, that one batched solve advances, with
 # each trial's pilot table counted as APs (solver.batch_aps); the batch's
@@ -61,6 +63,9 @@ _KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number
           str: (str, "a string"), bool: (bool, "true or false"),
           tuple: ((tuple, list), "a list"), dict: (dict, "an object"),
           type(None): (type(None), "null")}
+
+# Config fields that change no result, so no hash or summary holds them.
+_EXECUTION_FIELDS = ("out_dir", "workers")
 
 _TRIAL_SALT = 0x7E57
 _CALIBRATION_SALT = 0xCA11B
@@ -216,12 +221,17 @@ class ExperimentConfig:
                 d[name] = tuple(d[name])
         return cls(**d)
 
-    def config_hash(self) -> str:
-        """Stable digest over everything that affects results (not output paths)."""
+    def experiment_dict(self) -> dict:
+        """``to_dict`` without ``_EXECUTION_FIELDS``: everything that affects results."""
         d = self.to_dict()
-        d.pop("out_dir")
-        d.pop("workers")
-        return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()[:16]
+        for name in _EXECUTION_FIELDS:
+            d.pop(name)
+        return d
+
+    def config_hash(self) -> str:
+        """Stable digest of ``experiment_dict``: sha256 of its sorted JSON, 16 hex digits."""
+        return hashlib.sha256(json.dumps(self.experiment_dict(), sort_keys=True)
+                              .encode()).hexdigest()[:16]
 
 
 @cache
@@ -329,37 +339,19 @@ def trial_seed(master_seed: int, sweep_index: int, trial_index: int,
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _pooled_scenario(scenario: Scenario) -> Scenario:
-    topo = replace(scenario.topology, num_aps=1, degree=0)
-    return replace(
-        scenario,
-        topology=topo,
-        neighbors=((),),
-        ap_pos=scenario.ap_pos[:1],
-        gains=scenario.gains.mean(axis=0, keepdims=True),
-    )
-
-
 def mode_dispatch(mode: str, scenario: Scenario, covs: np.ndarray,
                   plan: FailurePlan | None = None) -> solver.Problem:
     """The solver problem ``(scenario, covs, plan)`` of one detection mode.
 
     ``cmd`` is the full cooperative problem.  ``no_coop`` empties every
     neighbor set, so each AP solves alone and no messages flow: with no
-    neighbors the similarity weight never enters.  ``centralized_pool`` is
-    one AP holding the average of all sample covariances.  It is not an
-    upper reference: the average mixes covariances seen under different
-    path losses, and it measured a higher AER than isolated APs
-    (``no_coop``); ROADMAP item 1 plans the references meant to replace it.
-    Failure plans only apply to ``cmd``; the baselines have no backhaul to
-    fail.
+    neighbors the similarity weight never enters.  Failure plans only apply
+    to ``cmd``; isolated APs have no backhaul to fail.
     """
     if mode == "cmd":
         return scenario, covs, plan
     if mode == "no_coop":
         return isolated(scenario), covs, None
-    if mode == "centralized_pool":
-        return _pooled_scenario(scenario), covs.mean(axis=0, keepdims=True), None
     raise InvalidConfig(f"unknown mode {mode!r}")
 
 
@@ -454,11 +446,8 @@ class RunArtifact:
     iotas: dict
 
     def to_summary_dict(self) -> dict:
-        cfg = self.config.to_dict()
-        cfg.pop("out_dir")  # execution details, not part of the experiment
-        cfg.pop("workers")
         return {
-            "config": cfg,
+            "config": self.config.experiment_dict(),
             "config_hash": self.config_hash,
             "axis": self.axis,
             "aggregates": self.aggregates,

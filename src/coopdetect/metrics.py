@@ -4,8 +4,9 @@ A device counts as active when the estimate held by its assigned AP
 exceeds ``iota * noise_power``.  The assigned AP is the geometrically
 nearest one by default (ties to the lower index); ``b0_mode="max_gamma"``
 instead assigns the AP holding the largest estimate, for geometry-free
-operation.  Estimate matrices with a single row (pooled ablations) assign
-every device to that row.
+operation.  Every estimate is the trial's own (num_aps, N) matrix, one row
+per AP; ``detect``, ``evaluate`` and ``calibrate_threshold`` raise
+DimensionMismatch for any other shape.
 
 The error rate is reported per class: missed detections over the number of
 active devices, false alarms over the number of inactive ones, and their
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateClasses, InvalidConfig
+from .errors import DegenerateClasses, DimensionMismatch, InvalidConfig
 from .scenario import Scenario
 
 
@@ -39,9 +40,6 @@ class DetectionReport:
 
 def assign_aps(gamma_est: np.ndarray, scenario: Scenario, b0_mode: str = "nearest") -> np.ndarray:
     """Pick the AP whose estimate decides each device."""
-    gamma_est = np.atleast_2d(gamma_est)
-    if gamma_est.shape[0] == 1:
-        return np.zeros(scenario.num_devices, dtype=int)
     if b0_mode == "nearest":
         return scenario.nearest_ap()
     if b0_mode == "max_gamma":
@@ -62,20 +60,25 @@ def detect(gamma_est: np.ndarray, scenario: Scenario, iota: float,
 
 def _read(gamma_est: np.ndarray, scenario: Scenario, b0_mode: str):
     """Each device's estimate at its assigned AP, and the assignment."""
-    gamma_est = np.atleast_2d(gamma_est)
+    gamma_est = np.asarray(gamma_est)
+    expected = (scenario.num_aps, scenario.num_devices)
+    if gamma_est.shape != expected:
+        raise DimensionMismatch(f"estimate of shape {gamma_est.shape}, expected "
+                                f"(num_aps, num_devices) = {expected}")
     assigned = assign_aps(gamma_est, scenario, b0_mode)
-    return gamma_est[assigned, np.arange(gamma_est.shape[1])], assigned
+    return gamma_est[assigned, np.arange(scenario.num_devices)], assigned
 
 
 def aer(decisions: np.ndarray, truth: np.ndarray) -> tuple[float, float, float]:
     """Per-class error rates: (missed, false_alarm, their sum), per decision vector.
 
-    Raises DegenerateClasses when every device is active or none is.
+    Raises DimensionMismatch when the decisions' last axis is not shaped like
+    ``truth``, and DegenerateClasses when every device is active or none is.
     """
     decisions = np.asarray(decisions)
     truth = np.asarray(truth)
     if decisions.shape[-1:] != truth.shape:
-        raise DegenerateClasses(f"shape mismatch {decisions.shape} vs {truth.shape}")
+        raise DimensionMismatch(f"shape mismatch {decisions.shape} vs {truth.shape}")
     k = int(np.sum(truth == 1))
     n = truth.size
     if k == 0 or k == n:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -362,27 +362,33 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def scenario_from_dict(d: dict) -> Scenario:
+    """The scenario a ``scenario_to_dict`` document describes.
+
+    Raises InvalidConfig for another schema version, a missing key, or an
+    array whose shape disagrees with the stated sizes.
+    """
     if d.get("schema_version") != SCHEMA_VERSION:
         raise InvalidConfig(f"unsupported schema_version {d.get('schema_version')!r}")
-    topo = TopologyConfig(**d["topology"])
-    return Scenario(
-        topology=topo,
-        num_devices=d["num_devices"],
-        num_active=d["num_active"],
-        pilot_len=d["pilot_len"],
-        num_antennas=d["num_antennas"],
-        snr_db=d["snr_db"],
-        noise_power=d["noise_power"],
-        ap_pos=np.asarray(d["ap_pos"], dtype=float),
-        neighbors=tuple(tuple(nb) for nb in d["neighbors"]),
-        device_pos=np.asarray(d["device_pos"], dtype=float),
-        gains=np.asarray(d["gains"], dtype=float),
-        activity=np.asarray(d["activity"], dtype=np.int8),
-        pilots=_pairs_to_complex(d["pilots"]),
-        seed=d["seed"],
-        gain_ref=d["gain_ref"],
-        pathloss_exponent=d["pathloss_exponent"],
-    )
+    missing = [f.name for f in fields(Scenario) if f.name not in d]
+    if missing:
+        raise InvalidConfig(f"scenario is missing {missing}")
+    values = {f.name: d[f.name] for f in fields(Scenario)}
+    values["topology"] = TopologyConfig(**d["topology"])
+    b, n = values["topology"].num_aps, d["num_devices"]
+    # pilots is stored as (re, im) pairs.
+    shapes = {"ap_pos": (b, 2), "device_pos": (n, 2), "gains": (b, n), "activity": (n,),
+              "pilots": (d["pilot_len"], n, 2)}
+    values.update((name, np.asarray(d[name], dtype=float)) for name in shapes)
+    wrong = [f"{name} has shape {values[name].shape}, expected {shape}"
+             for name, shape in shapes.items() if values[name].shape != shape]
+    if len(d["neighbors"]) != b:
+        wrong.append(f"neighbors has {len(d['neighbors'])} entries, expected {b}")
+    if wrong:
+        raise InvalidConfig("; ".join(wrong))
+    values.update(neighbors=tuple(tuple(nb) for nb in d["neighbors"]),
+                  activity=values["activity"].astype(np.int8),
+                  pilots=_pairs_to_complex(values["pilots"]))
+    return Scenario(**values)
 
 
 def save_scenario(s: Scenario, path) -> None:

@@ -59,6 +59,15 @@ class TestRunVerb:
         rc = main(["run", "--config", str(path), "--sweep", "coop_degree=1,2"])
         assert rc == 0, capsys.readouterr().err
 
+    def test_retired_mode_rejected(self, config_file, capsys):
+        # centralized_pool averaged covariances taken under different path
+        # losses at one AP; it is no longer a mode.
+        rc = main(["run", "--config", config_file, "--mode", "centralized_pool"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "unknown mode 'centralized_pool'" in err
+        assert "'cmd', 'no_coop'" in err
+
     def test_bad_sweep_axis_rejected(self, config_file, capsys):
         rc = main(["run", "--config", config_file, "--sweep", "bananas"])
         assert rc == 2

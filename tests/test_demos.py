@@ -1,9 +1,10 @@
 """The demo scripts import only names the package has, and the fast ones run.
 
 Nothing else runs the demos, so a removed or renamed name would otherwise
-break them unseen.  Every demo is parsed for its imports.  Demos 01, 02 and
-04 (about a second each) are also run to exit 0; demos 03 (about 5 s) and 05
-(about 85 s) are too slow for the suite and are only parsed.
+break them unseen.  Every demo is parsed for its imports and for the modes
+its ``modes=`` literals name.  Demos 01, 02 and 04 (about a second each) are
+also run to exit 0; demos 03 (about 5 s) and 05 (about 85 s) are too slow for
+the suite and are only parsed.
 """
 
 import ast
@@ -14,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from coopdetect.harness import MODES
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -45,6 +48,18 @@ def test_demo_imports_exist(path):
     for module, name in imports:
         mod = importlib.import_module(module)
         assert name is None or hasattr(mod, name), f"{path.name}: {module} has no {name}"
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_modes_exist(path):
+    # Demos 03 and 05 are only parsed, so a stale mode in them would otherwise pass.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg == "modes" \
+                and isinstance(node.value, (ast.Tuple, ast.List)):
+            named = [ast.literal_eval(elt) for elt in node.value.elts]
+            unknown = [m for m in named if m not in MODES]
+            assert not unknown, f"{path.name}: line {node.value.lineno} names {unknown}"
 
 
 @pytest.mark.parametrize("path", FAST_DEMOS, ids=lambda p: p.name)

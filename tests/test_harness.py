@@ -1,5 +1,6 @@
 """Experiment harness: config validation, dispatch, outputs, determinism."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -255,11 +256,9 @@ class TestModeDispatch:
     def test_single_ap_modes_coincide_bitwise(self, single_ap):
         sc, covs = single_ap
         hyper = Hyperparams(tau=10.0, num_iters=6)
-        cmd, noc, pool = solver.run_batch(
-            [mode_dispatch(mode, sc, covs) for mode in ("cmd", "no_coop", "centralized_pool")],
-            hyper)
+        cmd, noc = solver.run_batch(
+            [mode_dispatch(mode, sc, covs) for mode in ("cmd", "no_coop")], hyper)
         np.testing.assert_array_equal(cmd.gamma, noc.gamma)
-        np.testing.assert_array_equal(pool.gamma, noc.gamma)
 
     def test_no_coop_sends_nothing(self):
         cfg = tiny_config()
@@ -268,16 +267,6 @@ class TestModeDispatch:
         (res,) = solver.run_batch([mode_dispatch("no_coop", sc, covs)], cfg.hyper())
         assert res.ledger.total_messages == 0
         assert res.ledger.total_scalars == 0
-
-    def test_pooled_observation_averages(self):
-        # One AP whose sample covariance is the mean of all of the APs'.
-        cfg = tiny_config()
-        sc = build_scenario(cfg, 2, seed=3)
-        covs = synthesize(sc)
-        pooled_sc, pooled, plan = mode_dispatch("centralized_pool", sc, covs)
-        assert pooled_sc.num_aps == 1 and plan is None
-        assert pooled.shape == (1, sc.pilot_len, sc.pilot_len)
-        np.testing.assert_allclose(pooled[0], sum(covs) / len(covs))
 
     def test_unknown_mode(self):
         cfg = tiny_config()
@@ -419,6 +408,16 @@ class TestRunExperiment:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["config_hash"] == art.config_hash
 
+    def test_summary_config_hashes_to_its_config_hash(self, tmp_path):
+        # The summary's config is what the hash covers: sha256 of its sorted
+        # JSON, first 16 hex digits, with the execution-only fields left out.
+        cfg = tiny_config(modes=("cmd", "no_coop"), iota=1.0, out_dir=str(tmp_path))
+        art = run_experiment(cfg)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        digest = hashlib.sha256(json.dumps(summary["config"], sort_keys=True).encode())
+        assert digest.hexdigest()[:16] == summary["config_hash"] == art.config_hash
+        assert not {"out_dir", "workers"} & set(summary["config"])
+
 
 def test_experiment_loads_no_scipy():
     # A fresh interpreter, so that no other test's imports count.
@@ -491,6 +490,17 @@ def bench_workloads():
         sys.dont_write_bytecode = written
         del sys.modules[spec.name]
     return module
+
+
+def test_benchmark_workload_configs_validate(bench_workloads):
+    # A workload that a removed mode or a new validation rule breaks fails
+    # here, not first in a benchmark run.
+    for name, workload in bench_workloads.WORKLOADS.items():
+        cfg = workload.config(bench_workloads.PINNED_SEED)
+        try:
+            cfg.validate()
+        except InvalidConfig as err:
+            pytest.fail(f"{name}: {err}")
 
 
 def test_benchmark_workloads_keep_their_pinned_hashes(bench_workloads):

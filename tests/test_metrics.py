@@ -1,9 +1,11 @@
 """Detector thresholding and error-rate accounting."""
 
+import re
+
 import numpy as np
 import pytest
 
-from coopdetect.errors import DegenerateClasses, InvalidConfig
+from coopdetect.errors import DegenerateClasses, DimensionMismatch, InvalidConfig
 from coopdetect.metrics import (
     DEFAULT_IOTA_GRID,
     aer,
@@ -19,6 +21,20 @@ from coopdetect.scenario import TopologyConfig, make_scenario
 def scenario():
     topo = TopologyConfig(num_aps=4, degree=2, seed=21)
     return make_scenario(topo, num_devices=40, num_active=6, pilot_len=8,
+                         num_antennas=4, snr_db=10.0, gain_ref=1.0)
+
+
+@pytest.fixture(scope="module")
+def one_ap():
+    topo = TopologyConfig(num_aps=1, degree=0, seed=21)
+    return make_scenario(topo, num_devices=20, num_active=4, pilot_len=8,
+                         num_antennas=4, snr_db=10.0, gain_ref=1.0)
+
+
+@pytest.fixture(scope="module")
+def five_aps():
+    topo = TopologyConfig(num_aps=5, degree=2, seed=21)
+    return make_scenario(topo, num_devices=20, num_active=4, pilot_len=8,
                          num_antennas=4, snr_db=10.0, gain_ref=1.0)
 
 
@@ -59,10 +75,11 @@ class TestDetect:
                 assert np.all(decisions <= previous)  # raising iota never adds actives
             previous = decisions
 
-    def test_single_row_assigns_everyone_to_it(self, scenario):
-        gamma = np.zeros((1, scenario.num_devices))
-        assigned = assign_aps(gamma, scenario)
-        assert np.all(assigned == 0)
+    def test_single_row_assigns_everyone_to_it(self, one_ap):
+        gamma = oracle_estimates(one_ap)
+        for b0_mode in ("nearest", "max_gamma"):
+            assigned = assign_aps(gamma, one_ap, b0_mode=b0_mode)
+            np.testing.assert_array_equal(assigned, np.zeros(one_ap.num_devices))
 
     def test_max_gamma_assignment(self, scenario):
         gamma = np.zeros((scenario.num_aps, scenario.num_devices))
@@ -74,9 +91,24 @@ class TestDetect:
         lambda gamma, sc: evaluate(gamma, sc, 1.0, b0_mode="farthest"),
         lambda gamma, sc: calibrate_threshold([(gamma, sc)], b0_mode="farthest"),
     ], ids=["evaluate", "calibrate_threshold"])
-    def test_unknown_b0_mode_is_a_package_error(self, scenario, score):
-        with pytest.raises(InvalidConfig, match="unknown b0_mode 'farthest'"):
-            score(oracle_estimates(scenario), scenario)
+    def test_unknown_b0_mode_is_a_package_error(self, scenario, one_ap, score):
+        for sc in (scenario, one_ap):
+            with pytest.raises(InvalidConfig, match="unknown b0_mode 'farthest'"):
+                score(oracle_estimates(sc), sc)
+
+    @pytest.mark.parametrize("shape", [(4, 20), (1, 20), (20,), (5, 21), (6, 20), (5, 20, 1)],
+                             ids=str)
+    @pytest.mark.parametrize("b0_mode", ["nearest", "max_gamma"])
+    @pytest.mark.parametrize("score", [
+        lambda gamma, sc, b0: evaluate(gamma, sc, 1.0, b0_mode=b0),
+        lambda gamma, sc, b0: detect(gamma, sc, 1.0, b0_mode=b0),
+        lambda gamma, sc, b0: calibrate_threshold([(gamma, sc)], b0_mode=b0),
+    ], ids=["evaluate", "detect", "calibrate_threshold"])
+    def test_estimate_not_shaped_num_aps_by_n_is_rejected(self, five_aps, shape, b0_mode,
+                                                          score):
+        # None of these is (num_aps, N) = (5, 20).
+        with pytest.raises(DimensionMismatch, match=re.escape(f"shape {shape}")):
+            score(np.ones(shape), five_aps, b0_mode)
 
 
 class TestAer:
@@ -97,6 +129,10 @@ class TestAer:
         assert missed == pytest.approx(0.1)
         assert fa == 0.0
         assert combined == pytest.approx(0.1)
+
+    def test_shape_mismatch_is_a_dimension_error(self):
+        with pytest.raises(DimensionMismatch, match="shape mismatch"):
+            aer(np.zeros(3, dtype=int), np.array([1, 0, 0, 0]))
 
     def test_degenerate_classes(self):
         with pytest.raises(DegenerateClasses):

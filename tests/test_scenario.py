@@ -1,6 +1,8 @@
 """Scenario generation: geometry, gains, signals, reproducibility, JSON."""
 
+import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -289,6 +291,40 @@ class TestSerialization:
         d = scenario_to_dict(desk(seed=8))
         d["schema_version"] = 99
         with pytest.raises(InvalidConfig):
+            scenario_from_dict(d)
+
+    def test_missing_key_is_named(self, tmp_path):
+        d = scenario_to_dict(desk(seed=8))
+        del d["pilots"]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(InvalidConfig, match=re.escape("scenario is missing ['pilots']")):
+            load_scenario(path)
+
+    # Per array of a 3-AP, N=30, L=10 scenario: a cut, its shape and the expected one.
+    MISSHAPEN = {
+        "gains": (lambda a: a[:2], "(2, 30)", "(3, 30)"),
+        "ap_pos": (lambda a: a[:, :1], "(3, 1)", "(3, 2)"),
+        "device_pos": (lambda a: a[1:], "(29, 2)", "(30, 2)"),
+        "activity": (lambda a: a[:, None], "(30, 1)", "(30,)"),
+        "pilots": (lambda a: a[:, :-1], "(10, 29, 2)", "(10, 30, 2)"),
+    }
+
+    @pytest.mark.parametrize("name", MISSHAPEN)
+    def test_array_shape_must_match_the_sizes(self, tmp_path, name):
+        cut, found, expected = self.MISSHAPEN[name]
+        d = scenario_to_dict(desk(seed=8, num_aps=3))
+        d[name] = cut(np.asarray(d[name])).tolist()
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(InvalidConfig,
+                           match=re.escape(f"{name} has shape {found}, expected {expected}")):
+            load_scenario(path)
+
+    def test_neighbor_count_must_match_the_aps(self):
+        d = scenario_to_dict(desk(seed=8, num_aps=3))
+        d["neighbors"] = d["neighbors"][:-1]
+        with pytest.raises(InvalidConfig, match="neighbors has 2 entries, expected 3"):
             scenario_from_dict(d)
 
     def test_isolated_clears_neighbors(self):
