@@ -34,7 +34,7 @@ for seed in (900, 901, 902):
     sc = build(seed)
     result = run(sc, synthesize(sc), hyper, options=SolverOptions(record_cost=False))
     calibration.append((result.gamma, sc))
-iota = calibrate_threshold(calibration, grid=np.logspace(-3, 3, 49))
+iota = calibrate_threshold(calibration)
 print(f"calibrated threshold multiplier: {iota:.3g}")
 
 print("\n=== evaluation run ===")

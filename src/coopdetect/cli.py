@@ -11,10 +11,9 @@ from .harness import (
     ExperimentConfig,
     calibrate,
     load_config,
-    read_json,
     run_experiment,
 )
-from .scenario import save_scenario
+from .scenario import read_json, save_scenario
 
 _SWEEP_DEFAULTS = {
     "coop_degree": (1, 2, 3, 4),

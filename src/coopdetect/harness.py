@@ -44,6 +44,7 @@ from .scenario import (
     is_finite,
     isolated,
     make_scenario,
+    read_json,
     synthesize,
 )
 
@@ -88,13 +89,13 @@ class ExperimentConfig:
     gain_ref: float | str | None = "auto"    # "auto" -> 10^(snr_db/10)
     pathloss_exponent: float = 3.7
     # hyperparameters
-    beta: float = 0.038
-    tau: float = 0.0075
-    theta: float = 1.0 / 0.039
-    eta: float = 0.003
-    rho: float = 500.0
+    beta: float = Hyperparams.beta
+    tau: float = Hyperparams.tau
+    theta: float = Hyperparams.theta
+    eta: float = Hyperparams.eta
+    rho: float = Hyperparams.rho
     iota: float | None = None                # None -> calibrated per sweep point/mode
-    num_iters: int = 40
+    num_iters: int = Hyperparams.num_iters
     # experiment
     sweep_axis: str = "coop_degree"
     sweep_values: tuple = (4,)
@@ -197,8 +198,8 @@ class ExperimentConfig:
             raise InvalidConfig("; ".join(problems))
 
     def hyper(self) -> Hyperparams:
-        return Hyperparams(beta=self.beta, tau=self.tau, theta=self.theta,
-                           eta=self.eta, rho=self.rho, num_iters=self.num_iters)
+        return Hyperparams(**{f.name: getattr(self, f.name)
+                              for f in dataclasses.fields(Hyperparams)})
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -242,20 +243,6 @@ def _field_kinds() -> dict:
         kinds = [_KINDS[k] for k in typing.get_args(hint) or (hint,)]
         out[name] = (tuple(kind for kind, _ in kinds), " or ".join(what for _, what in kinds))
     return out
-
-
-def read_json(path, what: str):
-    """The JSON document in the file ``path``; InvalidConfig if it is missing or not JSON.
-
-    ``what`` names the file in the message.
-    """
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as err:
-        raise InvalidConfig(f"cannot read {what} {path}: {err.strerror}") from None
-    except ValueError as err:  # not JSON, or not text
-        raise InvalidConfig(f"{what} {path} is not JSON: {err}") from None
 
 
 def load_config(path) -> ExperimentConfig:
@@ -404,7 +391,7 @@ def _fit_iotas(cfg: ExperimentConfig, solved: list) -> dict:
     """Threshold multiplier per mode, ``{mode: iota}``, fitted on solved held-out trials."""
     return {mode: metrics.calibrate_threshold([(out[mode][0], scenario)
                                                for _, scenario, out in solved],
-                                              grid=CALIBRATION_GRID, b0_mode=cfg.b0_mode)
+                                              b0_mode=cfg.b0_mode)
             for mode in cfg.modes}
 
 
@@ -419,12 +406,6 @@ def _rows(cfg: ExperimentConfig, sweep_value, solved: list, iotas: dict) -> list
                          "false_alarm": report.false_alarm_prob, "aer": report.aer,
                          "aer_pooled": report.aer_pooled, "iota": iotas[mode], **counts})
     return rows
-
-
-# Wider than the metrics default: desk-scale noise-normalized units sit
-# near the bottom of the reference grid, which would pin calibration at
-# its boundary and mask mode differences.
-CALIBRATION_GRID = tuple(np.logspace(-3.0, 3.0, 49))
 
 
 def calibrate(cfg: ExperimentConfig, sweep_index: int, sweep_value) -> dict:

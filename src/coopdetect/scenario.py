@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -336,13 +336,7 @@ def scenario_to_dict(s: Scenario) -> dict:
     """JSON-ready dict; complex values become [re, im] pairs."""
     return {
         "schema_version": s.schema_version,
-        "topology": {
-            "num_aps": s.topology.num_aps,
-            "degree": s.topology.degree,
-            "ap_spacing": s.topology.ap_spacing,
-            "layout": s.topology.layout,
-            "seed": s.topology.seed,
-        },
+        "topology": asdict(s.topology),
         "num_devices": s.num_devices,
         "num_active": s.num_active,
         "pilot_len": s.pilot_len,
@@ -364,16 +358,29 @@ def scenario_to_dict(s: Scenario) -> dict:
 def scenario_from_dict(d: dict) -> Scenario:
     """The scenario a ``scenario_to_dict`` document describes.
 
-    Raises InvalidConfig for another schema version, a missing key, or an
-    array whose shape disagrees with the stated sizes.
+    Raises InvalidConfig for a document or topology that is not an object,
+    another schema version, a missing key, a topology key that is missing
+    or unknown, or an array whose shape disagrees with the stated sizes.
     """
+    if not isinstance(d, dict):
+        raise InvalidConfig(f"a scenario must be a JSON object, got {type(d).__name__}")
     if d.get("schema_version") != SCHEMA_VERSION:
         raise InvalidConfig(f"unsupported schema_version {d.get('schema_version')!r}")
     missing = [f.name for f in fields(Scenario) if f.name not in d]
     if missing:
         raise InvalidConfig(f"scenario is missing {missing}")
+    topo = d["topology"]
+    if not isinstance(topo, dict):
+        raise InvalidConfig(f"topology must be a JSON object, got {type(topo).__name__}")
+    missing = [f.name for f in fields(TopologyConfig) if f.name not in topo]
+    unknown = sorted(topo.keys() - {f.name for f in fields(TopologyConfig)})
+    problems = [f"topology is missing {missing}"] if missing else []
+    if unknown:
+        problems.append(f"topology has unknown keys {unknown}")
+    if problems:
+        raise InvalidConfig("; ".join(problems))
     values = {f.name: d[f.name] for f in fields(Scenario)}
-    values["topology"] = TopologyConfig(**d["topology"])
+    values["topology"] = TopologyConfig(**topo)
     b, n = values["topology"].num_aps, d["num_devices"]
     # pilots is stored as (re, im) pairs.
     shapes = {"ap_pos": (b, 2), "device_pos": (n, 2), "gains": (b, n), "activity": (n,),
@@ -391,14 +398,27 @@ def scenario_from_dict(d: dict) -> Scenario:
     return Scenario(**values)
 
 
+def read_json(path, what: str):
+    """The JSON document in the file ``path``; InvalidConfig if it is missing or not JSON.
+
+    ``what`` names the file in the message.
+    """
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as err:
+        raise InvalidConfig(f"cannot read {what} {path}: {err.strerror}") from None
+    except ValueError as err:  # not JSON, or not text
+        raise InvalidConfig(f"{what} {path} is not JSON: {err}") from None
+
+
 def save_scenario(s: Scenario, path) -> None:
     with open(path, "w") as fh:
         json.dump(scenario_to_dict(s), fh)
 
 
 def load_scenario(path) -> Scenario:
-    with open(path) as fh:
-        return scenario_from_dict(json.load(fh))
+    return scenario_from_dict(read_json(path, "scenario file"))
 
 
 def isolated(scenario: Scenario) -> Scenario:

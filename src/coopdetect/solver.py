@@ -11,19 +11,22 @@ neighbor data, then all messages are delivered at once.
 plan) of one L and N together, such as the trials and modes of a sweep
 point; ``run`` is a batch of one.  ``covs`` is the scenario's (num_aps, L, L)
 stack of sample covariances, as ``scenario.synthesize`` returns it.  The
-problems' APs and edges are stacked in order into one batch, so a round is
-one step over all of them.
+problems' APs, edges and covariances are stacked in order into one batch, so
+a round is one step over all of them; a batch of one holds the caller's
+covariance array, which the round only reads.
 
 Layout, for B APs, N devices, L pilot symbols and E directed backhaul edges
-(a ``netsim.Backhaul``, ordered by receiver, block-diagonal over problems):
-estimates and combined subgradient estimators are (B, N), covariances
-(B, L, L).  The estimate last received over each edge and the receiver's
-subgradient estimator for that neighbor are edge-indexed (E, N), so memory
-grows with the edges, not B^2; an AP's estimator for itself never moves and
-is not stored.  Each step calls its objective function once for all live
-APs.  The trace is four (rounds, B) arrays of the batch, which each round
-writes for its live APs.  What is not shared stays per problem: its failure
-plan, drop stream, ledger, early stop and round count.
+(two (E,) arrays, sender and receiver, ordered by receiver and
+block-diagonal over problems): estimates and combined subgradient
+estimators are (B, N), model and sample covariances (B, L, L).  The
+estimate last received over each edge and the receiver's subgradient
+estimator for that neighbor are edge-indexed (E, N), so memory grows with
+the edges, not B^2; an AP's estimator for itself never moves and is not
+stored.  Each step calls its objective function once for all live APs.  The
+trace is four (rounds, B) arrays of the batch, which each round writes for
+its live APs.  What is not shared stays per problem: its failure plan,
+backhaul, drop stream, ledger, early stop and round count.  A round reads
+the batch and its round plan alone, never a problem.
 
 A round reads what depends only on which APs are live from a round plan
 (``_RoundPlan``): the live rows and each AP's position among them, the edges
@@ -61,13 +64,13 @@ The per-matrix work (the Cholesky check, the inverse from its factor and
 D = Sigma^-1 - Sigma^-1 S Sigma^-1, the operands the forms read of D, and
 the recorded cost) acts matrix by matrix, so its bits do not depend on how
 it is cut: it runs in chunks of consecutive live APs, which may span
-problems, and whose covariances are slices of the batch's stacks and views
-of each problem's own sample covariances.  The pilot products are not: BLAS
-picks its kernels and blocking by the row count, so a row's bits depend on
-how many rows share its product and where it sits among them.  So products
-are per problem, over its live APs in order, cut only at positions counted
-from its own first live AP; a problem's bits are then what it gets alone,
-but not what a per-AP loop gets to the last bit.  A product makes one
+problems, and whose covariances are row slices of the batch's two stacks.
+The pilot products are not: BLAS picks its kernels and blocking by the row
+count, so a row's bits depend on how many rows share its product and where
+it sits among them.  So products are per problem, over its live APs in
+order, cut only at positions counted from its own first live AP, and carry
+that problem's pilots and kernel; a problem's bits are then what it gets
+alone, but not what a per-AP loop gets to the last bit.  A product makes one
 ``linalg.forms`` call for its APs' gradients and one ``linalg.outer_sums``
 call for their covariance increments, written into one buffer of the round
 that first held D's operands; one ``linalg.add_outer_sums`` then adds every
@@ -187,7 +190,9 @@ class RunResult:
 class _Batch:
     """All APs' iterates and counters as flat arrays (see the module docstring)."""
 
-    edges: netsim.Backhaul
+    src: np.ndarray                   # (E,) each edge's sender
+    dst: np.ndarray                   # (E,) each edge's receiver, ascending
+    covs: np.ndarray                  # (B, L, L) sample covariances, only read
     degree: np.ndarray                # (B,) neighbors of each AP: its edges in
     first: np.ndarray                 # (B,) each AP's first edge in
     draws: np.ndarray                 # (B, T) pre-drawn selection uniforms, 0 without neighbors
@@ -211,7 +216,6 @@ class _Solve:
 
     scenario: Scenario
     plan: netsim.FailurePlan
-    covs: np.ndarray                  # its (num_aps, L, L) sample covariances
     edges: netsim.Backhaul            # its own edges, local AP ids
     aps: slice                        # its rows of the batch's AP arrays
     links: slice                      # its rows of the batch's edge arrays
@@ -224,7 +228,7 @@ class _Solve:
 
 @dataclass
 class _RoundPlan:
-    """What a round needs that depends only on which APs are live (see the module docstring)."""
+    """What a round reads besides the batch: what depends only on which APs are live."""
 
     live: np.ndarray                  # (c,) live rows of the batch, ascending
     row: np.ndarray                   # (B,) each AP's position in ``live``, -1 if not live
@@ -234,8 +238,8 @@ class _RoundPlan:
     own_col: np.ndarray               # (c,) each live AP's own slot: its in-degree
     cdfs: np.ndarray                  # (c, max degree + 1) the live APs' selection CDFs
     mine: list                        # per problem, the mask of its live APs
-    chunks: list                      # (live positions, rows, covariances) of per-matrix work
-    products: list                    # (problem, live positions) of pilot products
+    chunks: list                      # (live positions, rows) of per-matrix work
+    products: list                    # (live positions, pilots, kernel) of pilot products
 
 
 def _selection_cdfs(degree: np.ndarray) -> np.ndarray:
@@ -307,33 +311,25 @@ def _kernel_calls(live: np.ndarray, solves: list[_Solve], bounds: np.ndarray,
                   l: int) -> tuple[list, list]:
     """The chunks of per-matrix work and the pilot products of a round (module docstring).
 
-    A chunk is (live positions, rows, covariances): consecutive live APs, so
-    its rows are a slice, and views of its problems' sample covariances.  A
-    product is (problem, live positions), cut at positions counted from the
-    problem's first live AP.  The steps keep temporaries near
-    ``CHUNK_BYTES``: about four (L, L) complex arrays per AP in a chunk, and
-    a kernel's ``linalg.row_bytes`` per AP in a product, which sets the
-    GEMMs' row counts and so the bits.  The round's buffer and readback hold
-    a few more (L, L) arrays per live AP.  ``bounds`` are the problems'
-    first positions in ``live``, and its length.
+    A chunk is (live positions, rows): consecutive live APs, so its rows of
+    the batch's two covariance stacks are a slice.  A product is (live
+    positions, pilots, kernel) of one problem, cut at positions counted from
+    its first live AP.  The steps keep temporaries near ``CHUNK_BYTES``:
+    about four (L, L) complex arrays per AP in a chunk, and a kernel's
+    ``linalg.row_bytes`` per AP in a product, which sets the GEMMs' row
+    counts and so the bits.  The round's buffer and readback hold a few more
+    (L, L) arrays per live AP.  ``bounds`` are the problems' first positions
+    in ``live``, and its length.
     """
     c = len(live)
     gaps = np.flatnonzero(np.diff(live) != 1) + 1
-    chunks = []
-    for k0, k1 in _spans([0, *gaps], [*gaps, c], max(1, CHUNK_BYTES // (64 * l * l))):
-        r0, r1 = live[k0], live[k1 - 1] + 1
-        covs = [s.covs[max(r0, s.aps.start) - s.aps.start:min(r1, s.aps.stop) - s.aps.start]
-                for s in solves if s.aps.start < r1 and r0 < s.aps.stop]
-        chunks.append((slice(k0, k1), slice(r0, r1), covs))
+    chunks = [(slice(k0, k1), slice(live[k0], live[k1 - 1] + 1)) for k0, k1
+              in _spans([0, *gaps], [*gaps, c], max(1, CHUNK_BYTES // (64 * l * l)))]
     step = max(1, CHUNK_BYTES // row_bytes(solves[0].kernel))
-    products = [(solves[np.searchsorted(bounds, k0, side="right") - 1], slice(k0, k1))
-                for k0, k1 in _spans(bounds[:-1], bounds[1:], step)]
+    products = [(slice(k0, k1), s.scenario.pilots, s.kernel)
+                for s, k, stop in zip(solves, bounds, bounds[1:])
+                for k0, k1 in _spans([k], [stop], step)]
     return chunks, products
-
-
-def _joined(covs: list) -> np.ndarray:
-    """A chunk's covariances as one stack: the view itself unless it spans problems."""
-    return covs[0] if len(covs) == 1 else np.concatenate(covs)
 
 
 def _round_plan(st: _Batch, solves: list[_Solve], t: int) -> _RoundPlan:
@@ -344,7 +340,7 @@ def _round_plan(st: _Batch, solves: list[_Solve], t: int) -> _RoundPlan:
         if s.running:
             is_live[s.aps] = ~s.plan.aps_down(t, s.scenario.num_aps)
     live = np.flatnonzero(is_live)
-    c, dst = len(live), st.edges.dst
+    c, dst = len(live), st.dst
     row = np.full(b, -1)
     row[live] = np.arange(c)
     ein = slice(None) if c == b else np.flatnonzero(row[dst] >= 0)     # edges into live APs
@@ -355,7 +351,7 @@ def _round_plan(st: _Batch, solves: list[_Solve], t: int) -> _RoundPlan:
                       *_kernel_calls(live, solves, bounds, st.sigma.shape[-1]))
 
 
-def _round(st: _Batch, rplan: _RoundPlan, t: int, solves: list[_Solve], hyper: Hyperparams,
+def _round(st: _Batch, rplan: _RoundPlan, t: int, hyper: Hyperparams,
            options: SolverOptions) -> np.ndarray:
     """Advance the (nonempty) live APs of ``rplan`` by round ``t``; returns what they send.
 
@@ -365,7 +361,7 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, solves: list[_Solve], hyper: H
     estimators stay untouched.
     """
     n = st.gamma.shape[1]
-    src, live, ein, erow = st.edges.src, rplan.live, rplan.ein, rplan.erow
+    src, live, ein, erow = st.src, rplan.live, rplan.ein, rplan.erow
     own_col = rplan.own_col
     b, e, c = len(st.gamma), len(src), len(live)
 
@@ -373,11 +369,11 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, solves: list[_Solve], hyper: H
     grad = np.empty_like(g_old)
     # D per matrix in chunks, then each problem's forms, one call per product.
     # The problems share (L, N), so their kernels are of one kind.
-    kind = solves[0].kernel
-    buf = np.concatenate([operands(gradient_matrix(st.sigma[rows], _joined(covs)), kind)
-                          for _, rows, covs in rplan.chunks])
-    for s, sl in rplan.products:
-        grad[sl] = forms(buf[sl], s.scenario.pilots, s.kernel)
+    kind = rplan.products[0][2]
+    buf = np.concatenate([operands(gradient_matrix(st.sigma[rows], st.covs[rows]), kind)
+                          for _, rows in rplan.chunks])
+    for sl, pilots, kernel in rplan.products:
+        grad[sl] = forms(buf[sl], pilots, kernel)
     # The weights come before the panel, so that their temporaries and the
     # panel are never held at once.
     w = combiner_weights(g_old, st.received[ein], hyper.rho, receivers=erow)
@@ -422,8 +418,8 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, solves: list[_Solve], hyper: H
     # Each product's increments go into the spent operands, then one readback
     # for all live APs: element by element, so each AP's covariance is what
     # its product's own linalg.add_outer_sums gives it.
-    for s, sl in rplan.products:
-        outer_sums(delta[sl], s.scenario.pilots, s.kernel, out=buf[sl])
+    for sl, pilots, kernel in rplan.products:
+        outer_sums(delta[sl], pilots, kernel, out=buf[sl])
     rows = slice(live[0], live[-1] + 1) if live[-1] - live[0] == c - 1 else live
     st.sigma[rows] = add_outer_sums(st.sigma[rows], buf, kind)
     st.gamma[live] = g_new
@@ -432,8 +428,8 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, solves: list[_Solve], hyper: H
 
     cost = np.full(c, np.nan)
     if options.record_cost:
-        for sl, rows, covs in rplan.chunks:
-            cost[sl] = ml_cost_given_factor(cholesky_factor(st.sigma[rows]), _joined(covs))
+        for sl, rows in rplan.chunks:
+            cost[sl] = ml_cost_given_factor(cholesky_factor(st.sigma[rows]), st.covs[rows])
         panel[np.arange(c), own_col] = g_new
         cost += hyper.beta * sparsity_penalty(panel.swapaxes(1, 2), hyper.theta)
         sim = np.abs(g_new[erow] - st.received[ein]).sum(axis=1)
@@ -469,21 +465,21 @@ def _setup(problems: list[Problem], num_iters: int) -> tuple[_Batch, list[_Solve
     """The initial batch of all problems, and each problem's part of it.
 
     Zero estimates, noise-only covariances and zero estimators.  The
-    problems' APs are stacked in turn and their backhauls joined
-    block-diagonally.
+    problems' APs and sample covariances are stacked in turn and their edges
+    joined block-diagonally; one problem's covariances are its own array.
     """
-    scenarios = [sc for sc, _, _ in problems]
+    scenarios, stacks, _ = zip(*problems)
     nets = [netsim.Backhaul.from_neighbors(sc.neighbors) for sc in scenarios]
     aps = np.cumsum([0] + [sc.num_aps for sc in scenarios])
     links = np.cumsum([0] + [len(net.src) for net in nets])
     b, e = int(aps[-1]), int(links[-1])
     n, l = scenarios[0].num_devices, scenarios[0].pilot_len
-    # Receiver order and (src, dst) send order hold across the join, as
-    # each scenario's AP ids follow the previous one's.
-    edges = netsim.Backhaul(b, np.concatenate([net.src + a for net, a in zip(nets, aps)]),
-                            np.concatenate([net.dst + a for net, a in zip(nets, aps)]),
-                            np.concatenate([net.send_order + k for net, k in zip(nets, links)]))
-    degree = np.bincount(edges.dst, minlength=b)
+    # Receiver order holds across the join, as each scenario's AP ids follow
+    # the previous one's.
+    src = np.concatenate([net.src + a for net, a in zip(nets, aps)])
+    dst = np.concatenate([net.dst + a for net, a in zip(nets, aps)])
+    covs = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+    degree = np.bincount(dst, minlength=b)
     # An AP without neighbors always selects itself, whatever it draws.
     draws = np.zeros((b, num_iters))
     for sc, a in zip(scenarios, aps):
@@ -495,17 +491,17 @@ def _setup(problems: list[Problem], num_iters: int) -> tuple[_Batch, list[_Solve
     unset = np.full((num_iters, b), -1)
     trace = IterationTrace(np.full((num_iters, b), np.nan), unset, unset.copy(), unset.copy(),
                            np.full((num_iters, b), np.nan))
-    st = _Batch(edges, degree, np.cumsum(degree) - degree, draws, _selection_cdfs(degree),
+    st = _Batch(src, dst, covs, degree, np.cumsum(degree) - degree, draws, _selection_cdfs(degree),
                 np.zeros((b, n)), sigma, np.zeros((b, n)), np.zeros((e, n)), np.zeros((e, n)),
                 np.zeros(b, dtype=int), np.zeros(b, dtype=int), np.zeros(b, dtype=int),
                 np.full(b, np.inf), np.repeat(aps[:-1], np.diff(aps)), trace)
     # Modes of one trial share their scenario's pilots, and so the kernel.
     pilots = {id(sc.pilots): sc.pilots for sc in scenarios}
     kernels = {key: pilot_kernel(cols) for key, cols in pilots.items()}
-    solves = [_Solve(sc, plan, covs, net, slice(a0, a1), slice(e0, e1), kernels[id(sc.pilots)],
+    solves = [_Solve(sc, plan, net, slice(a0, a1), slice(e0, e1), kernels[id(sc.pilots)],
                      np.random.default_rng(np.random.SeedSequence([_NETSIM_SALT, sc.seed])),
                      netsim.CommLedger(len(net.src), n))
-              for (sc, covs, plan), net, a0, a1, e0, e1
+              for (sc, _, plan), net, a0, a1, e0, e1
               in zip(problems, nets, aps, aps[1:], links, links[1:])]
     return st, solves
 
@@ -572,7 +568,7 @@ def run_batch(problems: list[Problem], hyper: Hyperparams,
         if rplan is None or t in crashes:
             rplan = _round_plan(st, solves, t)
         if rplan.live.size:
-            outgoing = _round(st, rplan, t, solves, hyper, options)
+            outgoing = _round(st, rplan, t, hyper, options)
         stopped = False
         for s, mine in zip(solves, rplan.mine):
             if not s.running:
@@ -580,7 +576,7 @@ def run_batch(problems: list[Problem], hyper: Hyperparams,
             delivered = netsim.deliver_round(mine, s.plan, t, s.rng, s.edges, s.ledger)
             if delivered.any():
                 k = s.links.start + np.flatnonzero(delivered)
-                st.received[k] = outgoing[rplan.row[st.edges.src[k]]]
+                st.received[k] = outgoing[rplan.row[st.src[k]]]
             s.rounds_completed = t
             if options.check_state_every and t % options.check_state_every == 0:
                 verify_state(st.sigma[s.aps], st.gamma[s.aps], s.scenario, mine)

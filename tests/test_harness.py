@@ -91,6 +91,9 @@ class TestConfig:
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
 
+    def test_default_hyperparameters_are_the_solvers(self):
+        assert ExperimentConfig().hyper() == Hyperparams()
+
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(tiny_config().to_dict()))
@@ -372,8 +375,7 @@ class TestRunExperiment:
         for si, value in enumerate(cfg.sweep_values):
             held_out = [solve(si, value, v, True) for v in range(cfg.calibration_trials)]
             iotas = {mode: metrics.calibrate_threshold([(res[mode].gamma, sc)
-                                                        for _, sc, res in held_out],
-                                                       grid=harness.CALIBRATION_GRID)
+                                                        for _, sc, res in held_out])
                      for mode in cfg.modes}
             for trial in range(cfg.trials):
                 seed, sc, results = solve(si, value, trial, False)
@@ -509,3 +511,17 @@ def test_benchmark_workloads_keep_their_pinned_hashes(bench_workloads):
     assert set(pins) == set(bench_workloads.WORKLOADS)
     for name, workload in bench_workloads.WORKLOADS.items():
         assert workload.config(bench_workloads.PINNED_SEED).config_hash() == pins[name], name
+
+
+@pytest.mark.parametrize("workload", ["desk_sweep", "wide_lossy", "long_pilot"])
+def test_timed_benchmark_run_is_correct(workload):
+    # A short timed run from the repo root: a moved pinned hash, a broken row
+    # check or a failed trial shows here, not first in a full benchmark run.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
+                          "--seconds", "0.2", "--trace", "0"],
+                         cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result

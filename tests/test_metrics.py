@@ -7,7 +7,7 @@ import pytest
 
 from coopdetect.errors import DegenerateClasses, DimensionMismatch, InvalidConfig
 from coopdetect.metrics import (
-    DEFAULT_IOTA_GRID,
+    CALIBRATION_GRID,
     aer,
     assign_aps,
     calibrate_threshold,
@@ -167,12 +167,7 @@ class TestCalibration:
     def test_all_zero_ties_break_to_smallest(self, scenario):
         runs = [(np.zeros((scenario.num_aps, scenario.num_devices)), scenario)]
         iota = calibrate_threshold(runs)
-        assert iota == pytest.approx(DEFAULT_IOTA_GRID[0])
-
-    def test_custom_grid_deterministic_rerun(self, scenario):
-        runs = [(oracle_estimates(scenario), scenario)]
-        grid = np.logspace(-2, 2, 11)
-        assert calibrate_threshold(runs, grid) == calibrate_threshold(runs, grid)
+        assert iota == pytest.approx(CALIBRATION_GRID[0])
 
     def test_needs_runs(self):
         with pytest.raises(DegenerateClasses):

@@ -321,6 +321,30 @@ class TestSerialization:
                            match=re.escape(f"{name} has shape {found}, expected {expected}")):
             load_scenario(path)
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read scenario file"),
+        ("{not json", "is not JSON"),
+        ("[]", "a scenario must be a JSON object, got list"),
+    ], ids=["missing", "not_json", "not_an_object"])
+    def test_unreadable_file_is_invalid_config(self, tmp_path, text, message):
+        path = tmp_path / "scenario.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda topo: topo.pop("num_aps"), "topology is missing ['num_aps']"),
+        (lambda topo: topo.update(radius=1.0), "topology has unknown keys ['radius']"),
+    ], ids=["missing", "unknown"])
+    def test_topology_keys_must_match(self, tmp_path, change, message):
+        d = scenario_to_dict(desk(seed=8))
+        change(d["topology"])
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            load_scenario(path)
+
     def test_neighbor_count_must_match_the_aps(self):
         d = scenario_to_dict(desk(seed=8, num_aps=3))
         d["neighbors"] = d["neighbors"][:-1]

@@ -40,11 +40,27 @@ class TestInit:
         for sigma in st.sigma:
             np.testing.assert_array_equal(sigma, sc.noise_power * np.eye(sc.pilot_len))
         assert np.all(st.x_agg == 0.0)
-        assert st.x_local.shape == st.received.shape == (len(st.edges.src), sc.num_devices)
+        assert st.x_local.shape == st.received.shape == (len(st.src), sc.num_devices)
         assert np.all(st.x_local == 0.0) and np.all(st.received == 0.0)
-        # A batch of one joins just its problem's own backhaul.
-        for name in ("src", "dst", "send_order"):
-            np.testing.assert_array_equal(getattr(solve.edges, name), getattr(st.edges, name))
+        # A batch of one joins just its problem's own edges.
+        np.testing.assert_array_equal(st.src, solve.edges.src)
+        np.testing.assert_array_equal(st.dst, solve.edges.dst)
+
+    def test_one_problem_reads_the_callers_covariances(self, setup):
+        sc, covs = setup
+        before = covs.copy()
+        st, _ = _setup([(sc, covs, FailurePlan())], num_iters=1)
+        assert np.shares_memory(st.covs, covs)
+        run_batch([(sc, covs, None)], Hyperparams(num_iters=3))
+        np.testing.assert_array_equal(covs, before)
+
+    def test_problems_covariances_stack_in_problem_order(self, setup):
+        sc, covs = setup
+        other = small_scenario(seed=1)
+        other_covs = synthesize(other)
+        batch = [(other, other_covs, None), (sc, covs, None), (isolated(sc), covs, None)]
+        st, _ = _setup(batch, num_iters=1)
+        np.testing.assert_array_equal(st.covs, np.concatenate([other_covs, covs, covs]))
 
     def test_initial_cost_closed_form(self, setup):
         sc, covs = setup
