@@ -210,7 +210,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
-            raise InvalidConfig(f"a config must be a JSON object, got {d!r}")
+            raise InvalidConfig(f"a config must be a JSON object, got {type(d).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known
         if unknown:

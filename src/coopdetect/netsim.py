@@ -12,7 +12,7 @@ delivered per round, and delivered per edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,13 +47,36 @@ class FailurePlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FailurePlan":
+        """The plan a ``to_dict`` document describes.
+
+        Raises InvalidConfig for a document that is not an object, an
+        unknown key, an AP id or round that is not an integer (a bool is
+        not one) and a ``drop_prob`` that is not a number.
+        """
+        if not isinstance(d, dict):
+            raise InvalidConfig(f"a failure plan must be an object, got {type(d).__name__}")
+        unknown = sorted(d.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            raise InvalidConfig(f"failure plan has unknown keys {unknown}")
+
+        def whole(value, what: str) -> int:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidConfig(f"{what} must be an integer, got {value!r}")
+            return int(value)
+
+        drop_prob = d.get("drop_prob", 0.0)
+        real = (int, float, np.integer, np.floating)
+        if isinstance(drop_prob, bool) or not isinstance(drop_prob, real):
+            raise InvalidConfig(f"drop_prob must be a number, got {drop_prob!r}")
         return cls(
-            ap_failures=tuple((int(a), int(r)) for a, r in d.get("ap_failures", ())),
+            ap_failures=tuple((whole(a, "ap_failures AP id"), whole(r, "ap_failures round"))
+                              for a, r in d.get("ap_failures", ())),
             link_failures=tuple(
-                (_norm_edge(e), int(r0), int(r1))
-                for e, r0, r1 in d.get("link_failures", ())
+                (_norm_edge((whole(i, "link_failures AP id"), whole(j, "link_failures AP id"))),
+                 whole(r0, "link_failures round"), whole(r1, "link_failures round"))
+                for (i, j), r0, r1 in d.get("link_failures", ())
             ),
-            drop_prob=float(d.get("drop_prob", 0.0)),
+            drop_prob=float(drop_prob),
         )
 
     def to_dict(self) -> dict:

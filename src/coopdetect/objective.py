@@ -103,9 +103,12 @@ def gradient_matrix(sigma, sample_cov) -> np.ndarray:
 def row_norms(panel: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of the (N, |neighbors|+1) estimate panel.
 
-    Stacked panels may be padded with zero columns to a common width.
+    Stacked panels may be padded with zero columns to a common width.  This
+    is what ``np.linalg.norm(panel, axis=-1)`` computes on real input, bit
+    for bit, without its ``conj()`` pass.
     """
-    return np.linalg.norm(np.atleast_2d(panel.T).T, axis=-1)
+    x = np.atleast_2d(panel.T).T
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 def sparsity_penalty(panel: np.ndarray, theta: float):
@@ -180,7 +183,11 @@ def combiner_weights(own_gamma, neighbor_gammas, rho, receivers=None) -> np.ndar
     if receivers is None:
         receivers = np.zeros(len(nbrs), dtype=int)
     k = np.bincount(receivers, minlength=len(own))
-    dists = np.linalg.norm(nbrs - own[receivers], axis=1)
+    # Euclidean distances with row_norms' bits, squared in place so that no
+    # second (E, N) temporary is made.
+    diff = nbrs - own[receivers]
+    diff *= diff
+    dists = np.sqrt(np.add.reduce(diff, axis=1))
     # The sigmoid of -rho * dists; exp overflows to inf for distant
     # estimates, which gives a weight of exactly 0.
     with np.errstate(over="ignore"):

@@ -355,30 +355,34 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
+def _check_keys(what: str, d: dict, cls) -> None:
+    """Raise InvalidConfig naming the fields of ``cls`` missing from ``d`` and its other keys."""
+    names = [f.name for f in fields(cls)]
+    missing = [name for name in names if name not in d]
+    unknown = sorted(d.keys() - set(names))
+    problems = [f"{what} is missing {missing}"] if missing else []
+    if unknown:
+        problems.append(f"{what} has unknown keys {unknown}")
+    if problems:
+        raise InvalidConfig("; ".join(problems))
+
+
 def scenario_from_dict(d: dict) -> Scenario:
     """The scenario a ``scenario_to_dict`` document describes.
 
     Raises InvalidConfig for a document or topology that is not an object,
-    another schema version, a missing key, a topology key that is missing
-    or unknown, or an array whose shape disagrees with the stated sizes.
+    another schema version, a key or topology key that is missing or
+    unknown, or an array whose shape disagrees with the stated sizes.
     """
     if not isinstance(d, dict):
         raise InvalidConfig(f"a scenario must be a JSON object, got {type(d).__name__}")
     if d.get("schema_version") != SCHEMA_VERSION:
         raise InvalidConfig(f"unsupported schema_version {d.get('schema_version')!r}")
-    missing = [f.name for f in fields(Scenario) if f.name not in d]
-    if missing:
-        raise InvalidConfig(f"scenario is missing {missing}")
+    _check_keys("scenario", d, Scenario)
     topo = d["topology"]
     if not isinstance(topo, dict):
         raise InvalidConfig(f"topology must be a JSON object, got {type(topo).__name__}")
-    missing = [f.name for f in fields(TopologyConfig) if f.name not in topo]
-    unknown = sorted(topo.keys() - {f.name for f in fields(TopologyConfig)})
-    problems = [f"topology is missing {missing}"] if missing else []
-    if unknown:
-        problems.append(f"topology has unknown keys {unknown}")
-    if problems:
-        raise InvalidConfig("; ".join(problems))
+    _check_keys("topology", topo, TopologyConfig)
     values = {f.name: d[f.name] for f in fields(Scenario)}
     values["topology"] = TopologyConfig(**topo)
     b, n = values["topology"].num_aps, d["num_devices"]

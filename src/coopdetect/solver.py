@@ -39,7 +39,13 @@ The live set changes only when a failure plan crashes an AP, in a round
 known before the solve, or when a problem stops early, so the plan is built
 in round 1 and again only in a crash round and in the round after an early
 stop; the in-degrees and first edges, which never change, are kept on the
-batch.  The plan lives in one solve and is dropped with it.
+batch.  The plan lives in one solve and is dropped with it.  When the live
+rows are contiguous, as they are until an AP crashes or one problem of a
+batch stops before the next, the plan also holds them as one slice, so
+that the round reads and writes the batch's per-AP arrays and trace
+columns through views and slice assignments instead of gathers and
+scatters.  The estimates before the step stay a copy: with
+``lag_transmit`` they are sent after ``gamma`` is overwritten.
 
 A problem's :class:`RunResult` is its slices of the batch: its rows of the
 per-AP and edge-indexed arrays and its columns of the trace up to its last
@@ -231,6 +237,7 @@ class _RoundPlan:
     """What a round reads besides the batch: what depends only on which APs are live."""
 
     live: np.ndarray                  # (c,) live rows of the batch, ascending
+    rows: slice | np.ndarray          # ``live`` as a slice when its rows are contiguous
     row: np.ndarray                   # (B,) each AP's position in ``live``, -1 if not live
     ein: slice | np.ndarray           # edges into live APs
     erow: np.ndarray                  # their receivers' positions in ``live``
@@ -346,8 +353,9 @@ def _round_plan(st: _Batch, solves: list[_Solve], t: int) -> _RoundPlan:
     ein = slice(None) if c == b else np.flatnonzero(row[dst] >= 0)     # edges into live APs
     slot = np.arange(len(dst)) - st.first[dst]
     bounds = np.searchsorted(live, [s.aps.start for s in solves] + [b])
-    return _RoundPlan(live, row, ein, row[dst[ein]], slot[ein], st.degree[live], st.cdfs[live],
-                      [is_live[s.aps] for s in solves],
+    rows = slice(live[0], live[-1] + 1) if c and live[-1] - live[0] == c - 1 else live
+    return _RoundPlan(live, rows, row, ein, row[dst[ein]], slot[ein], st.degree[live],
+                      st.cdfs[live], [is_live[s.aps] for s in solves],
                       *_kernel_calls(live, solves, bounds, st.sigma.shape[-1]))
 
 
@@ -361,7 +369,7 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, hyper: Hyperparams,
     estimators stay untouched.
     """
     n = st.gamma.shape[1]
-    src, live, ein, erow = st.src, rplan.live, rplan.ein, rplan.erow
+    src, live, rows, ein, erow = st.src, rplan.live, rplan.rows, rplan.ein, rplan.erow
     own_col = rplan.own_col
     b, e, c = len(st.gamma), len(src), len(live)
 
@@ -370,8 +378,8 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, hyper: Hyperparams,
     # D per matrix in chunks, then each problem's forms, one call per product.
     # The problems share (L, N), so their kernels are of one kind.
     kind = rplan.products[0][2]
-    buf = np.concatenate([operands(gradient_matrix(st.sigma[rows], st.covs[rows]), kind)
-                          for _, rows in rplan.chunks])
+    buf = np.concatenate([operands(gradient_matrix(st.sigma[chunk], st.covs[chunk]), kind)
+                          for _, chunk in rplan.chunks])
     for sl, pilots, kernel in rplan.products:
         grad[sl] = forms(buf[sl], pilots, kernel)
     # The weights come before the panel, so that their temporaries and the
@@ -382,13 +390,13 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, hyper: Hyperparams,
     panel = np.zeros((c, st.cdfs.shape[1], n))
     panel[erow, rplan.eslot] = st.received[ein]
     panel[np.arange(c), own_col] = g_old
-    z = sparsity_step(g_old, grad, st.x_agg[live], panel.swapaxes(1, 2),
+    z = sparsity_step(g_old, grad, st.x_agg[rows], panel.swapaxes(1, 2),
                       hyper.beta, hyper.tau, hyper.eta)
 
     count = own_col + 1
-    sel = np.count_nonzero(rplan.cdfs <= st.draws[live, t - 1, None], axis=1)
+    sel = np.count_nonzero(rplan.cdfs <= st.draws[rows, t - 1, None], axis=1)
     own = sel == own_col
-    pick = np.where(own, e + live, st.first[live] + sel)     # index into the weights
+    pick = np.where(own, e + live, st.first[rows] + sel)     # index into the weights
     weights = np.empty(e + b)
     weights[:e][ein], weights[e + live] = w[:len(erow)], w[len(erow):]
     w_sel = weights[pick]
@@ -402,16 +410,17 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, hyper: Hyperparams,
     st.degenerate[live[ident & ~own]] += 1
     p = np.flatnonzero(~ident)
     if p.size:
-        ep, te = pick[p], tau_eta[p, None]
-        g_new[p], clamps = similarity_prox(z[p], st.x_local[ep], st.received[ep], te)
-        st.clamped[live[p]] += clamps
-        x_new = subgradient_local_update(st.x_local[ep], z[p], g_new[p], te)
+        ep, lp, zp, te = pick[p], live[p], z[p], tau_eta[p, None]
+        x_sel = st.x_local[ep]
+        g_sel, clamps = similarity_prox(zp, x_sel, st.received[ep], te)
+        g_new[p] = g_sel
+        st.clamped[lp] += clamps
+        x_new = subgradient_local_update(x_sel, zp, g_sel, te)
         # Interior prox solutions land in [-1, 1] on their own; when the
         # positivity clamp binds the raw recursion is unbounded, so project
         # onto the range of valid absolute-value subgradients.
         np.clip(x_new, -1.0, 1.0, out=x_new)
-        st.x_agg[live[p]] = subgradient_aggregate_update(
-            st.x_agg[live[p]], w_sel[p, None], x_new, st.x_local[ep])
+        st.x_agg[lp] = subgradient_aggregate_update(st.x_agg[lp], w_sel[p, None], x_new, x_sel)
         st.x_local[ep] = x_new
 
     delta = g_new - g_old
@@ -420,16 +429,15 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, hyper: Hyperparams,
     # its product's own linalg.add_outer_sums gives it.
     for sl, pilots, kernel in rplan.products:
         outer_sums(delta[sl], pilots, kernel, out=buf[sl])
-    rows = slice(live[0], live[-1] + 1) if live[-1] - live[0] == c - 1 else live
     st.sigma[rows] = add_outer_sums(st.sigma[rows], buf, kind)
-    st.gamma[live] = g_new
-    st.t[live] += 1
-    st.delta[live] = np.max(np.abs(delta), axis=1, initial=0.0)
+    st.gamma[rows] = g_new
+    st.t[rows] += 1
+    st.delta[rows] = np.max(np.abs(delta), axis=1, initial=0.0)
 
     cost = np.full(c, np.nan)
     if options.record_cost:
-        for sl, rows in rplan.chunks:
-            cost[sl] = ml_cost_given_factor(cholesky_factor(st.sigma[rows]), st.covs[rows])
+        for sl, chunk in rplan.chunks:
+            cost[sl] = ml_cost_given_factor(cholesky_factor(st.sigma[chunk]), st.covs[chunk])
         panel[np.arange(c), own_col] = g_new
         cost += hyper.beta * sparsity_penalty(panel.swapaxes(1, 2), hyper.theta)
         sim = np.abs(g_new[erow] - st.received[ein]).sum(axis=1)
@@ -437,11 +445,11 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, hyper: Hyperparams,
     selected = live.copy()
     selected[~own] = src[pick[~own]]
     trace = st.trace
-    trace.cost[t - 1, live] = cost
-    trace.selected[t - 1, live] = selected - st.base[live]
-    trace.clamped[t - 1, live] = st.clamped[live]
-    trace.degenerate[t - 1, live] = st.degenerate[live]
-    trace.delta[t - 1, live] = st.delta[live]
+    trace.cost[t - 1, rows] = cost
+    trace.selected[t - 1, rows] = selected - st.base[rows]
+    trace.clamped[t - 1, rows] = st.clamped[rows]
+    trace.degenerate[t - 1, rows] = st.degenerate[rows]
+    trace.delta[t - 1, rows] = st.delta[rows]
     return g_old if options.lag_transmit else g_new
 
 

@@ -84,6 +84,18 @@ class TestConfig:
         with pytest.raises(InvalidConfig, match="unknown"):
             ExperimentConfig.from_dict({"bogus_field": 1})
 
+    def test_non_object_is_named_by_its_type(self):
+        with pytest.raises(InvalidConfig) as err:
+            ExperimentConfig.from_dict(list(range(2000)))
+        assert str(err.value) == "a config must be a JSON object, got list"
+
+    def test_failure_plan_with_an_unknown_key_is_a_config_problem(self):
+        cfg = desk_fixture(1, failure_plan={"drop_probability": 0.5, "ap_failure": [[0, 2]]})
+        with pytest.raises(InvalidConfig, match=re.escape(
+                "failure_plan invalid: failure plan has unknown keys "
+                "['ap_failure', 'drop_probability']")):
+            cfg.validate()
+
     def test_config_hash_ignores_output_paths(self):
         a = tiny_config(out_dir=None)
         b = tiny_config(out_dir="/tmp/x", workers=3)

@@ -153,6 +153,26 @@ class TestSolve:
             a = random_hpd(rng, dim)
             assert np.linalg.norm(a @ inverse(a) - np.eye(dim)) <= 1e-10 * np.sqrt(dim)
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 5, 6, 7, 13, 24, 48, 64]),
+           st.integers(1, 30))
+    def test_each_matrix_of_a_stack_is_its_own(self, seed, dim, count):
+        # The recursion joins halves of different matrices into one LAPACK
+        # call; each matrix must still get what it gets alone, bit for bit.
+        rng = np.random.default_rng(seed)
+        stack = np.stack([random_hpd(rng, dim) for _ in range(count)])
+        got = inverse(stack)
+        for a, inv in zip(stack, got):
+            want = np.linalg.inv(a)
+            assert np.abs(inv - want).max() <= 1e-10 * np.abs(want).max()
+            assert inverse(a).tobytes() == inv.tobytes()
+
+    @pytest.mark.parametrize("dim", [24, 48, 64])
+    def test_one_lu_call_per_stack_when_every_split_is_even(self, dim):
+        low = cholesky_factor(np.stack([np.eye(dim, dtype=complex)] * 3))
+        with mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as lu:
+            inverse_from_factor(low)
+        assert lu.call_count == 1
+
 
 hpd_stacks = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 4),
                        st.sampled_from([1, 2, 3, 7, 24, 64]))

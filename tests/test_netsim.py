@@ -1,5 +1,7 @@
 """Backhaul delivery, failure injection, and ledger conservation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,31 @@ class TestFailurePlan:
             FailurePlan(drop_prob=-0.1)
         with pytest.raises(InvalidConfig):
             FailurePlan(drop_prob=1.5)
+
+    def test_from_dict_names_unknown_keys(self):
+        with pytest.raises(InvalidConfig, match=re.escape(
+                "failure plan has unknown keys ['ap_failure', 'drop_probability']")):
+            FailurePlan.from_dict({"drop_probability": 0.5, "ap_failure": [[0, 2]]})
+
+    @pytest.mark.parametrize("d, message", [
+        ({"ap_failures": [[1.7, 2]]}, "ap_failures AP id must be an integer, got 1.7"),
+        ({"ap_failures": [[1, 2.9]]}, "ap_failures round must be an integer, got 2.9"),
+        ({"ap_failures": [[True, 2]]}, "ap_failures AP id must be an integer, got True"),
+        ({"link_failures": [[[0, 1.0], 2, 3]]}, "link_failures AP id must be an integer, got 1.0"),
+        ({"link_failures": [[[0, 1], 2, "3"]]}, "link_failures round must be an integer, got '3'"),
+    ], ids=["float_ap", "float_round", "bool_ap", "float_edge", "string_round"])
+    def test_from_dict_rejects_non_integer_ids_and_rounds(self, d, message):
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            FailurePlan.from_dict(d)
+
+    def test_from_dict_rejects_a_bool_drop_prob(self):
+        with pytest.raises(InvalidConfig, match=re.escape("drop_prob must be a number, got True")):
+            FailurePlan.from_dict({"drop_prob": True})
+
+    def test_from_dict_takes_numpy_integers(self):
+        plan = FailurePlan.from_dict({"ap_failures": [[np.int64(1), np.int32(2)]],
+                                      "drop_prob": np.float64(0.5)})
+        assert plan == FailurePlan(ap_failures=((1, 2),), drop_prob=0.5)
 
     def test_dict_roundtrip(self):
         plan = FailurePlan(ap_failures=((1, 5),),

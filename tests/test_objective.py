@@ -327,6 +327,39 @@ class TestCombiners:
             assert w[0] / 2.0 == pytest.approx(1.0 / (1.0 + math.exp(-x)), rel=1e-15, abs=0)
 
 
+class TestNormsAreNumpys:
+    """The norms objective computes itself are ``np.linalg.norm``'s, bit for bit."""
+
+    def test_row_norms(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            c, k, n = rng.integers(1, 7), rng.integers(1, 8), rng.integers(1, 60)
+            # Stored (c, K, N) as the round stores panels, read (c, N, K).
+            panel = rng.normal(size=(c, k, n)) * rng.exponential(size=(c, 1, n))
+            panel[:, :, rng.random(n) < 0.3] = 0.0                    # zero rows
+            panel[:, rng.integers(1, k + 1):] = 0.0                   # padding
+            for view in (panel.swapaxes(1, 2), panel[0].T, np.ascontiguousarray(panel[0].T)):
+                assert row_norms(view).tobytes() == np.linalg.norm(view, axis=-1).tobytes()
+
+    def test_combiner_distances(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            b, n = rng.integers(1, 6), rng.integers(1, 60)
+            own = rng.uniform(0, 1, (b, n)) * (rng.random((b, n)) < 0.7)
+            receivers = np.sort(rng.integers(0, b, rng.integers(1, 12)))
+            nbrs = own[receivers] + rng.normal(scale=0.01, size=(len(receivers), n))
+            same = rng.random(len(receivers)) < 0.3
+            nbrs[same] = own[receivers[same]]                         # distance 0
+            rho = 500.0
+            k = np.bincount(receivers, minlength=b)
+            dists = np.linalg.norm(nbrs - own[receivers], axis=1)
+            with np.errstate(over="ignore"):
+                w = (2.0 / k[receivers]) * (1.0 / (1.0 + np.exp(rho * dists)))
+            want = np.concatenate([w, 1.0 - np.bincount(receivers, w, minlength=b)])
+            got = combiner_weights(own, nbrs, rho, receivers=receivers)
+            assert got.tobytes() == want.tobytes()
+
+
 class TestStepSize:
     def test_matched_prob(self):
         assert stochastic_step_size(0.25, 0.003, 0.25) == pytest.approx(0.003)

@@ -345,6 +345,13 @@ class TestSerialization:
         with pytest.raises(InvalidConfig, match=re.escape(message)):
             load_scenario(path)
 
+    def test_unknown_top_level_key_is_named(self):
+        d = scenario_to_dict(desk(seed=8))
+        d["pilot_length"] = 99
+        with pytest.raises(InvalidConfig,
+                           match=re.escape("scenario has unknown keys ['pilot_length']")):
+            scenario_from_dict(d)
+
     def test_neighbor_count_must_match_the_aps(self):
         d = scenario_to_dict(desk(seed=8, num_aps=3))
         d["neighbors"] = d["neighbors"][:-1]

@@ -384,6 +384,16 @@ class TestSetupOnce:
         assert res.rounds_completed == 12
         assert build.call_count == builds
 
+    @pytest.mark.parametrize("down, sliced", [((), True), ((0,), True), ((1,), False),
+                                              ((0, 1, 2), False)])
+    def test_contiguous_live_rows_are_a_slice(self, setup, down, sliced):
+        sc, covs = setup
+        plan = FailurePlan(ap_failures=tuple((ap, 1) for ap in down))
+        st, solves = _setup([(sc, covs, plan)], num_iters=1)
+        rplan = solver._round_plan(st, solves, 1)
+        assert isinstance(rplan.rows, slice) == sliced
+        np.testing.assert_array_equal(np.arange(sc.num_aps)[rplan.rows], rplan.live)
+
     def test_round_plan_rebuilt_after_an_early_stop(self, setup):
         # Sample covariances that equal the initial covariance leave every estimate at
         # zero, so that problem stops after round 1 while the other one runs on.
