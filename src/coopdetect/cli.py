@@ -7,6 +7,7 @@ import sys
 
 from .errors import CoopDetectError, InvalidConfig
 from .harness import (
+    AXIS_FIELDS,
     MODES,
     ExperimentConfig,
     calibrate,
@@ -36,9 +37,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _parse_sweep(text: str):
     if "=" in text:
         axis, raw = text.split("=", 1)
-        values = []
+        values, axis_kind = [], AXIS_FIELDS.get(axis, (None, int))[1]
         for v in raw.split(","):
-            kind = float if "." in v or axis == "snr_db" else int
+            kind = float if "." in v else axis_kind
             try:
                 values.append(kind(v))
             except ValueError:

@@ -24,7 +24,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import numbers
 import os
 import typing
 from dataclasses import dataclass, replace
@@ -33,7 +32,7 @@ from functools import cache
 import numpy as np
 
 from . import metrics, solver
-from .errors import InvalidConfig
+from .errors import InvalidConfig, check_keys, is_finite, is_integer, is_number
 from .netsim import FailurePlan
 from .objective import Hyperparams
 from .scenario import (
@@ -41,7 +40,6 @@ from .scenario import (
     TopologyConfig,
     build_topology,
     check_sizes,
-    is_finite,
     isolated,
     make_scenario,
     read_json,
@@ -49,9 +47,9 @@ from .scenario import (
 )
 
 # Sweep axis -> the config field it sets and that field's type.
-_AXIS_FIELDS = {"coop_degree": ("degree", int), "M": ("num_antennas", int),
+AXIS_FIELDS = {"coop_degree": ("degree", int), "M": ("num_antennas", int),
                 "L": ("pilot_len", int), "snr_db": ("snr_db", float)}
-SWEEP_AXES = tuple(_AXIS_FIELDS)
+SWEEP_AXES = tuple(AXIS_FIELDS)
 MODES = ("cmd", "no_coop")
 
 # Most APs, over all trials and modes, that one batched solve advances, with
@@ -59,11 +57,13 @@ MODES = ("cmd", "no_coop")
 # arrays and temporaries grow with it.
 BATCH_APS = 256
 
-# What each type a config field is annotated with accepts, and its name in messages.
-_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
-          str: (str, "a string"), bool: (bool, "true or false"),
-          tuple: ((tuple, list), "a list"), dict: (dict, "an object"),
-          type(None): (type(None), "null")}
+# The test for each type a config field is annotated with, and its name in messages.
+_KINDS = {int: (is_integer, "an integer"), float: (is_number, "a number"),
+          bool: (lambda v: v is True or v is False, "true or false"),
+          type(None): (lambda v: v is None, "null"),
+          str: (lambda v: isinstance(v, str), "a string"),
+          tuple: (lambda v: isinstance(v, (tuple, list)), "a list"),
+          dict: (lambda v: isinstance(v, dict), "an object")}
 
 # Config fields that change no result, so no hash or summary holds them.
 _EXECUTION_FIELDS = ("out_dir", "workers")
@@ -113,28 +113,25 @@ class ExperimentConfig:
         """Raise InvalidConfig naming every problem a run of this config would hit."""
         # The checks below compare and convert values, so a field of another type stops here.
         wrong = []
-        for name, (kinds, what) in _field_kinds().items():
+        for name, kinds in _field_kinds().items():
             value = getattr(self, name)
-            # A bool is an int to isinstance, but true is not a count.
-            if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
-                wrong.append(f"{name} must be {what}, got {value!r}")
+            if not any(test(value) for test, _ in kinds):
+                wrong.append(f"{name} must be {' or '.join(what for _, what in kinds)}, "
+                             f"got {value!r}")
         if wrong:
             raise InvalidConfig("; ".join(wrong))
         problems = []
         for name in ("trials", "calibration_trials", "workers"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
-        # Only finite numbers reach _at_point, which would raise on anything
-        # else; a bool is a number to isinstance, but true is no sweep value.
-        ok = [isinstance(v, numbers.Real) and not isinstance(v, bool) and is_finite(v)
-              for v in self.sweep_values]
-        values = [v for v, good in zip(self.sweep_values, ok) if good]
-        if not all(ok):
-            problems.append("sweep_values must be finite numbers, got "
-                            f"{[v for v, good in zip(self.sweep_values, ok) if not good]}")
+        # Only finite numbers reach _at_point, which would raise on anything else.
+        values = [v for v in self.sweep_values if is_finite(v)]
+        bad = [v for v in self.sweep_values if not is_finite(v)]
+        if bad:
+            problems.append(f"sweep_values must be finite numbers, got {bad}")
         if self.sweep_axis not in SWEEP_AXES:
             problems.append(f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
-        elif _AXIS_FIELDS[self.sweep_axis][1] is int:
+        elif AXIS_FIELDS[self.sweep_axis][1] is int:
             # _at_point truncates with int(), which would run 1.5 as 1 under the label 1.5.
             fractional = [v for v in values if v != int(v)]
             if fractional:
@@ -159,17 +156,13 @@ class ExperimentConfig:
         # The threshold scale must be positive; an iota of None is calibrated.
         if self.iota is not None and not (is_finite(self.iota) and self.iota > 0):
             problems.append(f"iota must be positive and finite, got {self.iota}")
-        # The AER needs both classes: active and inactive devices.
-        if self.num_devices > 0 and self.num_active in (0, self.num_devices):
-            problems.append(f"num_active must be in [1, {self.num_devices - 1}] for the AER "
-                            f"to be defined, got {self.num_active}")
-        if self.b0_mode not in ("nearest", "max_gamma"):
-            problems.append(f"b0_mode must be 'nearest' or 'max_gamma', got {self.b0_mode!r}")
+        if self.b0_mode not in metrics.B0_MODES:
+            problems.append(f"b0_mode must be one of {metrics.B0_MODES}, got {self.b0_mode!r}")
         plan = None
         if self.failure_plan is not None:
             try:
                 plan = FailurePlan.from_dict(self.failure_plan)
-            except (InvalidConfig, TypeError, KeyError, ValueError) as err:
+            except InvalidConfig as err:
                 problems.append(f"failure_plan invalid: {err}")
         # A trial's own checks at every sweep point; points failing alike share a
         # message.  Trials run only at sweep points, so the config's own value of
@@ -189,6 +182,10 @@ class ExperimentConfig:
                 check_sizes(point.num_devices, point.num_active, point.pilot_len,
                             point.num_antennas, point.snr_db, _resolved_gain_ref(point),
                             point.pathloss_exponent)
+                # The AER needs both classes: active and inactive devices.
+                if point.num_active in (0, point.num_devices):
+                    raise InvalidConfig(f"num_active must be in [1, {point.num_devices - 1}] "
+                                        f"for the AER to be defined, got {point.num_active}")
                 if plan is not None:
                     plan.validate(neighbors(topo), point.num_iters)
             except InvalidConfig as err:
@@ -209,12 +206,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise InvalidConfig(f"a config must be a JSON object, got {type(d).__name__}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise InvalidConfig(f"unknown config fields: {sorted(unknown)}")
+        check_keys("config", d, cls, partial=True)
         d = dict(d)
         for name in ("sweep_values", "modes"):
             # Only lists: a bare string would become a tuple of its characters.
@@ -237,12 +229,9 @@ class ExperimentConfig:
 
 @cache
 def _field_kinds() -> dict:
-    """Per config field, the types it accepts and how messages name them."""
-    out = {}
-    for name, hint in typing.get_type_hints(ExperimentConfig).items():
-        kinds = [_KINDS[k] for k in typing.get_args(hint) or (hint,)]
-        out[name] = (tuple(kind for kind, _ in kinds), " or ".join(what for _, what in kinds))
-    return out
+    """Per config field, the ``_KINDS`` entry of each type it accepts."""
+    return {name: [_KINDS[k] for k in typing.get_args(hint) or (hint,)]
+            for name, hint in typing.get_type_hints(ExperimentConfig).items()}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -250,7 +239,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def desk_fixture(master_seed: int, **overrides) -> ExperimentConfig:
-    """Minutes-scale configuration used by the acceptance suite and demos.
+    """Seconds-scale configuration used by the acceptance suite and demos.
 
     Scenario sizes follow the reference desk scale (5 APs, 100 devices, 10
     active, 24-symbol pilots, 16 antennas, 10 dB).  The similarity weight,
@@ -284,7 +273,7 @@ def desk_fixture(master_seed: int, **overrides) -> ExperimentConfig:
 
 def _at_point(cfg: ExperimentConfig, sweep_value) -> ExperimentConfig:
     """The config with the sweep axis value applied."""
-    name, kind = _AXIS_FIELDS[cfg.sweep_axis]
+    name, kind = AXIS_FIELDS[cfg.sweep_axis]
     return replace(cfg, **{name: kind(sweep_value)})
 
 

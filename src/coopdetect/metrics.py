@@ -23,6 +23,8 @@ import numpy as np
 from .errors import DegenerateClasses, DimensionMismatch, InvalidConfig
 from .scenario import Scenario
 
+B0_MODES = ("nearest", "max_gamma")
+
 
 @dataclass
 class DetectionReport:
@@ -40,11 +42,9 @@ class DetectionReport:
 
 def assign_aps(gamma_est: np.ndarray, scenario: Scenario, b0_mode: str = "nearest") -> np.ndarray:
     """Pick the AP whose estimate decides each device."""
-    if b0_mode == "nearest":
-        return scenario.nearest_ap()
-    if b0_mode == "max_gamma":
-        return np.argmax(gamma_est, axis=0)
-    raise InvalidConfig(f"unknown b0_mode {b0_mode!r}")
+    if b0_mode not in B0_MODES:
+        raise InvalidConfig(f"unknown b0_mode {b0_mode!r}")
+    return scenario.nearest_ap() if b0_mode == "nearest" else np.argmax(gamma_est, axis=0)
 
 
 def detect(gamma_est: np.ndarray, scenario: Scenario, iota: float,

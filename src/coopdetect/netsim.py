@@ -12,16 +12,24 @@ delivered per round, and delivered per edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfig, UnknownEdge
+from .errors import InvalidConfig, UnknownEdge, check_integers, check_keys, is_number
 
 
-def _norm_edge(edge) -> tuple[int, int]:
-    a, b = int(edge[0]), int(edge[1])
-    return (a, b) if a <= b else (b, a)
+def _listed(value, what: str, size: int | None = None) -> tuple:
+    """``value`` as a tuple; InvalidConfig unless it is a list or tuple (of ``size`` elements)."""
+    if not isinstance(value, (tuple, list)) or size is not None and len(value) != size:
+        elements = "" if size is None else f" of {size} elements"
+        raise InvalidConfig(f"{what} must be a list{elements}, got {value!r}")
+    return tuple(value)
+
+
+def _whole(value, what: str) -> int:
+    check_integers({what: value})
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -32,7 +40,9 @@ class FailurePlan:
     and transmitting at every round >= from_round, but its last estimates
     stay usable by neighbors.  ``link_failures`` holds (edge, from_round,
     to_round) with inclusive bounds; edges are undirected.  ``drop_prob``
-    drops each remaining message independently.
+    drops each remaining message independently.  However built, a plan
+    checks its fields (InvalidConfig) and holds int tuples, each edge as
+    (low, high), and a float ``drop_prob``.
     """
 
     ap_failures: tuple[tuple[int, int], ...] = ()
@@ -40,44 +50,29 @@ class FailurePlan:
     drop_prob: float = 0.0
 
     def __post_init__(self):
+        aps = tuple((_whole(a, "ap_failures AP id"), _whole(r, "ap_failures round"))
+                    for a, r in (_listed(x, "an ap_failures entry", 2)
+                                 for x in _listed(self.ap_failures, "ap_failures")))
+        links = tuple((tuple(sorted(_whole(i, "link_failures AP id")
+                                    for i in _listed(edge, "a link_failures edge", 2))),
+                       _whole(r0, "link_failures round"), _whole(r1, "link_failures round"))
+                      for edge, r0, r1 in (_listed(x, "a link_failures entry", 3)
+                                           for x in _listed(self.link_failures, "link_failures")))
+        if not is_number(self.drop_prob):
+            raise InvalidConfig(f"drop_prob must be a number, got {self.drop_prob!r}")
         # drop_prob == 1 is allowed: it degenerates cooperation entirely,
         # which is a useful ablation.
         if not 0.0 <= self.drop_prob <= 1.0:
             raise InvalidConfig(f"drop_prob must be in [0, 1], got {self.drop_prob}")
+        object.__setattr__(self, "ap_failures", aps)
+        object.__setattr__(self, "link_failures", links)
+        object.__setattr__(self, "drop_prob", float(self.drop_prob))
 
     @classmethod
     def from_dict(cls, d: dict) -> "FailurePlan":
-        """The plan a ``to_dict`` document describes.
-
-        Raises InvalidConfig for a document that is not an object, an
-        unknown key, an AP id or round that is not an integer (a bool is
-        not one) and a ``drop_prob`` that is not a number.
-        """
-        if not isinstance(d, dict):
-            raise InvalidConfig(f"a failure plan must be an object, got {type(d).__name__}")
-        unknown = sorted(d.keys() - {f.name for f in fields(cls)})
-        if unknown:
-            raise InvalidConfig(f"failure plan has unknown keys {unknown}")
-
-        def whole(value, what: str) -> int:
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidConfig(f"{what} must be an integer, got {value!r}")
-            return int(value)
-
-        drop_prob = d.get("drop_prob", 0.0)
-        real = (int, float, np.integer, np.floating)
-        if isinstance(drop_prob, bool) or not isinstance(drop_prob, real):
-            raise InvalidConfig(f"drop_prob must be a number, got {drop_prob!r}")
-        return cls(
-            ap_failures=tuple((whole(a, "ap_failures AP id"), whole(r, "ap_failures round"))
-                              for a, r in d.get("ap_failures", ())),
-            link_failures=tuple(
-                (_norm_edge((whole(i, "link_failures AP id"), whole(j, "link_failures AP id"))),
-                 whole(r0, "link_failures round"), whole(r1, "link_failures round"))
-                for (i, j), r0, r1 in d.get("link_failures", ())
-            ),
-            drop_prob=float(drop_prob),
-        )
+        """The plan a ``to_dict`` document describes; InvalidConfig for a malformed one."""
+        check_keys("failure plan", d, cls, partial=True)
+        return cls(**d)
 
     def to_dict(self) -> dict:
         return {
@@ -96,7 +91,7 @@ class FailurePlan:
             if not 1 <= rnd <= num_rounds:
                 problems.append(f"ap_failures round {rnd} outside [1, {num_rounds}]")
         for edge, r0, r1 in self.link_failures:
-            i, j = _norm_edge(edge)
+            i, j = edge
             if not (0 <= i < b and 0 <= j < b and j in neighbors[i]):
                 problems.append(f"link_failures references unknown edge {edge}")
             if not (1 <= r0 <= r1 <= num_rounds):

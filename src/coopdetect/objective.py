@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import is_finite, is_integer
 from .linalg import cholesky_factor, inverse_from_factor, logdet_from_factor
-from .scenario import is_finite
 
 ROWNORM_FLOOR = 1e-12  # below this a panel row counts as zero (no shrink term)
 
@@ -55,7 +55,7 @@ class Hyperparams:
             value = getattr(self, name)
             if not (is_finite(value) and value >= 0):
                 problems.append(f"{name} must be nonnegative and finite, got {value}")
-        if isinstance(self.num_iters, bool) or not isinstance(self.num_iters, (int, np.integer)):
+        if not is_integer(self.num_iters):
             problems.append(f"num_iters must be an integer, got {self.num_iters!r}")
         elif self.num_iters < 1:
             problems.append(f"num_iters must be >= 1, got {self.num_iters}")
@@ -148,7 +148,7 @@ def similarity_prox(z, x_sel, anchor, tau_eta) -> tuple[np.ndarray, int]:
     shift = np.minimum(tau_eta * np.sign(v - np.asarray(anchor, dtype=float)), v)
     out = np.where(v == 0.0, 0.0, v - shift)
     negative = out < 0.0
-    return np.where(negative, 0.0, out), np.count_nonzero(negative, axis=-1)
+    return np.where(negative, 0.0, out), negative.sum(axis=-1)
 
 
 def subgradient_local_update(x_old, z, gamma_new, tau_eta) -> np.ndarray:

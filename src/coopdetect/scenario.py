@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, check_integers, check_keys, is_finite, is_integer
 
 SCHEMA_VERSION = 1
 
@@ -45,6 +45,7 @@ class TopologyConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers({"num_aps": self.num_aps, "degree": self.degree, "seed": self.seed})
         problems = []
         if self.num_aps <= 0:
             problems.append(f"num_aps must be positive, got {self.num_aps}")
@@ -168,17 +169,11 @@ def snr_to_noise(gains: np.ndarray, activity: np.ndarray, nearest: np.ndarray,
     return ref / 10.0 ** (snr_db / 10.0)
 
 
-def is_finite(x) -> bool:
-    """Whether the real number ``x`` is finite; an int too large for a float is not."""
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
-
-
 def check_sizes(num_devices: int, num_active: int, pilot_len: int, num_antennas: int,
                 snr_db: float, gain_ref: float | None, pathloss_exponent: float) -> None:
     """Raise InvalidConfig unless :func:`make_scenario` can draw these sizes, SNR and gains."""
+    check_integers({"num_devices": num_devices, "num_active": num_active,
+                    "pilot_len": pilot_len, "num_antennas": num_antennas})
     problems = []
     if num_devices <= 0:
         problems.append(f"num_devices must be positive, got {num_devices}")
@@ -355,36 +350,22 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
-def _check_keys(what: str, d: dict, cls) -> None:
-    """Raise InvalidConfig naming the fields of ``cls`` missing from ``d`` and its other keys."""
-    names = [f.name for f in fields(cls)]
-    missing = [name for name in names if name not in d]
-    unknown = sorted(d.keys() - set(names))
-    problems = [f"{what} is missing {missing}"] if missing else []
-    if unknown:
-        problems.append(f"{what} has unknown keys {unknown}")
-    if problems:
-        raise InvalidConfig("; ".join(problems))
-
-
 def scenario_from_dict(d: dict) -> Scenario:
     """The scenario a ``scenario_to_dict`` document describes.
 
     Raises InvalidConfig for a document or topology that is not an object,
-    another schema version, a key or topology key that is missing or
-    unknown, or an array whose shape disagrees with the stated sizes.
+    another schema version, a missing or unknown key, values that
+    :func:`make_scenario` would reject, a noise power or seed out of range,
+    or an array whose shape disagrees with the stated sizes.
     """
-    if not isinstance(d, dict):
-        raise InvalidConfig(f"a scenario must be a JSON object, got {type(d).__name__}")
-    if d.get("schema_version") != SCHEMA_VERSION:
+    # The version comes first: another version's document has other keys.
+    if isinstance(d, dict) and d.get("schema_version") != SCHEMA_VERSION:
         raise InvalidConfig(f"unsupported schema_version {d.get('schema_version')!r}")
-    _check_keys("scenario", d, Scenario)
-    topo = d["topology"]
-    if not isinstance(topo, dict):
-        raise InvalidConfig(f"topology must be a JSON object, got {type(topo).__name__}")
-    _check_keys("topology", topo, TopologyConfig)
-    values = {f.name: d[f.name] for f in fields(Scenario)}
-    values["topology"] = TopologyConfig(**topo)
+    check_keys("scenario", d, Scenario)
+    check_keys("topology", d["topology"], TopologyConfig)
+    values = {**d, "topology": TopologyConfig(**d["topology"])}
+    check_sizes(*(d[name] for name in ("num_devices", "num_active", "pilot_len", "num_antennas",
+                                       "snr_db", "gain_ref", "pathloss_exponent")))
     b, n = values["topology"].num_aps, d["num_devices"]
     # pilots is stored as (re, im) pairs.
     shapes = {"ap_pos": (b, 2), "device_pos": (n, 2), "gains": (b, n), "activity": (n,),
@@ -394,6 +375,10 @@ def scenario_from_dict(d: dict) -> Scenario:
              for name, shape in shapes.items() if values[name].shape != shape]
     if len(d["neighbors"]) != b:
         wrong.append(f"neighbors has {len(d['neighbors'])} entries, expected {b}")
+    if not (is_finite(d["noise_power"]) and d["noise_power"] > 0):
+        wrong.append(f"noise_power must be positive and finite, got {d['noise_power']!r}")
+    if not (is_integer(d["seed"]) and d["seed"] >= 0):
+        wrong.append(f"seed must be a nonnegative integer, got {d['seed']!r}")
     if wrong:
         raise InvalidConfig("; ".join(wrong))
     values.update(neighbors=tuple(tuple(nb) for nb in d["neighbors"]),

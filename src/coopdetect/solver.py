@@ -394,7 +394,7 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, hyper: Hyperparams,
                       hyper.beta, hyper.tau, hyper.eta)
 
     count = own_col + 1
-    sel = np.count_nonzero(rplan.cdfs <= st.draws[rows, t - 1, None], axis=1)
+    sel = (rplan.cdfs <= st.draws[rows, t - 1, None]).sum(axis=1)
     own = sel == own_col
     pick = np.where(own, e + live, st.first[rows] + sel)     # index into the weights
     weights = np.empty(e + b)
@@ -406,7 +406,7 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, hyper: Hyperparams,
     negative = z < 0.0
     g_new = np.where(negative, 0.0, z)
     ident = own | (tau_eta == 0.0)
-    st.clamped[live[ident]] += np.count_nonzero(negative[ident], axis=1)
+    st.clamped[live[ident]] += negative[ident].sum(axis=1)
     st.degenerate[live[ident & ~own]] += 1
     p = np.flatnonzero(~ident)
     if p.size:

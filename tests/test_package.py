@@ -51,3 +51,45 @@ def test_every_import_is_used():
         unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
                    if name not in read]
     assert not unused
+
+
+def _sources() -> dict:
+    return {path.name: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(Path(coopdetect.__file__).parent.glob("*.py"))}
+
+
+def test_only_errors_tells_a_bool_from_a_number():
+    # errors.is_number, is_integer and is_finite own the rule that a bool is
+    # not a number; an isinstance(..., bool) elsewhere writes it a second time.
+    found = []
+    for name, tree in _sources().items():
+        for node in ast.walk(tree):
+            if (name != "errors.py" and isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                    and len(node.args) == 2):
+                kinds = node.args[1]
+                kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+                if any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds):
+                    found.append(f"{name}:{node.lineno}")
+    assert not found
+
+
+def test_only_errors_words_a_document_check():
+    # errors.check_keys owns the non-object and unknown-key checks of every reader.
+    phrases = ("has unknown keys", "must be a JSON object")
+    found = [f"{name}:{node.lineno}" for name, tree in _sources().items() if name != "errors.py"
+             for node in ast.walk(tree) if isinstance(node, ast.Constant)
+             and isinstance(node.value, str) and any(p in node.value for p in phrases)]
+    assert not found
+
+
+def test_validate_catches_only_invalid_config_from_the_plan_reader():
+    # FailurePlan raises InvalidConfig for every malformed plan, so a wider
+    # except would hide a defect of the plan's own checks.
+    tree = _sources()["harness.py"]
+    validate = next(node for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == "validate")
+    reads = [node for node in ast.walk(validate) if isinstance(node, ast.Try)
+             and "FailurePlan.from_dict" in "".join(map(ast.unparse, node.body))]
+    caught = [ast.unparse(handler.type) for node in reads for handler in node.handlers]
+    assert caught and set(caught) == {"InvalidConfig"}

@@ -78,6 +78,16 @@ class TestTopology:
             with pytest.raises(InvalidConfig, match="ap_spacing must be positive"):
                 TopologyConfig(num_aps=3, degree=1, ap_spacing=spacing)
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(num_aps="5"), "num_aps must be an integer, got '5'"),
+        (dict(degree=1.0), "degree must be an integer, got 1.0"),
+        (dict(seed=True), "seed must be an integer, got True"),
+        (dict(ap_spacing="x"), "ap_spacing must be positive and finite, got x"),
+    ], ids=["num_aps", "degree", "seed", "spacing"])
+    def test_wrongly_typed_field_is_invalid_config(self, fields, message):
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            TopologyConfig(**{"num_aps": 3, "degree": 1, **fields})
+
     def test_zero_degree_isolates(self):
         _, neighbors = build_topology(TopologyConfig(num_aps=4, degree=0))
         assert neighbors == ((), (), (), ())
@@ -351,6 +361,25 @@ class TestSerialization:
         with pytest.raises(InvalidConfig,
                            match=re.escape("scenario has unknown keys ['pilot_length']")):
             scenario_from_dict(d)
+
+    # Each of these loaded before and failed only in synthesize or at load with a bare error.
+    @pytest.mark.parametrize("change, message", [
+        (lambda d: d.update(num_antennas=0), "num_antennas must be positive, got 0"),
+        (lambda d: d.update(num_antennas=2.5), "num_antennas must be an integer, got 2.5"),
+        (lambda d: d.update(noise_power=-1.0), "noise_power must be positive and finite, got -1.0"),
+        (lambda d: d.update(noise_power="x"), "noise_power must be positive and finite, got 'x'"),
+        (lambda d: d.update(seed=-1), "seed must be a nonnegative integer, got -1"),
+        (lambda d: d.update(snr_db=None), "snr_db must be finite, got None"),
+        (lambda d: d["topology"].update(num_aps="5"), "num_aps must be an integer, got '5'"),
+    ], ids=["no_antennas", "fractional_antennas", "negative_noise", "string_noise",
+            "negative_seed", "null_snr", "string_num_aps"])
+    def test_values_the_generator_rejects_are_rejected_at_load(self, tmp_path, change, message):
+        d = scenario_to_dict(desk(seed=8, num_aps=3))
+        change(d)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            load_scenario(path)
 
     def test_neighbor_count_must_match_the_aps(self):
         d = scenario_to_dict(desk(seed=8, num_aps=3))

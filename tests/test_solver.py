@@ -262,6 +262,12 @@ class TestFailures:
             with pytest.raises(ConfigMismatch, match=re.escape(message)):
                 run(sc, covs, Hyperparams(**{"num_iters": 5, name: value}))
 
+    def test_string_hyperparameter_is_a_package_error(self, setup):
+        sc, covs = setup
+        assert Hyperparams(eta="x").problems() == ["eta must be positive and finite, got x"]
+        with pytest.raises(ConfigMismatch, match="eta must be positive and finite, got x"):
+            run(sc, covs, Hyperparams(eta="x", num_iters=5))
+
     def test_plan_validated_against_rounds(self, setup):
         sc, covs = setup
         plan = FailurePlan(ap_failures=((0, 99),))
