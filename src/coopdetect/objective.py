@@ -100,6 +100,19 @@ def gradient_matrix(sigma, sample_cov) -> np.ndarray:
     return inv - inv @ sample_cov @ inv
 
 
+def noise_gradient_matrix(sigma, sample_cov) -> np.ndarray:
+    """:func:`gradient_matrix` at a noise-only ``sigma`` = sigma^2 I, in closed form, with its bits.
+
+    There D = w^2 I - (S w^2) w^2 with w = 1/sqrt(sigma^2), computed in the
+    order that the factor, its inverse and W^H W take on a scaled identity.
+    Only the first diagonal entry of each matrix is read, and not checked:
+    sigma^2 must be positive and finite.
+    """
+    w = 1.0 / np.sqrt(sigma[..., :1, :1].real)
+    w2 = w * w
+    return w2 * np.eye(sigma.shape[-1]) - (sample_cov * w2) * w2
+
+
 def row_norms(panel: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of the (N, |neighbors|+1) estimate panel.
 

@@ -88,14 +88,25 @@ def build_topology(cfg: TopologyConfig) -> tuple[np.ndarray, tuple[tuple[int, ..
     b = cfg.num_aps
     adj = np.zeros((b, b), dtype=bool)
     if cfg.degree > 0:
-        dists = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
+        dists = distances(pos, pos)
         np.fill_diagonal(dists, np.inf)     # an AP is never its own neighbor
         # A stable sort keeps equal distances in index order: ties go to the lower index.
         nearest = np.argsort(dists, axis=1, kind="stable")[:, :cfg.degree]
         adj[np.arange(b)[:, None], nearest] = True
         adj |= adj.T
-    neighbors = tuple(tuple(np.flatnonzero(row).tolist()) for row in adj)
-    return pos, neighbors
+    ids = np.nonzero(adj)[1].tolist()     # every row's neighbors, cut by the row counts
+    ends = np.cumsum(adj.sum(axis=1)).tolist()
+    return pos, tuple(tuple(ids[i:j]) for i, j in zip([0, *ends], ends))
+
+
+def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the points of (P, 2) ``a`` and (Q, 2) ``b``, shape (P, Q).
+
+    ``np.linalg.norm(a[:, None] - b[None], axis=2)``'s own arithmetic, bit for bit.
+    """
+    dx = a[:, None, 0] - b[None, :, 0]
+    dy = a[:, None, 1] - b[None, :, 1]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def pathloss(distance_m, exponent: float = 3.7, shadow_db=0.0):
@@ -136,10 +147,7 @@ class Scenario:
 
     def nearest_ap(self) -> np.ndarray:
         """Index of the closest AP per device (ties to the lower index)."""
-        dists = np.linalg.norm(
-            self.ap_pos[:, None, :] - self.device_pos[None, :, :], axis=2
-        )
-        return np.argmin(dists, axis=0)
+        return np.argmin(distances(self.ap_pos, self.device_pos), axis=0)
 
 
 def _complex_gaussian(pairs: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -233,7 +241,7 @@ def make_scenario(
     rng_pil = np.random.default_rng(streams[_STREAM_PILOTS])
     pilots = _complex_gaussian(rng_pil.standard_normal((2, pilot_len, num_devices)))
 
-    dists = np.linalg.norm(pos[:, None, :] - device_pos[None, :, :], axis=2)
+    dists = distances(pos, device_pos)
     gains = pathloss(dists, exponent=pathloss_exponent)
     nearest = np.argmin(dists, axis=0)
     if gain_ref is not None:
@@ -272,7 +280,10 @@ def synthesize(scenario: Scenario) -> np.ndarray:
     from child b of the observation stream, in this order, the real then
     the imaginary parts of its (N, M) channel, then its noise's (2, L, M)
     standard normals.  The channel is drawn a slab of rows at a time, which
-    gives the same values as one ``standard_normal((2, N, M))`` draw.
+    gives the same values as one ``standard_normal((2, N, M))`` draw.  The
+    average multiplies by 1/M, which is what numpy's complex division by M
+    computes, without its other work; only a zero part of sign -0.0 could
+    come out with the other sign, and Y_b Y_b^H holds none.
     """
     b, n, l, m = scenario.num_aps, scenario.num_devices, scenario.pilot_len, scenario.num_antennas
     obs_stream = np.random.SeedSequence(scenario.seed).spawn(4)[_STREAM_OBSERVATIONS]
@@ -314,17 +325,8 @@ def synthesize(scenario: Scenario) -> np.ndarray:
         y = ((pilots * amp[aps, None, :]) @ _complex_gaussian(h.swapaxes(0, 1))
              + _complex_gaussian(w.swapaxes(0, 1), scale=scenario.noise_power))
         np.matmul(y, y.conj().swapaxes(-1, -2), out=sample_cov[aps])
-    sample_cov /= m
+    sample_cov *= 1.0 / m
     return sample_cov
-
-
-def _complex_to_pairs(a: np.ndarray) -> list:
-    return np.stack([a.real, a.imag], axis=-1).tolist()
-
-
-def _pairs_to_complex(pairs) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -346,8 +348,29 @@ def scenario_to_dict(s: Scenario) -> dict:
         "device_pos": s.device_pos.tolist(),
         "gains": s.gains.tolist(),
         "activity": s.activity.tolist(),
-        "pilots": _complex_to_pairs(s.pilots),
+        "pilots": np.stack([s.pilots.real, s.pilots.imag], axis=-1).tolist(),
     }
+
+
+# What each array of a scenario file must hold, entry by entry.
+_FINITE = (np.isfinite, "finite")
+_ENTRIES = {"ap_pos": _FINITE, "device_pos": _FINITE, "pilots": _FINITE,
+            "gains": (lambda g: np.isfinite(g) & (g > 0), "positive and finite"),
+            "activity": (lambda a: (a == 0) | (a == 1), "0 or 1")}
+
+
+def _neighbor_problems(neighbors, b: int) -> list[str]:
+    """What is wrong with a file's ``neighbors``: B lists of other APs, a symmetric relation."""
+    if not isinstance(neighbors, list):
+        return [f"neighbors must be a list of {b} lists, got {type(neighbors).__name__}"]
+    if len(neighbors) != b:
+        return [f"neighbors has {len(neighbors)} entries, expected {b}"]
+    wrong = [f"neighbors of AP {i} must be distinct ids of other APs, got {nbrs!r}"
+             for i, nbrs in enumerate(neighbors) if not isinstance(nbrs, list)
+             or not all(is_integer(j) and 0 <= j < b and j != i for j in nbrs)
+             or len(set(nbrs)) < len(nbrs)]
+    return wrong or [f"neighbors of AP {i} list AP {j}, whose neighbors do not list AP {i}"
+                     for i, nbrs in enumerate(neighbors) for j in nbrs if i not in neighbors[j]]
 
 
 def scenario_from_dict(d: dict) -> Scenario:
@@ -356,7 +379,8 @@ def scenario_from_dict(d: dict) -> Scenario:
     Raises InvalidConfig for a document or topology that is not an object,
     another schema version, a missing or unknown key, values that
     :func:`make_scenario` would reject, a noise power or seed out of range,
-    or an array whose shape disagrees with the stated sizes.
+    an array of the wrong shape or with entries out of range (``_ENTRIES``),
+    a ``num_active`` that miscounts ``activity`` or malformed neighbor sets.
     """
     # The version comes first: another version's document has other keys.
     if isinstance(d, dict) and d.get("schema_version") != SCHEMA_VERSION:
@@ -373,17 +397,22 @@ def scenario_from_dict(d: dict) -> Scenario:
     values.update((name, np.asarray(d[name], dtype=float)) for name in shapes)
     wrong = [f"{name} has shape {values[name].shape}, expected {shape}"
              for name, shape in shapes.items() if values[name].shape != shape]
-    if len(d["neighbors"]) != b:
-        wrong.append(f"neighbors has {len(d['neighbors'])} entries, expected {b}")
+    wrong = wrong or [f"{name} entries must be {what}" for name, (ok, what) in _ENTRIES.items()
+                      if not ok(values[name]).all()]
+    if not wrong and values["activity"].sum() != d["num_active"]:
+        wrong.append(f"num_active is {d['num_active']}, but {int(values['activity'].sum())} "
+                     "devices are active")
+    wrong += _neighbor_problems(d["neighbors"], b)
     if not (is_finite(d["noise_power"]) and d["noise_power"] > 0):
         wrong.append(f"noise_power must be positive and finite, got {d['noise_power']!r}")
     if not (is_integer(d["seed"]) and d["seed"] >= 0):
         wrong.append(f"seed must be a nonnegative integer, got {d['seed']!r}")
     if wrong:
         raise InvalidConfig("; ".join(wrong))
+    pairs = values["pilots"]
     values.update(neighbors=tuple(tuple(nb) for nb in d["neighbors"]),
                   activity=values["activity"].astype(np.int8),
-                  pilots=_pairs_to_complex(values["pilots"]))
+                  pilots=pairs[..., 0] + 1j * pairs[..., 1])
     return Scenario(**values)
 
 

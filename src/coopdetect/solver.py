@@ -71,6 +71,9 @@ D = Sigma^-1 - Sigma^-1 S Sigma^-1, the operands the forms read of D, and
 the recorded cost) acts matrix by matrix, so its bits do not depend on how
 it is cut: it runs in chunks of consecutive live APs, which may span
 problems, and whose covariances are row slices of the batch's two stacks.
+In round 1 every AP is at its noise-only covariance sigma^2 I, so D takes
+the closed form ``objective.noise_gradient_matrix``, with the same bits and
+no factor; ``_check`` rejects a noise power the factor would have refused.
 The pilot products are not: BLAS picks its kernels and blocking by the row
 count, so a row's bits depend on how many rows share its product and where
 it sits among them.  So products are per problem, over its live APs in
@@ -98,7 +101,7 @@ from functools import cache
 import numpy as np
 
 from . import netsim
-from .errors import ConfigMismatch, NotPositiveDefinite, StateConsistencyError
+from .errors import ConfigMismatch, NotPositiveDefinite, StateConsistencyError, is_finite
 from .linalg import (
     add_outer_sums,
     cholesky_factor,
@@ -115,6 +118,7 @@ from .objective import (
     combiner_weights,
     gradient_matrix,
     ml_cost_given_factor,
+    noise_gradient_matrix,
     similarity_prox,
     sparsity_penalty,
     sparsity_step,
@@ -377,8 +381,10 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, hyper: Hyperparams,
     grad = np.empty_like(g_old)
     # D per matrix in chunks, then each problem's forms, one call per product.
     # The problems share (L, N), so their kernels are of one kind.
+    # Round 1 starts every AP at sigma^2 I: D in closed form (module docstring).
     kind = rplan.products[0][2]
-    buf = np.concatenate([operands(gradient_matrix(st.sigma[chunk], st.covs[chunk]), kind)
+    d_at = noise_gradient_matrix if t == 1 else gradient_matrix
+    buf = np.concatenate([operands(d_at(st.sigma[chunk], st.covs[chunk]), kind)
                           for _, chunk in rplan.chunks])
     for sl, pilots, kernel in rplan.products:
         grad[sl] = forms(buf[sl], pilots, kernel)
@@ -460,8 +466,11 @@ Problem = tuple[Scenario, np.ndarray, netsim.FailurePlan | None]
 
 def _check(scenario: Scenario, covs: np.ndarray, plan: netsim.FailurePlan,
            num_iters: int) -> None:
-    """Raise unless the plan and the covariance stack fit the scenario."""
+    """Raise unless the plan, the noise power and the covariance stack fit the scenario."""
     plan.validate(scenario.neighbors, num_iters)
+    if not (is_finite(scenario.noise_power) and scenario.noise_power > 0):
+        raise NotPositiveDefinite(
+            f"noise power must be positive and finite, got {scenario.noise_power!r}")
     want = (scenario.num_aps, scenario.pilot_len, scenario.pilot_len)
     if np.shape(covs) != want:
         raise ConfigMismatch(f"sample covariances have shape {np.shape(covs)}, expected {want}")

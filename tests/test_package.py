@@ -31,6 +31,26 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert out.stdout.strip() == "[]"
 
 
+def test_import_loads_only_known_stdlib_modules():
+    # Every process pays for what `import coopdetect` loads beyond numpy, so
+    # a new dependency of the import shows here first.
+    code = """
+import sys
+import numpy
+before = set(sys.modules)
+import coopdetect
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+    known = {"__future__", "_blake2", "_csv", "_hashlib", "_json", "copy", "csv", "dataclasses",
+             "hashlib", "json", "json.decoder", "json.encoder", "json.scanner"}
+    env = {**os.environ, "PYTHONPATH": str(Path(coopdetect.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    loaded = out.stdout.split()
+    assert "coopdetect" in loaded
+    assert sorted(m for m in loaded if m.split(".")[0] != "coopdetect" and m not in known) == []
+
+
 def test_every_import_is_used():
     # A name bound by an import and never read is left over from deleted
     # code.  Names that __init__ exports in __all__ count as read.

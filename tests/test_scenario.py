@@ -387,6 +387,48 @@ class TestSerialization:
         with pytest.raises(InvalidConfig, match="neighbors has 2 entries, expected 3"):
             scenario_from_dict(d)
 
+    # Each of these loaded before: values out of range ran, or failed only in the solve.
+    @pytest.mark.parametrize("change, message", [
+        (lambda d: d["gains"][1].__setitem__(4, -1.0), "gains entries must be positive and finite"),
+        (lambda d: d["gains"][0].__setitem__(0, math.nan),
+         "gains entries must be positive and finite"),
+        (lambda d: d["gains"][2].__setitem__(7, 0.0), "gains entries must be positive and finite"),
+        (lambda d: d["ap_pos"][1].__setitem__(0, math.nan), "ap_pos entries must be finite"),
+        (lambda d: d["device_pos"][3].__setitem__(1, math.inf),
+         "device_pos entries must be finite"),
+        (lambda d: d["pilots"][2][5].__setitem__(1, math.nan), "pilots entries must be finite"),
+        (lambda d: d["activity"].__setitem__(d["activity"].index(1), 2),
+         "activity entries must be 0 or 1"),
+        (lambda d: d.update(num_active=5), "num_active is 5, but 4 devices are active"),
+    ], ids=["negative_gain", "nan_gain", "zero_gain", "nan_ap_pos", "inf_device_pos",
+            "nan_pilot", "activity_two", "miscounted_active"])
+    def test_entries_out_of_range_are_rejected_at_load(self, tmp_path, change, message):
+        d = scenario_to_dict(desk(seed=8, num_aps=3))
+        change(d)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("neighbors, message", [
+        (5, "neighbors must be a list of 3 lists, got int"),
+        ([[7], [0], [1]], "neighbors of AP 0 must be distinct ids of other APs, got [7]"),
+        ([[0], [2], [1]], "neighbors of AP 0 must be distinct ids of other APs, got [0]"),
+        ([[1], [], []], "neighbors of AP 0 list AP 1, whose neighbors do not list AP 0"),
+        ([[1, 1], [0], []], "neighbors of AP 0 must be distinct ids of other APs, got [1, 1]"),
+        ([[1], [0], 2], "neighbors of AP 2 must be distinct ids of other APs, got 2"),
+        ([[1.0], [0], []], "neighbors of AP 0 must be distinct ids of other APs, got [1.0]"),
+        ([[[1]], [0], []], "neighbors of AP 0 must be distinct ids of other APs, got [[1]]"),
+    ], ids=["not_a_list", "unknown_ap", "self_loop", "one_way", "repeated", "entry_not_a_list",
+            "float_id", "nested_list"])
+    def test_neighbors_must_be_a_symmetric_relation(self, tmp_path, neighbors, message):
+        d = scenario_to_dict(desk(seed=8, num_aps=3))
+        d["neighbors"] = neighbors
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            load_scenario(path)
+
     def test_isolated_clears_neighbors(self):
         sc = desk(seed=8)
         iso = isolated(sc)

@@ -1,6 +1,8 @@
 """Solver state machine: initialization, rounds, consistency, determinism."""
 
 import re
+import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -261,6 +263,20 @@ class TestFailures:
         with mock.patch.object(solver, "_round", side_effect=AssertionError("round ran")):
             with pytest.raises(ConfigMismatch, match=re.escape(message)):
                 run(sc, covs, Hyperparams(**{"num_iters": 5, name: value}))
+
+    @pytest.mark.parametrize("noise_power", [0.0, -1.0, float("nan"), float("inf")],
+                             ids=["zero", "negative", "nan", "inf"])
+    def test_bad_noise_power_rejected_before_any_round(self, setup, noise_power):
+        # Round 1 takes no Cholesky factor, so the check before the solve is
+        # what refuses these; no warning escapes on the way.
+        sc, covs = setup
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with mock.patch.object(solver, "_setup", side_effect=AssertionError("set up")):
+                with pytest.raises(NotPositiveDefinite,
+                                   match="noise power must be positive and finite"):
+                    run_batch([(replace(sc, noise_power=noise_power), covs, None)],
+                              Hyperparams(num_iters=3))
 
     def test_string_hyperparameter_is_a_package_error(self, setup):
         sc, covs = setup
