@@ -26,7 +26,7 @@ class ConfigMismatch(CoopDetectError):
 
 
 class UnknownEdge(CoopDetectError):
-    """A message was addressed along an edge that is not in the backhaul graph."""
+    """A solve's neighbor sets do not form a backhaul graph (``netsim.neighbor_problems``)."""
 
 
 class StateConsistencyError(CoopDetectError):
@@ -56,8 +56,8 @@ def is_number(x) -> bool:
 
 
 def is_integer(x) -> bool:
-    """Whether ``x`` is an integer, numpy's included; a bool is not one."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    """Whether ``x`` is an integer, numpy's included, not a bool; a plain int answers first."""
+    return type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def check_integers(values: dict) -> None:

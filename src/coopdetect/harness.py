@@ -139,15 +139,16 @@ class ExperimentConfig:
                                 f"got {fractional}")
         if not self.sweep_values:
             problems.append("sweep_values must be nonempty")
-        # Rows are aggregated by axis value, so a repeated value would merge two points.
-        repeated = [v for i, v in enumerate(self.sweep_values) if v in self.sweep_values[:i]]
-        if repeated:
-            problems.append(f"sweep_values repeat {repeated}")
         if not self.modes:
             problems.append("modes must be nonempty")
         for m in self.modes:
             if m not in MODES:
                 problems.append(f"unknown mode {m!r}, valid: {MODES}")
+        # Rows are keyed by axis value and mode, so a repeat would merge points or modes.
+        for name, given in (("sweep_values", self.sweep_values), ("modes", self.modes)):
+            repeated = [v for i, v in enumerate(given) if v in given[:i]]
+            if repeated:
+                problems.append(f"{name} repeat {repeated}")
         if self.master_seed is None:
             problems.append("master_seed is mandatory")
         elif self.master_seed < 0:

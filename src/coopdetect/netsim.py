@@ -7,7 +7,7 @@ window, or drop individual messages at random.  An AP that misses a
 neighbor's message keeps using the last value it received; that rule lives
 in the solver, which simply does not update its stale copy.  A solve's
 :class:`CommLedger` counts its messages from the masks: attempted and
-delivered per round, and delivered per edge.
+delivered per round, and delivered per edge.  It owns the neighbor-set rule.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfig, UnknownEdge, check_integers, check_keys, is_number
+from .errors import InvalidConfig, check_integers, check_keys, is_integer, is_number
 
 
 def _listed(value, what: str, size: int | None = None) -> tuple:
@@ -109,6 +109,23 @@ class FailurePlan:
 EMPTY_PLAN = FailurePlan()
 
 
+def neighbor_problems(neighbors, b: int) -> list[str]:
+    """What is wrong with ``neighbors`` as B lists or tuples of other APs, a symmetric relation.
+
+    Files raise InvalidConfig with these, solves UnknownEdge; types pass before ``set`` runs.
+    """
+    if not isinstance(neighbors, (list, tuple)):
+        return [f"neighbors must be a list of {b} lists, got {type(neighbors).__name__}"]
+    if len(neighbors) != b:
+        return [f"neighbors has {len(neighbors)} entries, expected {b}"]
+    wrong = [f"neighbors of AP {i} must be distinct ids of other APs, got {nbrs!r}"
+             for i, nbrs in enumerate(neighbors) if not isinstance(nbrs, (list, tuple))
+             or not all(is_integer(j) and 0 <= j < b and j != i for j in nbrs)
+             or len(set(nbrs)) < len(nbrs)]
+    return wrong or [f"neighbors of AP {i} list AP {j}, whose neighbors do not list AP {i}"
+                     for i, nbrs in enumerate(neighbors) for j in nbrs if i not in neighbors[j]]
+
+
 @dataclass(frozen=True)
 class Backhaul:
     """Directed backhaul edges: edge e carries ``src[e]``'s estimate to ``dst[e]``.
@@ -124,15 +141,10 @@ class Backhaul:
 
     @classmethod
     def from_neighbors(cls, neighbors) -> "Backhaul":
-        """Edges of symmetric neighbor sets; UnknownEdge for a self, unknown or one-way link."""
-        b = len(neighbors)
-        for i, nbrs in enumerate(neighbors):
-            for j in nbrs:
-                if not (0 <= j < b and j != i and i in neighbors[j]):
-                    raise UnknownEdge(f"({j}, {i}) is not a backhaul edge")
+        """Edges of neighbor sets that :func:`neighbor_problems` finds nothing wrong with."""
         src = np.array([j for nbrs in neighbors for j in nbrs], dtype=np.intp)
-        dst = np.repeat(np.arange(b), [len(nbrs) for nbrs in neighbors])
-        return cls(b, src, dst, np.lexsort((dst, src)))
+        dst = np.repeat(np.arange(len(neighbors)), [len(nbrs) for nbrs in neighbors])
+        return cls(len(neighbors), src, dst, np.lexsort((dst, src)))
 
 
 @dataclass

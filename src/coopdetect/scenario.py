@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import InvalidConfig, check_integers, check_keys, is_finite, is_integer
+from .netsim import neighbor_problems
 
 SCHEMA_VERSION = 1
 
@@ -109,14 +110,10 @@ def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy)
 
 
-def pathloss(distance_m, exponent: float = 3.7, shadow_db=0.0):
-    """Power-law large-scale gain: ``max(d, 1)^-exponent * 10^(shadow/10)``.
-
-    Unit gain at 1 m; distances are clamped below at 1 m.  ``shadow_db``
-    (scalar or array) adds log-normal shadowing when nonzero.
-    """
+def pathloss(distance_m, exponent: float = 3.7):
+    """Power-law large-scale gain ``max(d, 1)^-exponent``: unit gain at 1 m and below."""
     d = np.maximum(np.asarray(distance_m, dtype=float), 1.0)
-    return d ** (-exponent) * 10.0 ** (np.asarray(shadow_db, dtype=float) / 10.0)
+    return d ** (-exponent)
 
 
 @dataclass
@@ -359,20 +356,6 @@ _ENTRIES = {"ap_pos": _FINITE, "device_pos": _FINITE, "pilots": _FINITE,
             "activity": (lambda a: (a == 0) | (a == 1), "0 or 1")}
 
 
-def _neighbor_problems(neighbors, b: int) -> list[str]:
-    """What is wrong with a file's ``neighbors``: B lists of other APs, a symmetric relation."""
-    if not isinstance(neighbors, list):
-        return [f"neighbors must be a list of {b} lists, got {type(neighbors).__name__}"]
-    if len(neighbors) != b:
-        return [f"neighbors has {len(neighbors)} entries, expected {b}"]
-    wrong = [f"neighbors of AP {i} must be distinct ids of other APs, got {nbrs!r}"
-             for i, nbrs in enumerate(neighbors) if not isinstance(nbrs, list)
-             or not all(is_integer(j) and 0 <= j < b and j != i for j in nbrs)
-             or len(set(nbrs)) < len(nbrs)]
-    return wrong or [f"neighbors of AP {i} list AP {j}, whose neighbors do not list AP {i}"
-                     for i, nbrs in enumerate(neighbors) for j in nbrs if i not in neighbors[j]]
-
-
 def scenario_from_dict(d: dict) -> Scenario:
     """The scenario a ``scenario_to_dict`` document describes.
 
@@ -402,7 +385,7 @@ def scenario_from_dict(d: dict) -> Scenario:
     if not wrong and values["activity"].sum() != d["num_active"]:
         wrong.append(f"num_active is {d['num_active']}, but {int(values['activity'].sum())} "
                      "devices are active")
-    wrong += _neighbor_problems(d["neighbors"], b)
+    wrong += neighbor_problems(d["neighbors"], b)
     if not (is_finite(d["noise_power"]) and d["noise_power"] > 0):
         wrong.append(f"noise_power must be positive and finite, got {d['noise_power']!r}")
     if not (is_integer(d["seed"]) and d["seed"] >= 0):

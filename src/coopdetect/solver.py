@@ -8,12 +8,13 @@ backhaul.  Rounds are bulk-synchronous: all APs compute on previous-round
 neighbor data, then all messages are delivered at once.
 
 ``run_batch`` solves several independent problems (scenario, covs, failure
-plan) of one L and N together, such as the trials and modes of a sweep
-point; ``run`` is a batch of one.  ``covs`` is the scenario's (num_aps, L, L)
-stack of sample covariances, as ``scenario.synthesize`` returns it.  The
-problems' APs, edges and covariances are stacked in order into one batch, so
-a round is one step over all of them; a batch of one holds the caller's
-covariance array, which the round only reads.
+plan) of one L and N together, such as the trials and modes of a sweep point;
+``run`` is a batch of one.  ``covs`` is the scenario's (num_aps, L, L) stack of
+sample covariances, as ``scenario.synthesize`` returns it.  ``_check`` checks
+every problem's neighbor sets, then its plan, noise power and covariances,
+before any is set up.  The problems' APs, edges and covariances are stacked in
+order into one batch, so a round is one step over all of them; a batch of one
+holds the caller's covariance array, which the round only reads.
 
 Layout, for B APs, N devices, L pilot symbols and E directed backhaul edges
 (two (E,) arrays, sender and receiver, ordered by receiver and
@@ -50,7 +51,7 @@ scatters.  The estimates before the step stay a copy: with
 A problem's :class:`RunResult` is its slices of the batch: its rows of the
 per-AP and edge-indexed arrays and its columns of the trace up to its last
 round, as views, with its own ``Backhaul``, which maps each of its edges to
-(src, dst), and its ledger.  Only ``gamma`` is copied.
+(src, dst), and its ledger.  Only ``gamma`` is copied, and ``t`` counted.
 
 Random streams do not depend on the batching.  AP i of a problem pre-draws
 its selection uniforms as ``rng.random(num_iters)`` from
@@ -101,7 +102,8 @@ from functools import cache
 import numpy as np
 
 from . import netsim
-from .errors import ConfigMismatch, NotPositiveDefinite, StateConsistencyError, is_finite
+from .errors import (ConfigMismatch, NotPositiveDefinite, StateConsistencyError, UnknownEdge,
+                     is_finite)
 from .linalg import (
     add_outer_sums,
     cholesky_factor,
@@ -131,6 +133,7 @@ from .scenario import Scenario
 _SELECTION_SALT = 0x5E1EC7
 _NETSIM_SALT = 0xD80B
 CHUNK_BYTES = 1 << 20
+STATE_RTOL = 1e-8                     # verify_state's largest relative gap
 
 
 @dataclass
@@ -178,7 +181,7 @@ class RunResult:
 
     Per-AP arrays have a row per AP id, edge-indexed ones a row per edge e
     of ``edges``, which carries ``edges.src[e]``'s estimate to
-    ``edges.dst[e]``.  All but ``gamma`` are views of the batch's arrays.
+    ``edges.dst[e]``.  All but ``gamma`` and ``t`` are views of the batch's arrays.
     """
 
     gamma: np.ndarray                 # (B, N) final estimates, row per AP
@@ -188,7 +191,7 @@ class RunResult:
     edges: netsim.Backhaul            # the problem's directed edges
     sigma: np.ndarray                 # (B, L, L) maintained model covariances
     x_agg: np.ndarray                 # (B, N) combined subgradient estimators
-    t: np.ndarray                     # (B,) rounds computed
+    t: np.ndarray                     # (B,) rounds computed: trace rows with a selection
     clamped: np.ndarray               # (B,) entries clamped to zero
     degenerate: np.ndarray            # (B,) zero-weight similarity steps
     delta: np.ndarray                 # (B,) inf-norm of the last estimate change
@@ -212,7 +215,6 @@ class _Batch:
     x_agg: np.ndarray                 # (B, N)
     x_local: np.ndarray               # (E, N) receiver's estimator per neighbor
     received: np.ndarray              # (E, N) last estimate over each edge
-    t: np.ndarray                     # (B,) rounds computed
     clamped: np.ndarray               # (B,)
     degenerate: np.ndarray            # (B,)
     delta: np.ndarray                 # (B,) inf-norm of the last estimate change
@@ -291,19 +293,19 @@ def _retain_freed_memory() -> None:
 
 
 def verify_state(sigma: np.ndarray, gamma: np.ndarray, scenario: Scenario,
-                 live: np.ndarray | None = None, rtol: float = 1e-8) -> np.ndarray:
+                 live: np.ndarray | None = None) -> np.ndarray:
     """Relative Frobenius gaps between maintained and reassembled covariances.
 
     ``sigma`` (B, L, L) and ``gamma`` (B, N) are a problem's APs; ``live``
     masks the ones to check (all by default).  Returns their gaps, and
     raises StateConsistencyError naming the first AP whose gap exceeds
-    ``rtol`` or is not a number.
+    ``STATE_RTOL`` or is not a number.
     """
     aps = np.arange(len(gamma)) if live is None else np.flatnonzero(live)
     fresh = assemble_covariance(scenario.pilots, gamma[aps], scenario.noise_power)
     gaps = (np.linalg.norm(sigma[aps] - fresh, axis=(-2, -1))
             / np.linalg.norm(fresh, axis=(-2, -1)))
-    drifted = np.flatnonzero(~(gaps <= rtol))
+    drifted = np.flatnonzero(~(gaps <= STATE_RTOL))
     if drifted.size:
         k = drifted[0]
         raise StateConsistencyError(
@@ -437,7 +439,6 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, hyper: Hyperparams,
         outer_sums(delta[sl], pilots, kernel, out=buf[sl])
     st.sigma[rows] = add_outer_sums(st.sigma[rows], buf, kind)
     st.gamma[rows] = g_new
-    st.t[rows] += 1
     st.delta[rows] = np.max(np.abs(delta), axis=1, initial=0.0)
 
     cost = np.full(c, np.nan)
@@ -466,7 +467,10 @@ Problem = tuple[Scenario, np.ndarray, netsim.FailurePlan | None]
 
 def _check(scenario: Scenario, covs: np.ndarray, plan: netsim.FailurePlan,
            num_iters: int) -> None:
-    """Raise unless the plan, the noise power and the covariance stack fit the scenario."""
+    """Before set-up: raise unless the neighbor sets, then plan, noise power and covs fit."""
+    bad = netsim.neighbor_problems(scenario.neighbors, scenario.num_aps)
+    if bad:
+        raise UnknownEdge("; ".join(bad))
     plan.validate(scenario.neighbors, num_iters)
     if not (is_finite(scenario.noise_power) and scenario.noise_power > 0):
         raise NotPositiveDefinite(
@@ -510,8 +514,8 @@ def _setup(problems: list[Problem], num_iters: int) -> tuple[_Batch, list[_Solve
                            np.full((num_iters, b), np.nan))
     st = _Batch(src, dst, covs, degree, np.cumsum(degree) - degree, draws, _selection_cdfs(degree),
                 np.zeros((b, n)), sigma, np.zeros((b, n)), np.zeros((e, n)), np.zeros((e, n)),
-                np.zeros(b, dtype=int), np.zeros(b, dtype=int), np.zeros(b, dtype=int),
-                np.full(b, np.inf), np.repeat(aps[:-1], np.diff(aps)), trace)
+                np.zeros(b, dtype=int), np.zeros(b, dtype=int), np.full(b, np.inf),
+                np.repeat(aps[:-1], np.diff(aps)), trace)
     # Modes of one trial share their scenario's pilots, and so the kernel.
     pilots = {id(sc.pilots): sc.pilots for sc in scenarios}
     kernels = {key: pilot_kernel(cols) for key, cols in pilots.items()}
@@ -607,7 +611,7 @@ def run_batch(problems: list[Problem], hyper: Hyperparams,
 
     return [RunResult(gamma=st.gamma[s.aps].copy(), trace=st.trace[:s.rounds_completed, s.aps],
                       ledger=s.ledger, rounds_completed=s.rounds_completed, edges=s.edges,
-                      sigma=st.sigma[s.aps], x_agg=st.x_agg[s.aps], t=st.t[s.aps],
-                      clamped=st.clamped[s.aps], degenerate=st.degenerate[s.aps],
-                      delta=st.delta[s.aps], x_local=st.x_local[s.links],
-                      received=st.received[s.links]) for s in solves]
+                      sigma=st.sigma[s.aps], x_agg=st.x_agg[s.aps], clamped=st.clamped[s.aps],
+                      t=(st.trace.selected[:s.rounds_completed, s.aps] >= 0).sum(axis=0),
+                      degenerate=st.degenerate[s.aps], delta=st.delta[s.aps],
+                      x_local=st.x_local[s.links], received=st.received[s.links]) for s in solves]

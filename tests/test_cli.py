@@ -68,6 +68,11 @@ class TestRunVerb:
         assert "unknown mode 'centralized_pool'" in err
         assert "'cmd', 'no_coop'" in err
 
+    def test_repeated_mode_rejected(self, config_file, capsys):
+        rc = main(["run", "--config", config_file, "--mode", "cmd,cmd"])
+        assert rc == 2
+        assert "modes repeat ['cmd']" in capsys.readouterr().err
+
     def test_bad_sweep_axis_rejected(self, config_file, capsys):
         rc = main(["run", "--config", config_file, "--sweep", "bananas"])
         assert rc == 2

@@ -232,6 +232,19 @@ class TestConfig:
         with pytest.raises(InvalidConfig, match="sweep_values must be finite numbers"):
             tiny_config(sweep_axis=axis, sweep_values=values).validate()
 
+    def test_repeated_mode_rejected(self, monkeypatch):
+        # Rows are keyed by mode: each trial would be solved twice and give one row.
+        cfg = desk_fixture(1, modes=("cmd", "cmd"), trials=2, calibration_trials=1, num_iters=3)
+        with pytest.raises(InvalidConfig, match=re.escape("modes repeat ['cmd']")):
+            cfg.validate()
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver.run_batch called")
+
+        monkeypatch.setattr(solver, "run_batch", no_solve)
+        with pytest.raises(InvalidConfig, match=re.escape("modes repeat ['cmd']")):
+            run_experiment(cfg)
+
     def test_integral_values_accepted_on_every_axis(self):
         tiny_config(sweep_values=(1, 2.0)).validate()
         tiny_config(sweep_axis="snr_db", sweep_values=(1.5, 7.25)).validate()

@@ -7,22 +7,26 @@ normalizes to what its own document reads back as, that a non-integer AP id
 or round is rejected at construction, and that a plan that passes
 ``validate`` runs through the solver.  Every document reader rejects a
 non-object and an unknown key with InvalidConfig naming the reader.
+Neighbor sets meet one rule: built topologies pass it and keep their
+edges, and each way of breaking them fails a scenario file and a solve
+with the same message.
 """
 
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from coopdetect.errors import CoopDetectError, InvalidConfig
+from coopdetect.errors import CoopDetectError, InvalidConfig, UnknownEdge
 from coopdetect.harness import ExperimentConfig
-from coopdetect.netsim import FailurePlan
+from coopdetect.netsim import Backhaul, FailurePlan, neighbor_problems
 from coopdetect.objective import Hyperparams
 from coopdetect.scenario import (
     TopologyConfig,
+    build_topology,
     make_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -119,3 +123,62 @@ def test_every_reader_rejects_a_non_object_and_an_unknown_key(reader):
         read([valid()])
     with pytest.raises(InvalidConfig, match=re.escape(f"{reader} has unknown keys ['bogus']")):
         read({**valid(), "bogus": 1})
+
+
+# Grid and ring layouts of 1-12 APs at every degree.
+topologies = st.tuples(st.sampled_from(["grid", "ring"]), st.integers(1, 12)).flatmap(
+    lambda layout_b: st.builds(TopologyConfig, num_aps=st.just(layout_b[1]),
+                               degree=st.integers(0, layout_b[1] - 1),
+                               layout=st.just(layout_b[0])))
+
+
+@given(topologies)
+def test_built_topologies_pass_the_neighbor_rule_and_keep_their_edges(topo):
+    _, neighbors = build_topology(topo)
+    assert neighbor_problems(neighbors, topo.num_aps) == []
+    # Edge e carries pairs[e] = (src, dst): the edges into each AP in its
+    # neighbor order, and send_order sorts them by (src, dst).
+    pairs = [(j, i) for i, nbrs in enumerate(neighbors) for j in nbrs]
+    edges = Backhaul.from_neighbors(neighbors)
+    assert edges.src.tolist() == [j for j, _ in pairs]
+    assert edges.dst.tolist() == [i for _, i in pairs]
+    assert edges.send_order.tolist() == sorted(range(len(pairs)), key=pairs.__getitem__)
+
+
+# Each way of breaking a neighbor set, and what its message says.
+BREAKS = {"repeat": "must be distinct ids of other APs", "one_way": "whose neighbors do not list",
+          "self_loop": "must be distinct ids of other APs", "cut": "entries, expected",
+          "add": "entries, expected", "float_id": "must be distinct ids of other APs"}
+
+
+@pytest.mark.parametrize("kind", BREAKS)
+@given(topo=topologies, data=st.data())
+def test_a_broken_neighbor_set_fails_a_file_and_a_solve_alike(kind, topo, data):
+    _, built = build_topology(topo)
+    neighbors = [list(nbrs) for nbrs in built]
+    linked = [i for i, nbrs in enumerate(neighbors) if nbrs]
+    assume(linked or kind in ("self_loop", "cut", "add"))
+    i = data.draw(st.sampled_from(linked or range(topo.num_aps)))
+    if kind in ("repeat", "one_way", "float_id"):
+        k = data.draw(st.integers(0, len(neighbors[i]) - 1))
+    if kind == "repeat":
+        neighbors[i].append(neighbors[i][k])
+    elif kind == "one_way":
+        neighbors[neighbors[i][k]].remove(i)
+    elif kind == "self_loop":
+        neighbors[i].append(i)
+    elif kind == "cut":
+        neighbors.pop()
+    elif kind == "add":
+        neighbors.append([])
+    else:
+        neighbors[i][k] = float(neighbors[i][k])
+    scenario = make_scenario(topo, num_devices=4, num_active=1, pilot_len=2, num_antennas=1,
+                             snr_db=10.0)
+    with pytest.raises(InvalidConfig) as from_file:
+        scenario_from_dict({**scenario_to_dict(scenario), "neighbors": neighbors})
+    with pytest.raises(UnknownEdge) as from_solve:
+        run(replace(scenario, neighbors=neighbors), synthesize(scenario),
+            Hyperparams(num_iters=1))
+    assert BREAKS[kind] in str(from_solve.value)
+    assert str(from_file.value) == str(from_solve.value)

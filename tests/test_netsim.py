@@ -1,12 +1,16 @@
 """Backhaul delivery, failure injection, and ledger conservation."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from coopdetect.errors import InvalidConfig, UnknownEdge
 from coopdetect.netsim import Backhaul, CommLedger, FailurePlan, deliver_round
+from coopdetect.objective import Hyperparams
+from coopdetect.scenario import TopologyConfig, make_scenario, synthesize
+from coopdetect.solver import run
 
 import reference_loop
 
@@ -58,12 +62,16 @@ class TestDelivery:
         assert led.total_scalars == expected
 
     def test_unknown_edge_raises(self):
+        # A solve checks its neighbor sets (netsim.neighbor_problems) before set-up.
+        sc = make_scenario(TopologyConfig(num_aps=3, degree=2), num_devices=6, num_active=2,
+                           pilot_len=3, num_antennas=2, snr_db=10.0)
+        covs, hyper = synthesize(sc), Hyperparams(num_iters=1)
         with pytest.raises(UnknownEdge):
-            Backhaul.from_neighbors(((0,), (), ()))        # self-loop
+            run(replace(sc, neighbors=((0,), (), ())), covs, hyper)        # self-loop
         with pytest.raises(UnknownEdge):
-            Backhaul.from_neighbors(((1,), (), ()))        # one-way link
+            run(replace(sc, neighbors=((1,), (), ())), covs, hyper)        # one-way link
         with pytest.raises(UnknownEdge):
-            Backhaul.from_neighbors(((3,), (), ()))        # no such AP
+            run(replace(sc, neighbors=((3,), (), ())), covs, hyper)        # no such AP
 
     def test_crashed_ap_sends_and_receives_nothing(self):
         # The caller reads the crash schedule; delivery takes the live set.

@@ -103,6 +103,15 @@ def test_only_errors_words_a_document_check():
     assert not found
 
 
+def test_only_netsim_words_the_neighbor_rule():
+    # netsim.neighbor_problems owns the neighbor-set rule of scenario files and solves.
+    phrases = ("distinct ids of other APs", "whose neighbors do not list")
+    found = [f"{name}:{node.lineno}" for name, tree in _sources().items() if name != "netsim.py"
+             for node in ast.walk(tree) if isinstance(node, ast.Constant)
+             and isinstance(node.value, str) and any(p in node.value for p in phrases)]
+    assert not found
+
+
 def test_validate_catches_only_invalid_config_from_the_plan_reader():
     # FailurePlan raises InvalidConfig for every malformed plan, so a wider
     # except would hide a defect of the plan's own checks.

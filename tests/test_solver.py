@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from coopdetect import linalg, solver
-from coopdetect.errors import ConfigMismatch, NotPositiveDefinite, StateConsistencyError
+from coopdetect.errors import (ConfigMismatch, NotPositiveDefinite, StateConsistencyError,
+                               UnknownEdge)
 from coopdetect.linalg import add_outer_sums, outer_sums, pilot_gram
 from coopdetect.netsim import FailurePlan
 from coopdetect.objective import Hyperparams, ml_cost
@@ -283,6 +284,29 @@ class TestFailures:
         assert Hyperparams(eta="x").problems() == ["eta must be positive and finite, got x"]
         with pytest.raises(ConfigMismatch, match="eta must be positive and finite, got x"):
             run(sc, covs, Hyperparams(eta="x", num_iters=5))
+
+    # A code-built scenario meets the rule its file would (netsim.neighbor_problems).
+    def test_repeated_neighbor_rejected(self, setup):
+        # The doubled edge 1 -> 0 would carry two messages a round.
+        sc, covs = setup
+        message = "neighbors of AP 0 must be distinct ids of other APs, got (1, 1)"
+        with pytest.raises(UnknownEdge, match=re.escape(message)):
+            run(replace(sc, neighbors=((1, 1), (0,), ())), covs, Hyperparams(num_iters=3))
+
+    def test_missing_neighbor_entry_rejected(self, setup):
+        # AP 2 would run alone.
+        sc, covs = setup
+        with pytest.raises(UnknownEdge, match=re.escape("neighbors has 2 entries, expected 3")):
+            run(replace(sc, neighbors=((1,), (0,))), covs, Hyperparams(num_iters=3))
+
+    def test_extra_neighbor_entry_rejected_before_any_set_up(self, setup):
+        # Joined with the next problem's APs, AP 3 would index past the batch.
+        sc, covs = setup
+        batch = [(replace(sc, neighbors=((1,), (0,), (3,), (2,))), covs, None), (sc, covs, None)]
+        with mock.patch.object(solver, "_setup", side_effect=AssertionError("set up")):
+            with pytest.raises(UnknownEdge,
+                               match=re.escape("neighbors has 4 entries, expected 3")):
+                run_batch(batch, Hyperparams(num_iters=3))
 
     def test_plan_validated_against_rounds(self, setup):
         sc, covs = setup
