@@ -67,6 +67,15 @@ def check_integers(values: dict) -> None:
         raise InvalidConfig("; ".join(wrong))
 
 
+def seed_problems(seeds: dict) -> list[str]:
+    """A message for each value of ``{name: value}`` that is not a nonnegative integer.
+
+    That is what numpy's ``SeedSequence`` takes; numpy's integers count, a bool does not.
+    """
+    return [f"{k} must be a nonnegative integer, got {v!r}" for k, v in seeds.items()
+            if not (is_integer(v) and v >= 0)]
+
+
 def is_finite(x) -> bool:
     """Whether ``x`` is a finite real number; an int too large for a float is not."""
     try:

@@ -32,7 +32,7 @@ from functools import cache
 import numpy as np
 
 from . import metrics, solver
-from .errors import InvalidConfig, check_keys, is_finite, is_integer, is_number
+from .errors import InvalidConfig, check_keys, is_finite, is_integer, is_number, seed_problems
 from .netsim import FailurePlan
 from .objective import Hyperparams
 from .scenario import (
@@ -151,8 +151,8 @@ class ExperimentConfig:
                 problems.append(f"{name} repeat {repeated}")
         if self.master_seed is None:
             problems.append("master_seed is mandatory")
-        elif self.master_seed < 0:
-            problems.append(f"master_seed must be a nonnegative integer, got {self.master_seed}")
+        else:
+            problems += seed_problems({"master_seed": self.master_seed})
         problems += self.hyper().problems()
         # The threshold scale must be positive; an iota of None is calibrated.
         if self.iota is not None and not (is_finite(self.iota) and self.iota > 0):

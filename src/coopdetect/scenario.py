@@ -5,6 +5,12 @@ large-scale gains, pilot sequences, the ground-truth activity pattern and
 the noise level.  All randomness flows from a single 64-bit seed through
 named ``SeedSequence`` children, so identical (config, seed) pairs give
 bit-identical scenarios and received signals.
+
+Each AP's stream is such a child too, one per AP of a scenario and, in
+``solver``, one per AP with neighbors of a problem.  The states of a
+scenario's or a problem's streams are derived in one pass
+(:func:`seed_states`), which is numpy's own SeedSequence hash, so each AP
+draws the values its ``SeedSequence`` and ``np.random.default_rng`` give.
 """
 
 from __future__ import annotations
@@ -12,10 +18,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import cache
 
 import numpy as np
 
-from .errors import InvalidConfig, check_integers, check_keys, is_finite, is_integer
+from .errors import InvalidConfig, check_integers, check_keys, is_finite, seed_problems
 from .netsim import neighbor_problems
 
 SCHEMA_VERSION = 1
@@ -28,6 +35,12 @@ _STREAM_OBSERVATIONS = 3
 
 _SYNTHESIS_BYTES = 1 << 18
 _SLAB_BYTES = 1 << 17
+
+# numpy's SeedSequence hash: a pool of four 32-bit words, built with the
+# hashmix constants A, read out with B, combined by mix's L and R.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 @dataclass(frozen=True)
@@ -47,7 +60,7 @@ class TopologyConfig:
 
     def __post_init__(self):
         check_integers({"num_aps": self.num_aps, "degree": self.degree, "seed": self.seed})
-        problems = []
+        problems = seed_problems({"seed": self.seed})
         if self.num_aps <= 0:
             problems.append(f"num_aps must be positive, got {self.num_aps}")
         if self.degree < 0:
@@ -267,24 +280,140 @@ def make_scenario(
     )
 
 
+def seed_words(seed: int) -> list[int]:
+    """The 32-bit words numpy's ``SeedSequence`` reads from a nonnegative ``seed``, low first."""
+    seed = int(seed)
+    words = [seed & 0xFFFFFFFF]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & 0xFFFFFFFF)
+    return words
+
+
+def entropy_rows(head: list[int], last) -> np.ndarray:
+    """(len(last), W) uint32 rows ``[*head, last[r]]``, zero-padded to W = 4 words or more."""
+    rows = np.zeros((len(last), max(4, len(head) + 1)), dtype=np.uint32)
+    rows[:, :len(head)] = head
+    rows[:, len(head)] = last
+    return rows
+
+
+@cache
+def _hash_constants(width: int) -> tuple:
+    """The constants of :func:`seed_states` for rows of ``width`` words (xor, multiplier pairs)."""
+    a, b = [_INIT_A], [_INIT_B]
+    for _ in range(16 + 4 * (width - 4)):
+        a.append(a[-1] * _MULT_A & 0xFFFFFFFF)
+    for _ in range(8):
+        b.append(b[-1] * _MULT_B & 0xFFFFFFFF)
+    a, b = np.array(a, dtype=np.uint32), np.array(b, dtype=np.uint32)
+
+    def hashmix(calls):  # the k-th hashmix call xors a[k] and multiplies by a[k + 1]
+        return a[calls][..., None], a[calls + 1][..., None]
+
+    # Mixing step s hashes pool word s once per other word, in order; row s is
+    # restored after the step, so its constants are never used.
+    steps = [hashmix(np.insert(4 + 3 * s + np.arange(3), s, 0)) for s in range(4)]
+    tail = hashmix(16 + np.arange(4 * (width - 4)).reshape(-1, 4))
+    return hashmix(np.arange(4)), steps, tail, (b[:8].reshape(2, 4, 1), b[1:].reshape(2, 4, 1))
+
+
+def seed_states(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence.generate_state(4, np.uint64)`` for each row of assembled entropy words.
+
+    ``words`` is (R, W) uint32 with W >= 4.  Row r holds what one SeedSequence
+    hashes: its entropy's words (:func:`seed_words`), padded with zeros to
+    four if a spawn key follows, then the key's words.  Zeros appended up to
+    four words hash as numpy's shorter entropy does.  The rows' (R, 4) states
+    are numpy's ``mix_entropy`` then ``generate_state``, bit for bit, with
+    each step one array operation over all rows.
+    """
+    (xa, ma), steps, (xt, mt), (xb, mb) = _hash_constants(words.shape[1])
+    shift, mix_l, mix_r = np.uint32(16), np.uint32(_MIX_L), np.uint32(_MIX_R)
+    words = words.T
+    pool = words[:4] ^ xa                    # (4, R): hashmix of the first four words
+    pool *= ma
+    pool ^= pool >> shift
+    for s, (xs, ms) in enumerate(steps):     # mix(pool[d], hashmix(pool[s])), every d != s
+        h = pool[s] ^ xs
+        h *= ms
+        h ^= h >> shift
+        h *= mix_r
+        keep = pool[s].copy()
+        pool *= mix_l
+        pool -= h
+        pool ^= pool >> shift
+        pool[s] = keep
+    if len(words) > 4:                       # mix each later word into every pool word
+        h = words[4:, None] ^ xt
+        h *= mt
+        h ^= h >> shift
+        h *= mix_r
+        for hw in h:
+            pool *= mix_l
+            pool -= hw
+            pool ^= pool >> shift
+    out = pool ^ xb                          # (2, 4, R): eight words cycling over the pool
+    out *= mb
+    out ^= out >> shift
+    # Pairs of words are little-endian uint64s, as generate_state reads them.
+    return out.reshape(8, -1).T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
+
+
+@cache
+def _carrier() -> type:
+    """An ``ISeedSequence`` that hands PCG64 one :func:`seed_states` row as its state.
+
+    PCG64 asks it once, for four uint64 words, and then runs numpy's own
+    seeding.  Built on first use, so that importing the package loads no
+    ``numpy.random``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class State(ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return State
+
+
+def streams(words: np.ndarray) -> list:
+    """What ``np.random.default_rng`` makes of each row's SeedSequence (:func:`seed_states`)."""
+    from numpy.random import PCG64, Generator
+
+    state = _carrier()
+    return [Generator(PCG64(state(s))) for s in seed_states(words)]
+
+
 def synthesize(scenario: Scenario) -> np.ndarray:
     """Draw the received pilot block at every AP; return the (B, L, L) sample covariances.
 
     Row b is AP b's antenna-averaged covariance (1/M) Y_b Y_b^H, Hermitian
     PSD, with Y_b = pilots @ diag(chi * sqrt(g_b)) @ H_b + W_b, and H_b and
     W_b i.i.d. complex Gaussian (unit variance and ``scenario.noise_power``
-    variance per entry).  Deterministic given the scenario seed: AP b draws
-    from child b of the observation stream, in this order, the real then
-    the imaginary parts of its (N, M) channel, then its noise's (2, L, M)
-    standard normals.  The channel is drawn a slab of rows at a time, which
-    gives the same values as one ``standard_normal((2, N, M))`` draw.  The
-    average multiplies by 1/M, which is what numpy's complex division by M
-    computes, without its other work; only a zero part of sign -0.0 could
-    come out with the other sign, and Y_b Y_b^H holds none.
+    variance per entry).  Deterministic given the scenario seed, which must
+    be a nonnegative integer (InvalidConfig): AP b draws from child b of the
+    observation stream, ``SeedSequence(seed).spawn(4)[3].spawn(B)[b]``, in
+    this order, the real then the imaginary parts of its (N, M) channel,
+    then its noise's (2, L, M) standard normals.  The B children's states
+    are derived in one pass (:func:`seed_states`), so the values are those
+    of ``default_rng`` of each child.  The channel is drawn a slab of rows at
+    a time, which gives the same values as one ``standard_normal((2, N, M))``
+    draw.  The average multiplies by 1/M, which is what numpy's complex
+    division by M computes, without its other work; only a zero part of sign
+    -0.0 could come out with the other sign, and Y_b Y_b^H holds none.
     """
+    bad = seed_problems({"seed": scenario.seed})
+    if bad:
+        raise InvalidConfig("; ".join(bad))
     b, n, l, m = scenario.num_aps, scenario.num_devices, scenario.pilot_len, scenario.num_antennas
-    obs_stream = np.random.SeedSequence(scenario.seed).spawn(4)[_STREAM_OBSERVATIONS]
-    ap_streams = obs_stream.spawn(b)
+    # Child b's entropy is the seed's words padded to four, then its spawn key.
+    key = seed_words(scenario.seed)
+    ap_streams = streams(entropy_rows([*key, *[0] * (4 - len(key)), _STREAM_OBSERVATIONS],
+                                      np.arange(b)))
     # Inactive devices have amplitude exactly 0, so only the active columns
     # enter the product; the full channel is still drawn to keep the stream.
     act = np.flatnonzero(scenario.activity)
@@ -312,8 +441,7 @@ def synthesize(scenario: Scenario) -> np.ndarray:
         h = np.empty((aps.stop - first, 2, len(act), m))
         w = np.empty((aps.stop - first, 2, l, m))
         kept = h.reshape(aps.stop - first, 2 * len(act), m)
-        for k, stream in enumerate(ap_streams[aps]):
-            rng = np.random.default_rng(stream)
+        for k, rng in enumerate(ap_streams[aps]):
             for fill, take, dest in plan:
                 rng.standard_normal(out=fill)
                 # The indices are in range; mode="clip" writes to out unbuffered.
@@ -388,8 +516,7 @@ def scenario_from_dict(d: dict) -> Scenario:
     wrong += neighbor_problems(d["neighbors"], b)
     if not (is_finite(d["noise_power"]) and d["noise_power"] > 0):
         wrong.append(f"noise_power must be positive and finite, got {d['noise_power']!r}")
-    if not (is_integer(d["seed"]) and d["seed"] >= 0):
-        wrong.append(f"seed must be a nonnegative integer, got {d['seed']!r}")
+    wrong += seed_problems({"seed": d["seed"]})
     if wrong:
         raise InvalidConfig("; ".join(wrong))
     pairs = values["pilots"]

@@ -55,13 +55,16 @@ round, as views, with its own ``Backhaul``, which maps each of its edges to
 
 Random streams do not depend on the batching.  AP i of a problem pre-draws
 its selection uniforms as ``rng.random(num_iters)`` from
-``SeedSequence([_SELECTION_SALT, seed, i])`` with its scenario's seed;
-comparing the round-t value with the CDF of its inclusive degree equals the
-t-th ``rng.choice`` of a per-AP loop, as a crashed AP never draws again.
-An AP without neighbors always selects itself, so it draws nothing.
-Drops take one draw per surviving message of a problem, in (src, dst) order,
-from that problem's stream.  So each problem's result is bitwise what it
-gets solved alone.
+``SeedSequence([_SELECTION_SALT, seed, i])`` with its scenario's seed (a
+nonnegative integer, or InvalidConfig); comparing the round-t value with
+the CDF of its inclusive degree equals the t-th ``rng.choice`` of a per-AP
+loop, as a crashed AP never draws again.  An AP without neighbors always
+selects itself, so it draws nothing.  The states of those SeedSequences
+are derived in one pass over a problem's APs with neighbors
+(``scenario.seed_states``), with the values ``default_rng`` gives each.
+Drops take one draw per surviving message of a problem, in (src, dst)
+order, from that problem's stream.  So each problem's result is bitwise
+what it gets solved alone.
 
 The gradient and the covariance update read a problem's pilots through a
 kernel built once per solve for each distinct pilot matrix
@@ -102,8 +105,8 @@ from functools import cache
 import numpy as np
 
 from . import netsim
-from .errors import (ConfigMismatch, NotPositiveDefinite, StateConsistencyError, UnknownEdge,
-                     is_finite)
+from .errors import (ConfigMismatch, InvalidConfig, NotPositiveDefinite, StateConsistencyError,
+                     UnknownEdge, is_finite, seed_problems)
 from .linalg import (
     add_outer_sums,
     cholesky_factor,
@@ -128,7 +131,7 @@ from .objective import (
     subgradient_aggregate_update,
     subgradient_local_update,
 )
-from .scenario import Scenario
+from .scenario import Scenario, entropy_rows, seed_words, streams
 
 _SELECTION_SALT = 0x5E1EC7
 _NETSIM_SALT = 0xD80B
@@ -467,10 +470,13 @@ Problem = tuple[Scenario, np.ndarray, netsim.FailurePlan | None]
 
 def _check(scenario: Scenario, covs: np.ndarray, plan: netsim.FailurePlan,
            num_iters: int) -> None:
-    """Before set-up: raise unless the neighbor sets, then plan, noise power and covs fit."""
+    """Before set-up: raise unless the neighbor sets, then seed, plan, noise power and covs fit."""
     bad = netsim.neighbor_problems(scenario.neighbors, scenario.num_aps)
     if bad:
         raise UnknownEdge("; ".join(bad))
+    bad = seed_problems({"seed": scenario.seed})
+    if bad:
+        raise InvalidConfig("; ".join(bad))
     plan.validate(scenario.neighbors, num_iters)
     if not (is_finite(scenario.noise_power) and scenario.noise_power > 0):
         raise NotPositiveDefinite(
@@ -504,9 +510,11 @@ def _setup(problems: list[Problem], num_iters: int) -> tuple[_Batch, list[_Solve
     # An AP without neighbors always selects itself, whatever it draws.
     draws = np.zeros((b, num_iters))
     for sc, a in zip(scenarios, aps):
-        for i in np.flatnonzero(degree[a:a + sc.num_aps]):
-            draws[a + i] = np.random.default_rng(np.random.SeedSequence(
-                [_SELECTION_SALT, sc.seed, int(i)])).random(num_iters)
+        ids = np.flatnonzero(degree[a:a + sc.num_aps])
+        if ids.size:
+            rngs = streams(entropy_rows([_SELECTION_SALT, *seed_words(sc.seed)], ids))
+            for i, rng in zip(ids, rngs):
+                rng.random(out=draws[a + i])
     noise = np.repeat([sc.noise_power for sc in scenarios], np.diff(aps))
     sigma = noise[:, None, None] * np.eye(l, dtype=complex)
     unset = np.full((num_iters, b), -1)

@@ -103,6 +103,14 @@ def test_only_errors_words_a_document_check():
     assert not found
 
 
+def test_only_errors_words_the_seed_rule():
+    # errors.seed_problems owns the rule numpy's SeedSequence puts on a seed.
+    found = [f"{name}:{node.lineno}" for name, tree in _sources().items() if name != "errors.py"
+             for node in ast.walk(tree) if isinstance(node, ast.Constant)
+             and isinstance(node.value, str) and "must be a nonnegative integer" in node.value]
+    assert not found
+
+
 def test_only_netsim_words_the_neighbor_rule():
     # netsim.neighbor_problems owns the neighbor-set rule of scenario files and solves.
     phrases = ("distinct ids of other APs", "whose neighbors do not list")

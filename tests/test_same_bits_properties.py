@@ -3,7 +3,9 @@
 Each compares the bytes of two arrays, so that even the sign of a zero counts:
 ``scenario.distances`` against ``np.linalg.norm`` over the length-2 axis,
 ``objective.noise_gradient_matrix`` against ``gradient_matrix`` at sigma^2 I,
-and the reciprocal scaling ``synthesize`` averages with against complex division.
+the reciprocal scaling ``synthesize`` averages with against complex division,
+and ``scenario.seed_states`` and ``streams`` against numpy's ``SeedSequence`` and
+``default_rng``, which guards the per-AP streams if numpy ever changes its hash.
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coopdetect.objective import gradient_matrix, noise_gradient_matrix
-from coopdetect.scenario import distances
+from coopdetect.scenario import distances, entropy_rows, seed_states, seed_words, streams
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -69,3 +71,46 @@ def test_reciprocal_scaling_of_sample_covariances(m, l, seed):
     divided /= m
     scaled *= 1.0 / m
     assert scaled.tobytes() == divided.tobytes()
+
+
+# Seeds at the word boundaries of numpy's entropy, and any up to five words.
+seeds = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**160))
+ap_ids = st.lists(st.integers(0, 300), min_size=1, max_size=12)
+
+
+def padded(words):
+    return [*words, *[0] * (4 - len(words))]
+
+
+@given(seeds, ap_ids, st.integers(0, 2**32 - 1))
+@example(2**64 - 1, [0, 300], 3)
+@example(0, [0], 0)
+def test_seed_states_with_a_spawn_key_are_numpys(seed, ids, key):
+    # The child SeedSequence(seed).spawn(k + 1)[k].spawn(i + 1)[i] is the one with spawn key (k, i).
+    got = seed_states(entropy_rows([*padded(seed_words(seed)), key], np.array(ids)))
+    want = [np.random.SeedSequence(seed, spawn_key=(key, i)).generate_state(4, np.uint64)
+            for i in ids]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+@given(seeds, ap_ids, st.integers(0, 2**32 - 1))
+@example(2**32 - 1, [0, 1, 300], 0x5E1EC7)
+@example(2**32, [300], 0x5E1EC7)
+def test_seed_states_without_a_spawn_key_are_numpys(seed, ids, salt):
+    got = seed_states(entropy_rows([salt, *seed_words(seed)], np.array(ids)))
+    want = [np.random.SeedSequence([salt, seed, i]).generate_state(4, np.uint64) for i in ids]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+@given(seeds, ap_ids, st.booleans())
+def test_streams_draw_what_default_rng_draws(seed, ids, spawned):
+    if spawned:
+        words = entropy_rows([*padded(seed_words(seed)), 3], np.array(ids))
+        sequences = [np.random.SeedSequence(seed, spawn_key=(3, i)) for i in ids]
+    else:
+        words = entropy_rows([0x5E1EC7, *seed_words(seed)], np.array(ids))
+        sequences = [np.random.SeedSequence([0x5E1EC7, seed, i]) for i in ids]
+    for rng, sequence in zip(streams(words), sequences, strict=True):
+        want = np.random.default_rng(sequence)
+        assert rng.standard_normal(7).tobytes() == want.standard_normal(7).tobytes()
+        assert rng.random(5).tobytes() == want.random(5).tobytes()

@@ -88,6 +88,13 @@ class TestTopology:
         with pytest.raises(InvalidConfig, match=re.escape(message)):
             TopologyConfig(**{"num_aps": 3, "degree": 1, **fields})
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-5)], ids=["negative", "numpy_negative"])
+    def test_negative_seed_is_invalid_config(self, seed):
+        # numpy's SeedSequence would refuse it only later, inside make_scenario.
+        message = f"seed must be a nonnegative integer, got {seed!r}"
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            TopologyConfig(num_aps=3, degree=1, seed=seed)
+
     def test_zero_degree_isolates(self):
         _, neighbors = build_topology(TopologyConfig(num_aps=4, degree=0))
         assert neighbors == ((), (), (), ())
@@ -233,6 +240,22 @@ class TestSynthesize:
             np.testing.assert_allclose(cov, cov.conj().T, atol=1e-12)
             eigs = np.linalg.eigvalsh(cov)
             assert eigs.min() >= -1e-10 * np.real(np.trace(cov))
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, None])
+    def test_bad_seed_is_invalid_config(self, seed):
+        message = f"seed must be a nonnegative integer, got {seed!r}"
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            synthesize(replace(desk(seed=3), seed=seed))
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 3])
+    def test_ap_streams_are_the_observation_streams_children(self, seed):
+        # Seeds of one to three words, padded to four in front of the spawn key or not.
+        sc = replace(desk(seed=3), seed=seed)
+        children = np.random.SeedSequence(seed).spawn(4)[3].spawn(sc.num_aps)
+        with mock.patch.object(scenario_module, "streams",
+                               lambda words: [np.random.default_rng(c) for c in children]):
+            want = synthesize(sc)
+        assert synthesize(sc).tobytes() == want.tobytes()
 
     def test_reproducible_bitwise(self):
         sc = desk(seed=7)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from coopdetect import linalg, solver
-from coopdetect.errors import (ConfigMismatch, NotPositiveDefinite, StateConsistencyError,
-                               UnknownEdge)
+from coopdetect.errors import (ConfigMismatch, InvalidConfig, NotPositiveDefinite,
+                               StateConsistencyError, UnknownEdge)
 from coopdetect.linalg import add_outer_sums, outer_sums, pilot_gram
 from coopdetect.netsim import FailurePlan
 from coopdetect.objective import Hyperparams, ml_cost
@@ -308,6 +308,15 @@ class TestFailures:
                                match=re.escape("neighbors has 4 entries, expected 3")):
                 run_batch(batch, Hyperparams(num_iters=3))
 
+    @pytest.mark.parametrize("seed", [-3, 2.5, True, np.int64(-1)],
+                             ids=["negative", "fractional", "bool", "numpy_negative"])
+    def test_bad_seed_rejected_before_any_set_up(self, setup, seed):
+        sc, covs = setup
+        with mock.patch.object(solver, "_setup", side_effect=AssertionError("set up")):
+            message = f"seed must be a nonnegative integer, got {seed!r}"
+            with pytest.raises(InvalidConfig, match=re.escape(message)):
+                run(replace(sc, seed=seed), covs, Hyperparams(num_iters=3))
+
     def test_plan_validated_against_rounds(self, setup):
         sc, covs = setup
         plan = FailurePlan(ap_failures=((0, 99),))
@@ -450,3 +459,45 @@ class TestSetupOnce:
                             SolverOptions(early_stop_tol=1e-9))
         assert [r.rounds_completed for r in res] == [12, 1]
         assert build.call_count == 2
+
+
+class TestStreams:
+    def test_stream_objects_do_not_grow_with_aps(self):
+        # Each AP's channel, noise and selection streams are SeedSequence
+        # children whose states come from one pass; only each problem's drop
+        # stream builds a SeedSequence (a spawned child counts as one too).
+        made = []
+
+        class Counting(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        def constructions(num_aps):
+            sc = small_scenario(seed=2**40 + 9, num_aps=num_aps, degree=4)
+            made.clear()
+            with mock.patch.object(np.random, "SeedSequence", Counting):
+                covs = synthesize(sc)
+                run_batch([(sc, covs, None), (isolated(sc), covs, None)], Hyperparams(num_iters=2))
+            return len(made)
+
+        assert constructions(64) == constructions(5) == 2
+
+    def test_batch_of_one_two_and_three_word_seeds_is_each_alone(self):
+        # The selection entropies [salt, seed, i] are 4 words long below 2**64
+        # and 5 above it; each problem's pass hashes its own length.
+        scs = [small_scenario(seed=seed, num_aps=5, degree=2)
+               for seed in (7, 2**32 - 1, 2**40 + 1, 2**64 + 5)]
+        batch = [(sc, synthesize(sc), None) for sc in scs]
+        hyper = Hyperparams(num_iters=6)
+        st, _ = _setup(batch, hyper.num_iters)
+        for k, sc in enumerate(scs):
+            for i in range(sc.num_aps):
+                want = np.random.default_rng(np.random.SeedSequence(
+                    [solver._SELECTION_SALT, sc.seed, i])).random(hyper.num_iters)
+                assert st.draws[5 * k + i].tobytes() == want.tobytes()
+        for (sc, covs, _), got in zip(batch, run_batch(batch, hyper)):
+            want = run(sc, covs, hyper)
+            np.testing.assert_array_equal(got.gamma, want.gamma)
+            np.testing.assert_array_equal(got.trace.selected, want.trace.selected)
+            np.testing.assert_array_equal(got.received, want.received)
