@@ -400,6 +400,7 @@ def _rows(cfg: ExperimentConfig, sweep_value, solved: list, iotas: dict) -> list
 
 def calibrate(cfg: ExperimentConfig, sweep_index: int, sweep_value) -> dict:
     """Threshold multiplier per mode, ``{mode: iota}``, fitted on held-out trials."""
+    cfg.validate()
     keys = [(v, True) for v in range(cfg.calibration_trials)]
     return _fit_iotas(cfg, [trial for batch in _batches(cfg, keys)
                             for trial in _solve_batch(cfg, sweep_index, sweep_value, batch)])
@@ -435,9 +436,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
     evaluation trials are solved in the same batches (see ``_solve_batch``),
     as the threshold is only used for scoring.  The batches of all sweep
     points run in one process pool when ``cfg.workers > 1``; results are
-    identical either way.
+    identical either way.  The output directory is made before any solve.
     """
     cfg.validate()
+    if cfg.out_dir:
+        _make_out_dir(cfg.out_dir)
     calibration = [] if cfg.iota is not None else [
         (v, True) for v in range(cfg.calibration_trials)]
     keys = calibration + [(t, False) for t in range(cfg.trials)]
@@ -495,39 +498,42 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
     return artifact
 
 
+def _make_out_dir(out_dir) -> None:
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as err:
+        raise InvalidConfig(f"cannot write output directory {out_dir}: {err.strerror}") from None
+
+
 def emit_plotdata(artifact: RunArtifact, out_dir) -> list[str]:
     """Write ``aer_vs_<axis>.csv``, per-trial rows, and ``summary.json``.
 
     Deterministic formatting: reruns of the same config and master seed
-    produce byte-identical files.
+    produce byte-identical files.  InvalidConfig names one it cannot write.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-
-    agg_path = os.path.join(out_dir, f"aer_vs_{artifact.axis}.csv")
-    with open(agg_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis_value", "mode", "mean_aer", "stderr", "trials"])
-        for a in artifact.aggregates:
-            writer.writerow([a["axis_value"], a["mode"], repr(a["mean_aer"]),
-                             repr(a["stderr"]), a["trials"]])
-    paths.append(agg_path)
-
-    trials_path = os.path.join(out_dir, "trials.csv")
+    _make_out_dir(out_dir)
     cols = ["seed", "config_hash", "axis_value", "mode", "trial", "missed",
             "false_alarm", "aer", "aer_pooled", "iota", "messages_delivered",
             "messages_dropped", "scalars_delivered", "rounds", "clamped"]
-    with open(trials_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for r in artifact.rows:
-            row = dict(r, config_hash=artifact.config_hash)
-            writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c]
-                             for c in cols])
-    paths.append(trials_path)
-
-    summary_path = os.path.join(out_dir, "summary.json")
-    with open(summary_path, "w") as fh:
-        json.dump(artifact.to_summary_dict(), fh, sort_keys=True, indent=2)
-    paths.append(summary_path)
+    rows = [dict(r, config_hash=artifact.config_hash) for r in artifact.rows]
+    files = {
+        f"aer_vs_{artifact.axis}.csv": [["axis_value", "mode", "mean_aer", "stderr", "trials"]] + [
+            [a["axis_value"], a["mode"], repr(a["mean_aer"]), repr(a["stderr"]), a["trials"]]
+            for a in artifact.aggregates],
+        "trials.csv": [cols] + [[repr(row[c]) if isinstance(row[c], float) else row[c]
+                                 for c in cols] for row in rows],
+        "summary.json": artifact.to_summary_dict(),
+    }
+    paths = []
+    for name, content in files.items():
+        path = os.path.join(out_dir, name)
+        try:
+            with open(path, "w", newline="") as fh:
+                if name.endswith(".json"):
+                    json.dump(content, fh, sort_keys=True, indent=2)
+                else:
+                    csv.writer(fh).writerows(content)
+        except OSError as err:
+            raise InvalidConfig(f"cannot write output file {path}: {err.strerror}") from None
+        paths.append(path)
     return paths

@@ -42,8 +42,8 @@ class Hyperparams:
         """One message per value out of range; empty when all are usable.
 
         The step size and the penalty's curvature must be positive, the
-        weights nonnegative (rho >= 0 keeps :func:`combiner_weights` a
-        probability vector), all of them finite, and a solve needs a whole
+        weights nonnegative (rho >= 0 keeps each :func:`combiner_weights`
+        weight in [0, 1/k]), all of them finite, and a solve needs a whole
         number of rounds, at least one (a bool is not a count).
         """
         problems = []
@@ -178,34 +178,24 @@ def subgradient_aggregate_update(x_agg, weight, x_new, x_old) -> np.ndarray:
     return np.asarray(x_agg) + weight * (np.asarray(x_new) - np.asarray(x_old))
 
 
-def combiner_weights(own_gamma, neighbor_gammas, rho, receivers=None) -> np.ndarray:
-    """Adaptive convex weights over [neighbors..., self].
+def combiner_weights(own_rows, neighbor_rows, degree, rho) -> np.ndarray:
+    """Each edge's combiner weight, ``(2/k) * sigmoid(-rho * ||own - theirs||_2)``.
 
-    Each neighbor gets ``(2/k) * sigmoid(-rho * ||own - theirs||_2)`` where
-    k is the neighbor count; the remainder goes to self.  Identical
-    estimates split the mass evenly over the neighbors; distant estimates
-    push all mass back to self.  Always a probability vector with each
-    neighbor weight in [0, 1/k].
-
-    For B APs, ``own_gamma`` is (B, N), ``neighbor_gammas`` has one row per
-    edge and ``receivers`` the AP it feeds; the result is the edge weights,
-    then the B self weights (one AP by default: [neighbors..., self]).
+    Row r of ``neighbor_rows`` (R, N) is an estimate an AP received, row r of
+    ``own_rows`` (or one (N,) row for all) its own and ``degree`` its neighbor
+    count k (per row, or one for all).  Each weight lies in [0, 1/k], so an
+    AP's weights leave it a self weight, which no step reads.  A row's bits do
+    not depend on the other rows.
     """
-    own = np.atleast_2d(np.asarray(own_gamma, dtype=float))
-    nbrs = np.asarray(neighbor_gammas, dtype=float).reshape(-1, own.shape[-1])
-    if receivers is None:
-        receivers = np.zeros(len(nbrs), dtype=int)
-    k = np.bincount(receivers, minlength=len(own))
     # Euclidean distances with row_norms' bits, squared in place so that no
-    # second (E, N) temporary is made.
-    diff = nbrs - own[receivers]
+    # second (R, N) temporary is made.
+    diff = neighbor_rows - own_rows
     diff *= diff
     dists = np.sqrt(np.add.reduce(diff, axis=1))
     # The sigmoid of -rho * dists; exp overflows to inf for distant
     # estimates, which gives a weight of exactly 0.
     with np.errstate(over="ignore"):
-        w = (2.0 / k[receivers]) * (1.0 / (1.0 + np.exp(rho * dists)))
-    return np.concatenate([w, 1.0 - np.bincount(receivers, w, minlength=len(own))])
+        return (2.0 / degree) * (1.0 / (1.0 + np.exp(rho * dists)))
 
 
 def stochastic_step_size(weight: float, eta: float, prob: float) -> float:

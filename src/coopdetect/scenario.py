@@ -404,7 +404,9 @@ def synthesize(scenario: Scenario) -> np.ndarray:
     a time, which gives the same values as one ``standard_normal((2, N, M))``
     draw.  The average multiplies by 1/M, which is what numpy's complex
     division by M computes, without its other work; only a zero part of sign
-    -0.0 could come out with the other sign, and Y_b Y_b^H holds none.
+    -0.0 could come out with the other sign, and Y_b Y_b^H holds none.  An
+    AP's bits depend on how many APs share its group's product, as the
+    solver's products do.
     """
     bad = seed_problems({"seed": scenario.seed})
     if bad:
@@ -541,8 +543,12 @@ def read_json(path, what: str):
 
 
 def save_scenario(s: Scenario, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(scenario_to_dict(s), fh)
+    """Write ``s`` as JSON to the file ``path``; InvalidConfig if it cannot be written."""
+    try:
+        with open(path, "w") as fh:
+            json.dump(scenario_to_dict(s), fh)
+    except OSError as err:
+        raise InvalidConfig(f"cannot write scenario file {path}: {err.strerror}") from None
 
 
 def load_scenario(path) -> Scenario:

@@ -23,11 +23,13 @@ estimators are (B, N), model and sample covariances (B, L, L).  The
 estimate last received over each edge and the receiver's subgradient
 estimator for that neighbor are edge-indexed (E, N), so memory grows with
 the edges, not B^2; an AP's estimator for itself never moves and is not
-stored.  Each step calls its objective function once for all live APs.  The
-trace is four (rounds, B) arrays of the batch, which each round writes for
-its live APs.  What is not shared stays per problem: its failure plan,
-backhaul, drop stream, ledger, early stop and round count.  A round reads
-the batch and its round plan alone, never a problem.
+stored.  Each step calls its objective function once for all live APs,
+except the combiner weights, which only the APs that select a neighbor
+need: one call over their picked edges.  The trace is four (rounds, B)
+arrays of the batch, which each round writes for its live APs.  What is not
+shared stays per problem: its failure plan, backhaul, drop stream, ledger,
+early stop and round count.  A round reads the batch and its round plan
+alone, never a problem.
 
 A round reads what depends only on which APs are live from a round plan
 (``_RoundPlan``): the live rows and each AP's position among them, the edges
@@ -375,12 +377,11 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, hyper: Hyperparams,
     Selecting the own AP (or drawing a zero combiner weight) degenerates the
     similarity step to the identity: the similarity penalty against oneself
     is identically zero, so the new estimate is the clamped z step and the
-    estimators stay untouched.
+    estimators stay untouched.  So only the APs that select a neighbor get a
+    combiner weight, that of the picked edge; the others get 0.
     """
-    n = st.gamma.shape[1]
     src, live, rows, ein, erow = st.src, rplan.live, rplan.rows, rplan.ein, rplan.erow
-    own_col = rplan.own_col
-    b, e, c = len(st.gamma), len(src), len(live)
+    own_col, c = rplan.own_col, len(live)
 
     g_old = st.gamma[live]
     grad = np.empty_like(g_old)
@@ -393,32 +394,27 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, hyper: Hyperparams,
                           for _, chunk in rplan.chunks])
     for sl, pilots, kernel in rplan.products:
         grad[sl] = forms(buf[sl], pilots, kernel)
-    # The weights come before the panel, so that their temporaries and the
-    # panel are never held at once.
-    w = combiner_weights(g_old, st.received[ein], hyper.rho, receivers=erow)
     # Panels zero-padded to the largest inclusive degree, stored (c, K, N)
     # so the row norms reduce over contiguous rows.
-    panel = np.zeros((c, st.cdfs.shape[1], n))
+    panel = np.zeros((c, st.cdfs.shape[1], st.gamma.shape[1]))
     panel[erow, rplan.eslot] = st.received[ein]
     panel[np.arange(c), own_col] = g_old
     z = sparsity_step(g_old, grad, st.x_agg[rows], panel.swapaxes(1, 2),
                       hyper.beta, hyper.tau, hyper.eta)
 
-    count = own_col + 1
     sel = (rplan.cdfs <= st.draws[rows, t - 1, None]).sum(axis=1)
-    own = sel == own_col
-    pick = np.where(own, e + live, st.first[rows] + sel)     # index into the weights
-    weights = np.empty(e + b)
-    weights[:e][ein], weights[e + live] = w[:len(erow)], w[len(erow):]
-    w_sel = weights[pick]
-    tau_eta = hyper.tau * stochastic_step_size(w_sel, hyper.eta, 1.0 / count)
+    nbr = sel < own_col                             # own_col is the AP itself
+    pick = st.first[rows] + sel                     # the picked edge, where nbr
+    w_sel = np.zeros(c)
+    w_sel[nbr] = combiner_weights(g_old[nbr], st.received[pick[nbr]], own_col[nbr], hyper.rho)
+    tau_eta = hyper.tau * stochastic_step_size(w_sel, hyper.eta, 1.0 / (own_col + 1))
 
-    # Identity similarity step (self selected or zero weight): clamp z.
+    # Identity similarity step (self selected, or a zero weight): clamp z.
     negative = z < 0.0
     g_new = np.where(negative, 0.0, z)
-    ident = own | (tau_eta == 0.0)
+    ident = tau_eta == 0.0
     st.clamped[live[ident]] += negative[ident].sum(axis=1)
-    st.degenerate[live[ident & ~own]] += 1
+    st.degenerate[live[ident & nbr]] += 1
     p = np.flatnonzero(~ident)
     if p.size:
         ep, lp, zp, te = pick[p], live[p], z[p], tau_eta[p, None]
@@ -450,10 +446,11 @@ def _round(st: _Batch, rplan: _RoundPlan, t: int, hyper: Hyperparams,
             cost[sl] = ml_cost_given_factor(cholesky_factor(st.sigma[chunk]), st.covs[chunk])
         panel[np.arange(c), own_col] = g_new
         cost += hyper.beta * sparsity_penalty(panel.swapaxes(1, 2), hyper.theta)
+        w = combiner_weights(g_old[erow], st.received[ein], own_col[erow], hyper.rho)
         sim = np.abs(g_new[erow] - st.received[ein]).sum(axis=1)
-        cost += hyper.tau * np.bincount(erow, w[:len(erow)] * sim, minlength=c)
+        cost += hyper.tau * np.bincount(erow, w * sim, minlength=c)
     selected = live.copy()
-    selected[~own] = src[pick[~own]]
+    selected[nbr] = src[pick[nbr]]
     trace = st.trace
     trace.cost[t - 1, rows] = cost
     trace.selected[t - 1, rows] = selected - st.base[rows]

@@ -190,7 +190,10 @@ def ap_iteration(
     sel_idx = int(state.rng.choice(len(order), p=probs))
     selected = order[sel_idx]
 
-    weights = combiner_weights(gamma_old, nbr_mat, hyper.rho)
+    # [neighbors..., self]: the self weight is what the neighbors leave.
+    k = len(state.neighbors)
+    edge_w = combiner_weights(gamma_old, nbr_mat, k, hyper.rho) if k else np.zeros(0)
+    weights = np.append(edge_w, 1.0 - edge_w.sum())
     eta_sel = stochastic_step_size(float(weights[sel_idx]), hyper.eta, float(probs[sel_idx]))
     tau_eta = hyper.tau * eta_sel
 

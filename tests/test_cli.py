@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from coopdetect import solver
+from coopdetect import harness, solver
 from coopdetect.cli import main
 from coopdetect.harness import MODES
 from coopdetect.scenario import load_scenario
@@ -175,6 +175,25 @@ class TestBadInput:
         path = tmp_path / "unscorable.json"
         path.write_text(json.dumps({**cfg, field: value}))
         self.assert_rejected(["run", "--config", str(path)], capsys, expected)
+
+    def test_unwritable_out_dir_rejected_before_any_solve(self, config_file, tmp_path,
+                                                          capsys, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("harness._solve_batch called")
+
+        monkeypatch.setattr(harness, "_solve_batch", no_solve)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "results"
+        self.assert_rejected(["run", "--config", config_file, "--out", str(out)], capsys,
+                             f"invalid config: cannot write output directory {out}: "
+                             "Not a directory")
+
+    def test_unwritable_fixture_file(self, config_file, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "scenario.json"
+        self.assert_rejected(["fixture", "--config", config_file, "--out", str(out)], capsys,
+                             f"invalid config: cannot write scenario file {out}: "
+                             "Not a directory")
 
     @pytest.mark.parametrize("flag", ["--config", "--failure-plan"])
     def test_missing_file(self, tmp_path, capsys, flag):

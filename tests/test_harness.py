@@ -341,6 +341,14 @@ class TestRunExperiment:
         for mode in cfg.modes:
             assert calibrate(replace(cfg, modes=(mode,)), 1, 2) == {mode: iotas[mode]}
 
+    def test_calibrate_validates_before_any_solve(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("harness._solve_batch called")
+
+        monkeypatch.setattr(harness, "_solve_batch", no_solve)
+        with pytest.raises(InvalidConfig, match="master_seed is mandatory"):
+            calibrate(ExperimentConfig(), 0, 4)
+
     @pytest.mark.parametrize("pilot_len, num_devices, per_batch", [(24, 100, 36),
                                                                    (64, 1000, 100)])
     def test_batches_charge_pilot_tables(self, pilot_len, num_devices, per_batch):
@@ -434,6 +442,14 @@ class TestRunExperiment:
             "aer_vs_coop_degree.csv", "trials.csv", "summary.json"}
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["config_hash"] == art.config_hash
+
+    def test_unwritable_output_file_is_an_invalid_config(self, tmp_path):
+        # A directory where summary.json goes: the error names that path.
+        art = run_experiment(tiny_config(iota=1.0))
+        (tmp_path / "summary.json").mkdir()
+        message = f"cannot write output file {tmp_path / 'summary.json'}: Is a directory"
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            emit_plotdata(art, str(tmp_path))
 
     def test_summary_config_hashes_to_its_config_hash(self, tmp_path):
         # The summary's config is what the hash covers: sha256 of its sorted

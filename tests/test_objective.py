@@ -272,24 +272,30 @@ class TestSubgradients:
             subgradient_aggregate_update(x_agg, 0.0, np.array([2.0]), same), x_agg)
 
 
+def with_self(own, nbrs, rho):
+    """One AP's weights over [neighbors..., self]: the self weight is what the k leave."""
+    w = combiner_weights(own, nbrs, len(nbrs), rho=rho)
+    return np.append(w, 1.0 - w.sum())
+
+
 class TestCombiners:
     def test_equal_estimates_split_evenly(self):
         own = np.array([1.0, 2.0])
-        w = combiner_weights(own, np.stack([own, own, own]), rho=500.0)
+        w = with_self(own, np.stack([own, own, own]), rho=500.0)
         np.testing.assert_allclose(w[:3], 1.0 / 3.0)
         assert w[3] == pytest.approx(0.0, abs=1e-15)
 
     def test_distant_neighbor_gets_nothing(self):
         own = np.zeros(3)
         far = np.full((1, 3), 1e6)
-        w = combiner_weights(own, far, rho=500.0)
+        w = with_self(own, far, rho=500.0)
         assert w[0] == pytest.approx(0.0, abs=1e-300)
         assert w[1] == pytest.approx(1.0)
 
     def test_mixed_distances(self):
         own = np.zeros(2)
         nbrs = np.stack([own, own + 10.0])
-        w = combiner_weights(own, nbrs, rho=500.0)
+        w = with_self(own, nbrs, rho=500.0)
         assert w[0] == pytest.approx(0.5)
         assert w[1] == pytest.approx(0.0, abs=1e-300)
         assert w[2] == pytest.approx(0.5)
@@ -301,14 +307,16 @@ class TestCombiners:
             k = rng.integers(1, 6)
             own = rng.uniform(0, 1, 4)
             nbrs = rng.uniform(0, 1, (k, 4))
-            w = combiner_weights(own, nbrs, rho=rng.uniform(1, 1000))
+            w = with_self(own, nbrs, rho=rng.uniform(1, 1000))
             assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
             assert np.all(w >= 0.0)
             assert np.all(w[:-1] <= 1.0 / k + 1e-12)
 
     def test_no_neighbors_all_self(self):
-        w = combiner_weights(np.ones(3), np.zeros((0, 3)), rho=500.0)
-        np.testing.assert_array_equal(w, np.array([1.0]))
+        # A round in which no AP picks a neighbor makes an empty call.
+        w = combiner_weights(np.ones((0, 3)), np.zeros((0, 3)), np.zeros(0, dtype=int), 500.0)
+        assert w.shape == (0,)
+        np.testing.assert_array_equal(np.append(w, 1.0 - w.sum()), np.array([1.0]))
 
     def test_desk_scale_distance_gives_exactly_zero_without_warning(self):
         # At rho=500 a neighbour about 100 gain units away overflows exp.
@@ -316,14 +324,14 @@ class TestCombiners:
         nbrs = np.stack([own + 50.0, own + 60.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            w = combiner_weights(own, nbrs, rho=500.0)
+            w = with_self(own, nbrs, rho=500.0)
         np.testing.assert_array_equal(w, [0.0, 0.0, 1.0])
 
     def test_sigmoid_matches_scalar_formula(self):
         # One neighbour at distance -x with rho=1 gets 2 * sigmoid(x).
         xs = np.linspace(-700.0, 0.0, 1401)
         for x in xs:
-            w = combiner_weights(np.zeros(1), np.array([[-x]]), rho=1.0)
+            w = combiner_weights(np.zeros(1), np.array([[-x]]), 1, rho=1.0)
             assert w[0] / 2.0 == pytest.approx(1.0 / (1.0 + math.exp(-x)), rel=1e-15, abs=0)
 
 
@@ -354,9 +362,8 @@ class TestNormsAreNumpys:
             k = np.bincount(receivers, minlength=b)
             dists = np.linalg.norm(nbrs - own[receivers], axis=1)
             with np.errstate(over="ignore"):
-                w = (2.0 / k[receivers]) * (1.0 / (1.0 + np.exp(rho * dists)))
-            want = np.concatenate([w, 1.0 - np.bincount(receivers, w, minlength=b)])
-            got = combiner_weights(own, nbrs, rho, receivers=receivers)
+                want = (2.0 / k[receivers]) * (1.0 / (1.0 + np.exp(rho * dists)))
+            got = combiner_weights(own[receivers], nbrs, k[receivers], rho)
             assert got.tobytes() == want.tobytes()
 
 
@@ -371,7 +378,7 @@ class TestStepSize:
         rng = np.random.default_rng(12)
         own = rng.uniform(0, 1, 5)
         nbrs = rng.uniform(0, 1, (3, 5))
-        w = combiner_weights(own, nbrs, rho=20.0)
+        w = with_self(own, nbrs, rho=20.0)
         probs = np.full(4, 0.25)
         expected = sum(p * stochastic_step_size(c, 0.003, p) for c, p in zip(w, probs))
         assert expected == pytest.approx(0.003, rel=1e-12)

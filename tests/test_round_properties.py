@@ -1,11 +1,12 @@
 """Property tests of the batched round on random small scenarios.
 
-Each example draws a topology (up to 8 APs, any degree), a failure plan with
-crashes, link windows and random drops, hyperparameters and solver options,
-then checks the batched solver, on the pilot-table path and on the complex
-path, against the per-AP loop in ``reference_loop`` on the complex path, a
-batch of such problems against each one solved alone on either path, and
-the invariants of the round's parts.
+Each example draws a topology (up to 8 APs, 12 for the combiner calls, any
+degree), a failure plan with crashes, link windows and random drops,
+hyperparameters and solver options, then checks the batched solver, on the
+pilot-table path and on the complex path, against the per-AP loop in
+``reference_loop`` on the complex path, a batch of such problems against
+each one solved alone on either path, and the invariants of the round's
+parts.
 """
 
 from contextlib import ExitStack
@@ -16,7 +17,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopdetect import linalg
+from coopdetect import linalg, solver
 from coopdetect.netsim import Backhaul, CommLedger, FailurePlan, deliver_round
 from coopdetect.objective import Hyperparams, combiner_weights, similarity_prox
 from coopdetect.scenario import TopologyConfig, isolated, make_scenario, synthesize
@@ -29,9 +30,9 @@ finite = st.floats(-1e3, 1e3, allow_nan=False)
 
 @st.composite
 def problems(draw, sizes=st.integers(4, 16), pilot_lens=st.integers(2, 6),
-             round_counts=st.integers(1, 40)):
+             round_counts=st.integers(1, 40), ap_counts=st.integers(1, 8)):
     """(scenario, observations, plan, hyperparameters, options)."""
-    b = draw(st.integers(1, 8))
+    b = draw(ap_counts)
     n = draw(sizes)
     rounds = draw(round_counts)
     topo = TopologyConfig(num_aps=b, degree=draw(st.integers(0, b - 1)),
@@ -178,14 +179,68 @@ def test_combiner_weights_are_probability_vectors(num_aps, n, rho, data):
     own = np.array(data.draw(st.lists(finite, min_size=num_aps * n, max_size=num_aps * n)))
     nbrs = np.array(data.draw(st.lists(finite, min_size=len(receivers) * n,
                                        max_size=len(receivers) * n)))
-    w = combiner_weights(own.reshape(num_aps, n), nbrs.reshape(-1, n), rho,
-                         receivers=receivers)
-    edge_w, self_w = w[:len(receivers)], w[len(receivers):]
+    # Each AP's self weight is the remainder of its edges' weights.
     k = np.bincount(receivers, minlength=num_aps)
+    edge_w = combiner_weights(own.reshape(num_aps, n)[receivers], nbrs.reshape(-1, n),
+                              k[receivers], rho)
+    self_w = 1.0 - np.bincount(receivers, edge_w, minlength=num_aps)
     assert np.all(edge_w >= 0.0) and np.all(edge_w <= 1.0 / k[receivers] + 1e-12)
     assert np.all(self_w >= -1e-12)
     totals = self_w + np.bincount(receivers, edge_w, minlength=num_aps)
     np.testing.assert_allclose(totals, 1.0, atol=1e-12)
+
+
+def check_picked_weights(scenario, observations, plan, hyper, options) -> int:
+    """Assert that each round's picked-edge weights are their rows of the all-edge call.
+
+    With cost recording a round calls ``combiner_weights`` twice: over the
+    edges its APs picked, then over every edge into a live AP for the cost.
+    Returns the number of rounds in which no AP picked a neighbor.
+    """
+    calls, weights = [], solver.combiner_weights
+
+    def spy(*args, **kwargs):
+        calls.append(weights(*args, **kwargs))
+        return calls[-1]
+
+    with mock.patch.object(solver, "combiner_weights", spy):
+        result = run(scenario, observations, hyper, plan=plan,
+                     options=replace(options, record_cost=True))
+    sel, src, dst = result.trace.selected, result.edges.src, result.edges.dst
+    rounds = np.flatnonzero((sel >= 0).any(axis=1))
+    assert len(calls) == 2 * len(rounds)
+    empty = 0
+    for picked, every, t in zip(calls[::2], calls[1::2], rounds):
+        live = sel[t] >= 0
+        takers = np.flatnonzero(live & (sel[t] != np.arange(scenario.num_aps)))
+        edges = [np.flatnonzero((src == sel[t, a]) & (dst == a))[0] for a in takers]
+        rows = np.searchsorted(np.flatnonzero(live[dst]), edges).astype(int)
+        assert picked.tobytes() == every[rows].tobytes()
+        empty += not takers.size
+    return empty
+
+
+@given(problems(ap_counts=st.integers(1, 12)))
+def test_picked_weights_are_their_rows_of_one_call_over_all_edges(problem):
+    # A row's distance is reduced alone, so it does not depend on its call's rows.
+    scenario, observations, plan, hyper, options = problem
+    check_picked_weights(scenario, observations, plan, hyper, options)
+
+
+def test_rounds_where_every_ap_picks_itself_make_empty_calls():
+    def problem(degree):
+        topo = TopologyConfig(num_aps=2, degree=degree, layout="ring", seed=5)
+        scenario = make_scenario(topo, num_devices=8, num_active=2, pilot_len=4,
+                                 num_antennas=4, snr_db=10.0, gain_ref=50.0,
+                                 pathloss_exponent=3.0)
+        return scenario, synthesize(scenario)
+
+    # Each AP of a 2-AP ring picks itself with probability 1/2 a round.
+    empty = check_picked_weights(*problem(1), FailurePlan(ap_failures=((1, 30),)),
+                                 Hyperparams(num_iters=40), SolverOptions())
+    assert 0 < empty < 40
+    assert check_picked_weights(*problem(0), None, Hyperparams(num_iters=5),
+                                SolverOptions()) == 5
 
 
 @settings(max_examples=100)

@@ -263,14 +263,15 @@ class TestSynthesize:
         y2 = synthesize(desk(seed=7))
         np.testing.assert_array_equal(y1, y2)
 
-    @given(st.integers(1, 12), st.data())
-    def test_matches_one_draw_per_ap_bitwise(self, n, data):
-        # Small slabs and AP groups: many slabs per AP, a partial last slab,
-        # and several groups per call.
-        k, l, m = (data.draw(st.integers(0, n)), data.draw(st.integers(1, 5)),
-                   data.draw(st.integers(1, 6)))
-        b, seed = data.draw(st.integers(1, 7)), data.draw(st.integers(0, 2**32 - 1))
-        slab_rows, group = data.draw(st.integers(1, 2 * n + 1)), data.draw(st.integers(1, 3))
+    @staticmethod
+    def check_draws(n, k, l, m, b, seed, slab_rows, group):
+        """Each AP's covariance from its own stream's draws, with its group's product.
+
+        A group of one is a separate 2-D product per AP; a larger group is one
+        stacked product, built as ``synthesize`` builds it (its operands sliced
+        alike, so laid out alike), since a row's bits depend on how many rows
+        share its product.
+        """
         sc = make_scenario(TopologyConfig(num_aps=b, degree=0, seed=seed), num_devices=n,
                            num_active=k, pilot_len=l, num_antennas=m, snr_db=10.0, gain_ref=1.0)
         with mock.patch.object(scenario_module, "_SLAB_BYTES", 8 * m * slab_rows), \
@@ -284,13 +285,35 @@ class TestSynthesize:
             return out
 
         act = np.flatnonzero(sc.activity)
-        streams = np.random.SeedSequence(seed).spawn(4)[3].spawn(b)
-        for ap, stream in enumerate(streams):
+        h, w = [], []
+        for stream in np.random.SeedSequence(seed).spawn(4)[3].spawn(b):
             rng = np.random.default_rng(stream)
-            h = complex_gaussian(rng.standard_normal((2, n, m)), 1.0)
-            w = complex_gaussian(rng.standard_normal((2, l, m)), sc.noise_power)
-            y = (sc.pilots[:, act] * np.sqrt(sc.gains[ap, act])) @ h[act] + w
-            np.testing.assert_array_equal(got[ap], y @ y.conj().T / m)
+            h.append(complex_gaussian(rng.standard_normal((2, n, m)), 1.0)[act])
+            w.append(complex_gaussian(rng.standard_normal((2, l, m)), sc.noise_power))
+        amp = sc.activity[act] * np.sqrt(sc.gains[:, act])
+        for first in range(0, b, group):
+            aps = slice(first, min(first + group, b))
+            if aps.stop - first == 1:
+                y = (sc.pilots[:, act] * np.sqrt(sc.gains[first, act])) @ h[first] + w[first]
+                np.testing.assert_array_equal(got[first], y @ y.conj().T / m)
+            else:
+                y = (sc.pilots[:, act] * amp[aps, None, :]) @ np.stack(h[aps]) + np.stack(w[aps])
+                np.testing.assert_array_equal(got[aps], y @ y.conj().swapaxes(-1, -2) / m)
+
+    @given(st.integers(1, 12), st.data())
+    def test_matches_one_draw_per_ap_bitwise(self, n, data):
+        # Small slabs and AP groups: many slabs per AP, a partial last slab,
+        # and several groups per call.
+        k, l, m = (data.draw(st.integers(0, n)), data.draw(st.integers(1, 5)),
+                   data.draw(st.integers(1, 6)))
+        b, seed = data.draw(st.integers(1, 7)), data.draw(st.integers(0, 2**32 - 1))
+        slab_rows, group = data.draw(st.integers(1, 2 * n + 1)), data.draw(st.integers(1, 3))
+        self.check_draws(n, k, l, m, b, seed, slab_rows, group)
+
+    def test_group_of_three_matches_its_stacked_product(self):
+        # AP 2's covariance here can differ in the last bit from a 2-D product of its
+        # own (it does with numpy 2.4 on OpenBLAS).
+        self.check_draws(n=2, k=2, l=1, m=5, b=3, seed=0, slab_rows=5, group=3)
 
     def test_draw_memory_does_not_grow_with_devices(self):
         peaks = []

@@ -461,6 +461,26 @@ class TestSetupOnce:
         assert build.call_count == 2
 
 
+class TestCombinerCalls:
+    def test_weights_only_for_the_aps_that_pick_a_neighbor(self, setup):
+        # Without cost recording, a round's one call gets a row for each live AP
+        # that selected a neighbor, and none for self picks or crashed APs.
+        sc, covs = setup
+        got, weights = [], solver.combiner_weights
+
+        def spy(own, nbrs, *args, **kwargs):
+            got.append(len(nbrs))
+            return weights(own, nbrs, *args, **kwargs)
+
+        with mock.patch.object(solver, "combiner_weights", spy):
+            res = run(sc, covs, Hyperparams(num_iters=12), plan=FailurePlan(ap_failures=((1, 5),)),
+                      options=SolverOptions(record_cost=False))
+        sel = res.trace.selected
+        want = np.count_nonzero((sel >= 0) & (sel != np.arange(sc.num_aps)), axis=1)
+        assert got == want.tolist()
+        assert 0 < sum(got) < 12 * len(res.edges.src)
+
+
 class TestStreams:
     def test_stream_objects_do_not_grow_with_aps(self):
         # Each AP's channel, noise and selection streams are SeedSequence
